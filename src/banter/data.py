@@ -231,7 +231,8 @@ def load_embeddings(path) -> EmbeddingTable:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            parts = line.rstrip("\n").split(" ")
+            # fastText .vec rows may end in a space before the newline
+            parts = line.rstrip().split(" ")
             token, values = parts[0], parts[1:]
             if len(values) != dim:
                 raise CorpusError(

@@ -6,26 +6,40 @@ per coordinate, averages, and projects through a shared affine + ReLU. The
 level count for N inputs and width X is ceil((N-1)/(X-1)); the final level
 leaves a single context vector. The same operation serves token embeddings
 and audio frame sequences.
+
+Every level is one fixed group of whole-matrix ops on that level's (n, d)
+matrix, however many windows it holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, group_softmax, matmul, mul, relu, scale
+from .tensor import (
+    Tensor,
+    affine_rows,
+    mul,
+    relu,
+    reshape,
+    scale,
+    sliding_windows,
+    softmax,
+    sum_axis,
+)
 
 
 @dataclass
 class LevelRecord:
-    """Vectors produced at one level, plus the weights that built them.
+    """The (n, d) vectors produced at one level, plus the weights that built
+    them, one (windows, window size, d) array.
 
-    Level 0 has no windows, so its ``window_weights`` list is empty.
+    Level 0 has no windows, so its ``window_weights`` is None.
     """
 
-    contexts: list[Tensor]
-    window_weights: list[list[Tensor]] = field(default_factory=list)
+    contexts: Tensor
+    window_weights: np.ndarray | None = None
 
 
 @dataclass
@@ -41,7 +55,7 @@ class LevelTrace:
         return len(self.levels) - 1
 
     def level_sizes(self) -> list[int]:
-        return [len(rec.contexts) for rec in self.levels]
+        return [rec.contexts.shape[0] for rec in self.levels]
 
 
 def level_count(n: int, width: int) -> int:
@@ -57,52 +71,32 @@ def level_count(n: int, width: int) -> int:
     return -((n - 1) // -(width - 1))
 
 
-def local_attention(window: list[Tensor], proj_w: Tensor,
-                    proj_b: Tensor) -> tuple[list[Tensor], Tensor]:
-    """Attend over one window: softmax weights, average, project, rectify.
-
-    The weighted sum is divided by the actual window size, so truncated
-    final windows stay a bounded average.
-    """
-    if len(window) == 0:
-        raise ValueError("local_attention on an empty window")
-    weights = group_softmax(window)
-    combined = mul(weights[0], window[0])
-    for w, v in zip(weights[1:], window[1:]):
-        combined = add(combined, mul(w, v))
-    pooled = scale(combined, 1.0 / len(window))
-    context = relu(add(matmul(proj_w, pooled), proj_b))
-    return weights, context
-
-
-def hier_attend(vectors: list[Tensor], proj_w: Tensor, proj_b: Tensor,
+def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
                 width: int = 3) -> tuple[Tensor, LevelTrace]:
-    """Collapse N vectors to one through stacked local attentions.
+    """Collapse the N rows of an (N, d) matrix to one (d,) vector.
 
     Windows slide with stride 1 and full width while enough vectors remain;
     when fewer than ``width`` are left, a single truncated window finishes
-    the level. Returns the final vector and the complete trace.
+    the level. Each window's weighted sum is divided by the window's size,
+    so truncated final windows stay a bounded average. Returns the final
+    vector and the complete trace.
     """
-    if len(vectors) == 0:
-        raise ValueError("hier_attend needs at least one vector")
+    if vectors.data.ndim != 2 or vectors.shape[0] == 0:
+        raise ValueError(f"hier_attend needs an (n, d) matrix with at least "
+                         f"one row, got shape {vectors.shape}")
     if width < 2:
         raise ValueError(f"window width must be at least 2, got {width}")
-    current = [relu(v) for v in vectors]
+    current = relu(vectors)
     trace = LevelTrace(width=width, levels=[LevelRecord(contexts=current)])
-    while len(current) > 1:
-        if len(current) >= width:
-            windows = [current[k:k + width]
-                       for k in range(len(current) - width + 1)]
-        else:
-            windows = [current]
-        record = LevelRecord(contexts=[])
-        for window in windows:
-            weights, context = local_attention(window, proj_w, proj_b)
-            record.window_weights.append(weights)
-            record.contexts.append(context)
-        trace.levels.append(record)
-        current = record.contexts
-    return current[0], trace
+    while current.shape[0] > 1:
+        size = min(width, current.shape[0])
+        windows = sliding_windows(current, size)
+        weights = softmax(windows, axis=1)
+        pooled = scale(sum_axis(mul(weights, windows), axis=1), 1.0 / size)
+        current = relu(affine_rows(pooled, proj_w, proj_b))
+        trace.levels.append(LevelRecord(contexts=current,
+                                        window_weights=weights.data))
+    return reshape(current, current.shape[1:]), trace
 
 
 def init_projection(dim: int, rng: np.random.Generator,

@@ -285,7 +285,7 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
                 rep = Tensor(matrix.mean(axis=0))
             else:
                 rep, trace = hier_attend(
-                    [Tensor(row) for row in matrix],
+                    Tensor(matrix),
                     params["text_attn.proj_w"], params["text_attn.proj_b"],
                     config.attn_width_tokens)
                 text_traces.append(trace)
@@ -298,7 +298,7 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
                 rep = acoustic_encode(encoder, utt.acoustic)
             else:
                 rep, trace = hier_attend(
-                    [Tensor(row) for row in utt.acoustic],
+                    Tensor(utt.acoustic),
                     params["audio_attn.proj_w"], params["audio_attn.proj_b"],
                     config.attn_width_tokens)
                 audio_traces.append(trace)
@@ -452,7 +452,11 @@ def save_checkpoint(params: ParameterSet, path, config: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
-    """Read a checkpoint; bit-exact inverse of save at f32 precision."""
+    """Read a checkpoint; bit-exact inverse of save at f32 precision.
+
+    Parameter names and shapes must be exactly those ``init_parameters``
+    builds for the stored config.
+    """
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -484,9 +488,21 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
         config = ModelConfig(**meta)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad stored config: {exc}") from None
+    expected = {name: t.shape for name, t in
+                init_parameters(config, np.random.default_rng(0)).items()}
+    for name in expected:
+        if name not in header:
+            raise CheckpointError(f"{path}: missing parameter {name!r}")
     params = ParameterSet()
     for name, entry in header.items():
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected parameter {name!r} "
+                                  f"for the stored config")
         shape = tuple(int(s) for s in entry["shape"])
+        if shape != expected[name]:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has shape {list(shape)}, the "
+                f"stored config needs {list(expected[name])}")
         if entry.get("dtype") != "f32":
             raise CheckpointError(
                 f"{path}: parameter {name!r} has unsupported dtype "

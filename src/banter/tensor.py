@@ -149,6 +149,8 @@ def backward(loss: Tensor) -> None:
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
     holders: dict[int, Tensor] = {id(loss): loss}
+    # adjoint buffers allocated here, and so safe to update in place
+    owned: dict[int, np.ndarray] = {}
 
     for node in reversed(tape._nodes):
         out_grads = []
@@ -156,6 +158,7 @@ def backward(loss: Tensor) -> None:
         for out in node.outputs:
             g = adjoints.pop(id(out), None)
             holders.pop(id(out), None)
+            owned.pop(id(out), None)
             if g is not None:
                 any_grad = True
                 out.accumulate_grad(g)
@@ -169,8 +172,14 @@ def backward(loss: Tensor) -> None:
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
-            if key in adjoints:
-                adjoints[key] = adjoints[key] + pg
+            if key in owned:
+                owned[key] += pg
+            elif key in adjoints:
+                # the first array came from a backward rule, which may hand
+                # the same object to other parents: sum into a fresh buffer
+                # once, then accumulate into that buffer in place
+                buf = np.add(adjoints[key], pg, dtype=np.float64)
+                adjoints[key] = owned[key] = np.asarray(buf)
             else:
                 adjoints[key] = pg
                 holders[key] = parent
@@ -311,6 +320,48 @@ def mean_rows(a: Tensor) -> Tensor:
     return out
 
 
+def sum_axis(a: Tensor, axis: int) -> Tensor:
+    """Sum over one axis, which the result drops."""
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise ShapeError(f"sum_axis: no axis {axis} in shape {a.shape}")
+    axis %= a.data.ndim
+    out = Tensor(a.data.sum(axis=axis))
+
+    def bwd(gs):
+        return (np.broadcast_to(np.expand_dims(gs[0], axis), a.shape),)
+
+    _finish("sum_axis", [out], [a], bwd)
+    return out
+
+
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    """The same values in a new shape, e.g. a (1, d) row as a (d,) vector."""
+    shape = tuple(int(s) for s in shape)
+    if int(np.prod(shape)) != a.size:
+        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
+    out = Tensor(a.data.reshape(shape))
+    _finish("reshape", [out], [a], lambda gs: (gs[0].reshape(a.shape),))
+    return out
+
+
+def affine_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One affine map applied to every row: (m, k) @ (d, k).T + (d,)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError(f"affine_rows: bad operand ranks {x.shape}, "
+                         f"{w.shape}, {b.shape}")
+    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
+        raise ShapeError(f"affine_rows: {x.shape} rows through {w.shape} "
+                         f"+ {b.shape}")
+    out = Tensor(x.data @ w.data.T + b.data)
+
+    def bwd(gs):
+        g = gs[0]
+        return g @ w.data, g.T @ x.data, g.sum(axis=0)
+
+    _finish("affine_rows", [out], [x, w, b], bwd)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # activations and related pointwise ops
 
@@ -419,6 +470,47 @@ def group_softmax(vectors: Sequence[Tensor]) -> list[Tensor]:
 
     _finish("group_softmax", outs, list(vectors), bwd)
     return outs
+
+
+def softmax(a: Tensor, axis: int) -> Tensor:
+    """Softmax along one axis, stabilized by the max along that axis."""
+    if not -a.data.ndim <= axis < a.data.ndim:
+        raise ShapeError(f"softmax: no axis {axis} in shape {a.shape}")
+    exps = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    y = exps / exps.sum(axis=axis, keepdims=True)
+    out = Tensor(y)
+
+    def bwd(gs):
+        g = gs[0]
+        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+
+    _finish("softmax", [out], [a], bwd)
+    return out
+
+
+def sliding_windows(a: Tensor, size: int) -> Tensor:
+    """Every stride-1 window of ``size`` consecutive rows of an (n, d) matrix.
+
+    Returns (n - size + 1, size, d); window k holds rows k .. k + size - 1.
+    The adjoint scatter-adds each window slot back into its source rows.
+    """
+    if a.data.ndim != 2:
+        raise ShapeError(f"sliding_windows expects a matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if not 1 <= size <= n:
+        raise ShapeError(f"sliding_windows: window of {size} over {n} rows")
+    m = n - size + 1
+    out = Tensor(a.data[np.arange(m)[:, None] + np.arange(size)])
+
+    def bwd(gs):
+        g = gs[0]
+        dx = np.zeros_like(a.data)
+        for k in range(size):
+            dx[k:k + m] += g[:, k]
+        return (dx,)
+
+    _finish("sliding_windows", [out], [a], bwd)
+    return out
 
 
 def dropout(a: Tensor, rate: float, training: bool,

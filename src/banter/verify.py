@@ -92,17 +92,34 @@ def check_linear_gradients() -> None:
         "concat.a": Tensor(rng.normal(size=2), requires_grad=True),
         "concat.b": Tensor(rng.normal(size=3), requires_grad=True),
         "mean_rows.x": Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+        "affine_rows.x": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+        "affine_rows.w": Tensor(rng.normal(size=(2, 4)), requires_grad=True),
+        "affine_rows.b": Tensor(rng.normal(size=2), requires_grad=True),
+        "sum_axis.x": Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True),
+        "reshape.x": Tensor(rng.normal(size=(1, 3)), requires_grad=True),
     }
 
     def f(p):
         squashed = tensor.tanh(tensor.matmul(p["matmul.m"], p["matmul.v"]))
         joined = tensor.concat([p["concat.a"], p["concat.b"]], axis=0)
-        total = tensor.add(tensor.sum_all(squashed),
-                           tensor.sum_all(tensor.sigmoid(joined)))
-        return tensor.add(total,
-                          tensor.sum_all(tensor.mean_rows(p["mean_rows.x"])))
+        mapped = tensor.affine_rows(p["affine_rows.x"], p["affine_rows.w"],
+                                    p["affine_rows.b"])
+        summed = tensor.sum_axis(p["sum_axis.x"], 1)
+        flat = tensor.reshape(p["reshape.x"], (3,))
+        terms = [
+            tensor.sum_all(squashed),
+            tensor.sum_all(tensor.sigmoid(joined)),
+            tensor.sum_all(tensor.mean_rows(p["mean_rows.x"])),
+            tensor.sum_all(tensor.tanh(mapped)),
+            tensor.sum_all(tensor.tanh(summed)),
+            tensor.sum_all(tensor.sigmoid(flat)),
+        ]
+        total = terms[0]
+        for term in terms[1:]:
+            total = tensor.add(total, term)
+        return total
 
-    _require_gradients(f, params, "matmul/concat/mean")
+    _require_gradients(f, params, "matmul/concat/mean/affine/sum/reshape")
 
 
 def check_softmax_gradients() -> None:
@@ -111,15 +128,22 @@ def check_softmax_gradients() -> None:
                                             requires_grad=True)
               for k in range(4)}
 
+    params["sliding_windows.x"] = Tensor(rng.normal(size=(5, 3)),
+                                         requires_grad=True)
+
     def f(p):
         weights = tensor.group_softmax([p[f"group_softmax.v{k}"]
                                         for k in range(4)])
         mixed = weights[0]
         for k, w in enumerate(weights[1:], start=1):
             mixed = tensor.add(mixed, tensor.mul(w, p[f"group_softmax.v{k}"]))
-        return tensor.sum_all(tensor.tanh(mixed))
+        # one whole attention level: windows weighted by their softmax
+        windows = tensor.sliding_windows(p["sliding_windows.x"], 3)
+        level = tensor.mul(tensor.softmax(windows, axis=1), windows)
+        return tensor.add(tensor.sum_all(tensor.tanh(mixed)),
+                          tensor.sum_all(tensor.tanh(level)))
 
-    _require_gradients(f, params, "group softmax")
+    _require_gradients(f, params, "group softmax/windowed softmax")
 
 
 def check_lstm_gradients() -> None:
@@ -198,7 +222,7 @@ def check_hier_structure() -> None:
     for width in range(2, 6):
         proj_w, proj_b = init_projection(3, rng)
         for n in range(1, 25):
-            vectors = [Tensor(rng.normal(size=3)) for _ in range(n)]
+            vectors = Tensor(rng.normal(size=(n, 3)))
             out, trace = hier_attend(vectors, proj_w, proj_b, width)
             expected_levels = level_count(n, width)
             if trace.attention_levels != expected_levels:
@@ -215,11 +239,11 @@ def check_hier_structure() -> None:
             if out.shape != (3,):
                 raise AssertionError(f"output shape {out.shape}")
             for record in trace.levels[1:]:
-                for weights in record.window_weights:
-                    total = np.sum([w.data for w in weights], axis=0)
-                    if not np.allclose(total, 1.0, atol=1e-9):
-                        raise AssertionError(
-                            f"n={n} width={width}: weights sum {total}")
+                # per window and coordinate: (windows, size, d) -> (windows, d)
+                total = record.window_weights.sum(axis=1)
+                if not np.allclose(total, 1.0, atol=1e-9):
+                    raise AssertionError(
+                        f"n={n} width={width}: weights sum {total}")
 
 
 def check_context_causality() -> None:

@@ -124,7 +124,7 @@ def criterion_3():
     for width in range(2, 6):
         proj_w, proj_b = init_projection(dim, rng)
         for n in range(1, 65):
-            vectors = [Tensor(rng.normal(size=dim)) for _ in range(n)]
+            vectors = Tensor(rng.normal(size=(n, dim)))
             out, trace = hier_attend(vectors, proj_w, proj_b, width)
             if trace.attention_levels != level_count(n, width):
                 problems.append(f"N={n} X={width}: level count")
@@ -135,10 +135,10 @@ def criterion_3():
             if out.shape != (dim,):
                 problems.append(f"N={n} X={width}: output dim")
             for record in trace.levels[1:]:
-                for weights in record.window_weights:
-                    total = np.sum([w.data for w in weights], axis=0)
-                    if not np.allclose(total, 1.0, atol=1e-9):
-                        problems.append(f"N={n} X={width}: weight sum")
+                # per window and coordinate: (windows, size, d) -> (windows, d)
+                total = record.window_weights.sum(axis=1)
+                if not np.allclose(total, 1.0, atol=1e-9):
+                    problems.append(f"N={n} X={width}: weight sum")
     elapsed = time.monotonic() - start
     ok = not problems and elapsed < 10.0
     head = f"; first problem: {problems[0]}" if problems else ""

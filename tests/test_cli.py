@@ -23,6 +23,7 @@ from banter.cli import (
 )
 from banter.model import build_variant, init_parameters, save_checkpoint
 from synthdata import marker_corpus, masac_shaped_corpus
+from test_model import rewrite_checkpoint_header
 from test_verify import broken_tanh
 
 # small dims keep every training run in this file around a second
@@ -252,6 +253,20 @@ class TestEvalCommand:
                      "--embeddings", str(emb), "--out",
                      str(tmp_path / "out")])
         assert code == 3
+
+    def test_checkpoint_missing_a_parameter_is_a_data_error(
+            self, workspace, trained, tmp_path, capsys):
+        _, corpus, emb = workspace
+        bad = rewrite_checkpoint_header(
+            trained / "model.ckpt", tmp_path / "bad.ckpt",
+            lambda header: header.pop("head_humor.b2"))
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(corpus),
+                     "--embeddings", str(emb), "--out",
+                     str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "head_humor.b2" in err
 
     def test_text_checkpoint_requires_embeddings_flag(self, workspace,
                                                       trained, tmp_path,

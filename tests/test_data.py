@@ -222,6 +222,18 @@ class TestEmbeddings:
         with pytest.raises(CorpusError, match="short"):
             load_embeddings(path)
 
+    def test_trailing_space_rows_load(self, tmp_path):
+        # fastText .vec files end every row with a space
+        path = self.write_table(tmp_path, ["2 3", "foo 1 2 3 ", "bar 4 5 6 "])
+        table = load_embeddings(path)
+        assert len(table) == 2
+        np.testing.assert_allclose(table.lookup("foo"), [1, 2, 3])
+
+    def test_trailing_space_does_not_hide_a_short_row(self, tmp_path):
+        path = self.write_table(tmp_path, ["1 3", "foo 1 2 "])
+        with pytest.raises(CorpusError, match="has 2 values"):
+            load_embeddings(path)
+
     def test_duplicate_token_keeps_first(self, tmp_path):
         path = self.write_table(tmp_path, ["2 2", "kya 1 2", "kya 3 4"])
         table = load_embeddings(path)

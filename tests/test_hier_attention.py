@@ -9,9 +9,8 @@ from banter.hier_attention import (
     hier_attend,
     init_projection,
     level_count,
-    local_attention,
 )
-from banter.tensor import Tensor, sum_all
+from banter.tensor import Tape, Tensor, sum_all
 
 
 def identity_projection(dim):
@@ -63,41 +62,31 @@ class TestLevelCount:
             level_count(5, 1)
 
 
-class TestLocalAttention:
+class TestWindowLevel:
+    """One attention level, read from the trace of a one-level collapse."""
+
     def test_equal_vectors_share_weight(self):
         v = np.array([0.4, 1.2, 0.0, 2.0])
         w, b = identity_projection(4)
-        window = [Tensor(v) for _ in range(3)]
-        weights, context = local_attention(window, w, b)
-        for wt in weights:
-            np.testing.assert_allclose(wt.data, np.full(4, 1 / 3), atol=1e-12)
+        out, trace = hier_attend(Tensor(np.tile(v, (3, 1))), w, b, width=3)
+        np.testing.assert_allclose(trace.levels[1].window_weights,
+                                   np.full((1, 3, 4), 1 / 3), atol=1e-12)
         # weighted sum reassembles v, then the division by window size
-        np.testing.assert_allclose(context.data, v / 3, atol=1e-12)
-
-    def test_singleton_window_is_rectified_input(self):
-        v = np.array([0.5, -0.5, 2.0])
-        w, b = identity_projection(3)
-        _, context = local_attention([Tensor(v)], w, b)
-        np.testing.assert_allclose(context.data, [0.5, 0.0, 2.0])
+        np.testing.assert_allclose(out.data, v / 3, atol=1e-12)
 
     def test_log_spaced_first_coordinate(self):
         w, b = identity_projection(2)
-        window = [Tensor([np.log(2.0), 0.0]), Tensor([np.log(4.0), 0.0])]
-        weights, _ = local_attention(window, w, b)
-        np.testing.assert_allclose(
-            [weights[0].data[0], weights[1].data[0]], [1 / 3, 2 / 3], atol=1e-12)
-
-    def test_empty_window_rejected(self):
-        w, b = identity_projection(2)
-        with pytest.raises(ValueError):
-            local_attention([], w, b)
+        rows = Tensor([[np.log(2.0), 0.0], [np.log(4.0), 0.0]])
+        _, trace = hier_attend(rows, w, b, width=2)
+        np.testing.assert_allclose(trace.levels[1].window_weights[0, :, 0],
+                                   [1 / 3, 2 / 3], atol=1e-12)
 
 
 class TestHierAttend:
     def test_single_vector_base_case(self):
         v = np.array([1.0, -2.0, 0.5])
         w, b = identity_projection(3)
-        out, trace = hier_attend([Tensor(v)], w, b, width=3)
+        out, trace = hier_attend(Tensor([v]), w, b, width=3)
         np.testing.assert_allclose(out.data, [1.0, 0.0, 0.5])
         assert trace.attention_levels == 0
         assert trace.level_sizes() == [1]
@@ -105,7 +94,7 @@ class TestHierAttend:
     def test_five_vectors_width_three_level_sizes(self):
         rng = np.random.default_rng(0)
         w, b = identity_projection(4)
-        vectors = [Tensor(rng.uniform(-1, 1, size=4)) for _ in range(5)]
+        vectors = Tensor(rng.uniform(-1, 1, size=(5, 4)))
         _, trace = hier_attend(vectors, w, b, width=3)
         assert trace.level_sizes() == [5, 3, 1]
         assert trace.attention_levels == level_count(5, 3) == 2
@@ -115,11 +104,11 @@ class TestHierAttend:
         w_np = rng.uniform(-0.5, 0.5, size=(3, 3))
         b_np = rng.uniform(-0.1, 0.1, size=3)
         raw = rng.uniform(-1, 1, size=(4, 3))
-        out, trace = hier_attend([Tensor(v) for v in raw],
-                                 Tensor(w_np), Tensor(b_np), width=3)
+        out, trace = hier_attend(Tensor(raw), Tensor(w_np), Tensor(b_np),
+                                 width=3)
         assert trace.level_sizes() == [4, 2, 1]
         # the final level attends one truncated 2-wide window
-        assert len(trace.levels[2].window_weights[0]) == 2
+        assert trace.levels[2].window_weights.shape == (1, 2, 3)
         np.testing.assert_allclose(
             out.data, hier_oracle(raw, w_np, b_np, 3), atol=1e-12)
 
@@ -132,8 +121,8 @@ class TestHierAttend:
             w_np = rng.uniform(-0.7, 0.7, size=(d, d))
             b_np = rng.uniform(-0.2, 0.2, size=d)
             raw = rng.uniform(-1, 1, size=(n, d))
-            out, _ = hier_attend([Tensor(v) for v in raw],
-                                 Tensor(w_np), Tensor(b_np), width=width)
+            out, _ = hier_attend(Tensor(raw), Tensor(w_np), Tensor(b_np),
+                                 width=width)
             np.testing.assert_allclose(
                 out.data, hier_oracle(raw, w_np, b_np, width), atol=1e-10)
 
@@ -141,7 +130,7 @@ class TestHierAttend:
         rng = np.random.default_rng(3)
         for n, d, width in [(1, 7, 3), (9, 2, 2), (16, 5, 4), (30, 3, 5)]:
             w, b = identity_projection(d)
-            vectors = [Tensor(rng.uniform(-1, 1, size=d)) for _ in range(n)]
+            vectors = Tensor(rng.uniform(-1, 1, size=(n, d)))
             out, _ = hier_attend(vectors, w, b, width=width)
             assert out.shape == (d,)
 
@@ -150,8 +139,7 @@ class TestHierAttend:
         for n in range(1, 33):
             for width in (2, 3, 4, 5):
                 w, b = identity_projection(2)
-                vectors = [Tensor(rng.uniform(-1, 1, size=2))
-                           for _ in range(n)]
+                vectors = Tensor(rng.uniform(-1, 1, size=(n, 2)))
                 _, trace = hier_attend(vectors, w, b, width=width)
                 assert trace.attention_levels == level_count(n, width)
                 sizes = trace.level_sizes()
@@ -161,20 +149,20 @@ class TestHierAttend:
     def test_window_weights_sum_to_one(self):
         rng = np.random.default_rng(5)
         w, b = identity_projection(3)
-        vectors = [Tensor(rng.uniform(-2, 2, size=3)) for _ in range(9)]
+        vectors = Tensor(rng.uniform(-2, 2, size=(9, 3)))
         _, trace = hier_attend(vectors, w, b, width=3)
         for record in trace.levels[1:]:
             for window_weights in record.window_weights:
-                total = np.sum([wt.data for wt in window_weights], axis=0)
+                total = window_weights.sum(axis=0)
                 np.testing.assert_allclose(total, np.ones(3), atol=1e-9)
                 for wt in window_weights:
-                    assert np.all(wt.data > 0.0) and np.all(wt.data < 1.0)
+                    assert np.all(wt > 0.0) and np.all(wt < 1.0)
 
     def test_wide_window_collapses_in_one_level(self):
         rng = np.random.default_rng(6)
         for n in (2, 3, 4):
             w, b = identity_projection(2)
-            vectors = [Tensor(rng.uniform(-1, 1, size=2)) for _ in range(n)]
+            vectors = Tensor(rng.uniform(-1, 1, size=(n, 2)))
             _, trace = hier_attend(vectors, w, b, width=5)
             assert trace.attention_levels == 1
             assert trace.level_sizes() == [n, 1]
@@ -182,14 +170,28 @@ class TestHierAttend:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
         proj_w, proj_b = init_projection(4, rng)
-        inputs = {f"v{k}": Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
-                  for k in range(5)}
-        params = {"proj_w": proj_w, "proj_b": proj_b, **inputs}
+        vectors = Tensor(rng.uniform(-1, 1, size=(5, 4)), requires_grad=True)
+        params = {"proj_w": proj_w, "proj_b": proj_b, "vectors": vectors}
 
         def f(p):
-            vectors = [p[f"v{k}"] for k in range(5)]
-            out, _ = hier_attend(vectors, p["proj_w"], p["proj_b"], width=3)
+            out, _ = hier_attend(p["vectors"], p["proj_w"], p["proj_b"],
+                                 width=3)
             return sum_all(out)
 
         report = grad_check(f, params, tol=1e-4)
         assert report.passed, report.summary()
+
+    def test_empty_matrix_rejected(self):
+        w, b = identity_projection(2)
+        with pytest.raises(ValueError):
+            hier_attend(Tensor(np.zeros((0, 2))), w, b, width=3)
+
+    def test_tape_nodes_per_level_do_not_grow_with_windows(self):
+        # 105 frames x 128 coefficients: 52 levels of up to 103 windows each
+        rng = np.random.default_rng(8)
+        proj_w, proj_b = init_projection(128, rng)
+        vectors = Tensor(rng.normal(size=(105, 128)), requires_grad=True)
+        with Tape() as tape:
+            _, trace = hier_attend(vectors, proj_w, proj_b, width=3)
+        assert trace.attention_levels == level_count(105, 3) == 52
+        assert len(tape) <= 10 * trace.attention_levels + 2

@@ -1,6 +1,7 @@
 """Model assembly: config rules, forward contracts, variants, checkpoints."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +395,18 @@ class TestParameterEconomy:
         assert parameter_count(cfg) - parameter_count(single) == head_scalars
 
 
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy a checkpoint with ``edit(header)`` applied to its JSON header."""
+    raw = Path(src).read_bytes()
+    head_len = int.from_bytes(raw[6:14], "little")
+    header = json.loads(raw[14:14 + head_len].decode("utf-8"))
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    Path(dst).write_bytes(raw[:6] + len(head).to_bytes(8, "little") + head
+                          + raw[14 + head_len:])
+    return dst
+
+
 class TestCheckpoint:
     def _setup(self, tmp_path):
         cfg = toy_config()
@@ -461,3 +474,33 @@ class TestCheckpoint:
         total = sum(int(np.prod(entry["shape"])) for entry in header.values())
         assert total == parameter_count(cfg)
         assert len(raw) - 14 - head_len == 4 * total
+
+    def test_missing_parameter_named(self, tmp_path):
+        _, _, path = self._setup(tmp_path)
+        bad = rewrite_checkpoint_header(
+            path, tmp_path / "bad.ckpt", lambda h: h.pop("head_humor.b2"))
+        with pytest.raises(CheckpointError,
+                           match="missing parameter 'head_humor.b2'"):
+            load_checkpoint(bad)
+
+    def test_extra_parameter_named(self, tmp_path):
+        _, _, path = self._setup(tmp_path)
+
+        def add_stray(header):
+            header["head_irony.b2"] = dict(header["head_humor.b2"])
+
+        bad = rewrite_checkpoint_header(path, tmp_path / "bad.ckpt", add_stray)
+        with pytest.raises(CheckpointError,
+                           match="unexpected parameter 'head_irony.b2'"):
+            load_checkpoint(bad)
+
+    def test_misshapen_parameter_named(self, tmp_path):
+        _, _, path = self._setup(tmp_path)
+
+        def transpose(header):
+            header["head_humor.w1"]["shape"].reverse()
+
+        bad = rewrite_checkpoint_header(path, tmp_path / "bad.ckpt", transpose)
+        with pytest.raises(CheckpointError,
+                           match="'head_humor.w1' has shape"):
+            load_checkpoint(bad)

@@ -13,6 +13,7 @@ from banter.tensor import (
     Tape,
     Tensor,
     add,
+    affine_rows,
     apply_activation,
     backward,
     bce_loss,
@@ -27,10 +28,14 @@ from banter.tensor import (
     mean_rows,
     mul,
     relu,
+    reshape,
     scale,
     sigmoid,
+    sliding_windows,
+    softmax,
     sub,
     sum_all,
+    sum_axis,
     tanh,
 )
 
@@ -214,6 +219,63 @@ class TestGroupSoftmax:
             group_softmax([Tensor([1.0, 2.0]), Tensor([1.0])])
 
 
+class TestWindowOps:
+    def test_sliding_windows_hold_consecutive_rows(self):
+        x = Tensor(np.arange(10.0).reshape(5, 2))
+        out = sliding_windows(x, 3)
+        assert out.shape == (3, 3, 2)
+        for k in range(3):
+            np.testing.assert_array_equal(out.data[k], x.data[k:k + 3])
+
+    def test_sliding_windows_adjoint_counts_window_memberships(self):
+        x = Tensor(np.zeros((5, 2)), requires_grad=True)
+        with Tape():
+            backward(sum_all(sliding_windows(x, 3)))
+        np.testing.assert_array_equal(x.grad[:, 0], [1, 2, 3, 2, 1])
+
+    def test_sliding_windows_bad_size_rejected(self):
+        with pytest.raises(ShapeError):
+            sliding_windows(Tensor(np.ones((2, 3))), 3)
+        with pytest.raises(ShapeError):
+            sliding_windows(Tensor(np.ones(4)), 2)
+
+    def test_softmax_matches_group_softmax(self):
+        rng = np.random.default_rng(13)
+        rows = rng.uniform(-3, 3, size=(4, 3))
+        out = softmax(Tensor(rows[None]), axis=1)
+        want = group_softmax([Tensor(r) for r in rows])
+        np.testing.assert_allclose(out.data[0], [w.data for w in want],
+                                   atol=1e-15)
+        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_softmax_large_magnitudes_do_not_overflow(self):
+        out = softmax(Tensor([[1000.0, 0.0], [1000.0, 0.0]]), axis=0)
+        np.testing.assert_allclose(out.data, 0.5)
+
+    def test_sum_axis_drops_the_axis(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+        np.testing.assert_array_equal(sum_axis(x, 1).data, x.data.sum(axis=1))
+        np.testing.assert_array_equal(sum_axis(x, -1).data,
+                                      x.data.sum(axis=2))
+        with pytest.raises(ShapeError):
+            sum_axis(x, 3)
+
+    def test_affine_rows_matches_per_row_matvec(self):
+        rng = np.random.default_rng(14)
+        x, w, b = (rng.uniform(-1, 1, size=s) for s in ((4, 3), (2, 3), 2))
+        out = affine_rows(Tensor(x), Tensor(w), Tensor(b))
+        for i in range(4):
+            np.testing.assert_allclose(out.data[i], w @ x[i] + b, atol=1e-14)
+        with pytest.raises(ShapeError):
+            affine_rows(Tensor(x), Tensor(w.T), Tensor(b))
+
+    def test_reshape_row_to_vector(self):
+        out = reshape(Tensor([[1.0, 2.0, 3.0]]), (3,))
+        assert out.shape == (3,)
+        with pytest.raises(ShapeError):
+            reshape(Tensor([[1.0, 2.0, 3.0]]), (2,))
+
+
 class TestDropout:
     def test_eval_mode_is_exact_identity(self):
         x = Tensor([1.0, -2.0, 3.0])
@@ -317,6 +379,20 @@ class TestBackward:
             y = mul(x, x)
             with pytest.raises(ShapeError):
                 backward(y)
+
+    def test_shared_adjoint_is_not_written_through(self):
+        # add hands one adjoint array to both x and y; x then takes a second
+        # contribution from mul(x, c), which must not leak into y.grad
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        y = Tensor([2.0, 0.25], requires_grad=True)
+        c = Tensor([3.0, -2.0])
+        k = Tensor([1.5, 4.0])
+        with Tape():
+            t = mul(x, c)
+            s = add(x, y)
+            backward(sum_all(add(mul(s, k), t)))
+        np.testing.assert_allclose(y.grad, k.data)
+        np.testing.assert_allclose(x.grad, k.data + c.data)
 
     def test_no_grad_flows_to_frozen_tensors(self):
         x = Tensor([1.0], requires_grad=True)
@@ -510,6 +586,22 @@ def _op_scenarios(rng):
     scen["mean_rows"] = ({"a": a}, lambda p, m=mixer: sum_all(
         tanh(mul(mean_rows(p["a"]), m))))
 
+    a = Tensor(u(3, 4, 2), requires_grad=True)
+    mixer = Tensor(u(3, 2))
+    scen["sum_axis"] = ({"a": a}, lambda p, m=mixer: sum_all(
+        tanh(mul(sum_axis(p["a"], 1), m))))
+
+    a = Tensor(u(1, 5), requires_grad=True)
+    mixer = Tensor(u(5))
+    scen["reshape"] = ({"a": a}, lambda p, m=mixer: sum_all(
+        tanh(mul(reshape(p["a"], (5,)), m))))
+
+    x = Tensor(u(3, 4), requires_grad=True)
+    w = Tensor(u(2, 4), requires_grad=True)
+    c = Tensor(u(2), requires_grad=True)
+    scen["affine_rows"] = ({"x": x, "w": w, "c": c}, lambda p: sum_all(
+        tanh(affine_rows(p["x"], p["w"], p["c"]))))
+
     a = Tensor(_away_from(u(6), [0.0]), requires_grad=True)
     scen["relu"] = ({"a": a}, lambda p: sum_all(mul(relu(p["a"]), relu(p["a"]))))
 
@@ -531,6 +623,16 @@ def _op_scenarios(rng):
     mixer = Tensor(u(9))
     scen["group_softmax"] = (vs, lambda p, m=mixer: sum_all(mul(concat(
         group_softmax([p["v0"], p["v1"], p["v2"]]), axis=0), m)))
+
+    a = Tensor(u(2, 3, 4), requires_grad=True)
+    mixer = Tensor(u(2, 3, 4))
+    scen["softmax"] = ({"a": a}, lambda p, m=mixer: sum_all(
+        mul(softmax(p["a"], axis=1), m)))
+
+    a = Tensor(u(5, 2), requires_grad=True)
+    mixer = Tensor(u(3, 3, 2))
+    scen["sliding_windows"] = ({"a": a}, lambda p, m=mixer: sum_all(
+        tanh(mul(sliding_windows(p["a"], 3), m))))
 
     a = Tensor(u(8), requires_grad=True)
     mask_seed = int(rng.integers(1 << 30))
