@@ -234,8 +234,6 @@ def cmd_train(args) -> int:
     try:
         best, history = train(config, train_dialogs, val_dialogs,
                               train_config, table)
-        matrices, metrics = evaluate_split(config, best, val_dialogs, table,
-                                           threshold=settings["threshold"])
     except ModalityError as exc:
         raise CliError(EXIT_DATA, str(exc)) from None
     except NumericError as exc:
@@ -245,6 +243,14 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "model.ckpt"
     save_checkpoint(best, checkpoint_path, config)
+    # report from the float32 values the checkpoint holds, so that `eval`
+    # of the saved file agrees with this report at the threshold
+    saved, _ = _load_checkpoint_checked(str(checkpoint_path))
+    try:
+        matrices, metrics = evaluate_split(config, saved, val_dialogs, table,
+                                           threshold=settings["threshold"])
+    except NumericError as exc:
+        raise CliError(EXIT_NUMERIC, str(exc)) from None
     history_path = out_dir / "history.csv"
     history.to_csv(history_path)
     report_path = out_dir / "report.txt"

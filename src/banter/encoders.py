@@ -15,14 +15,12 @@ import numpy as np
 from .tensor import (
     ShapeError,
     Tensor,
-    add,
     conv1d_same,
-    matmul,
+    lstm_sequence,
     mean_rows,
-    mul,
     relu,
-    sigmoid,
-    tanh,
+    stack,
+    unstack,
 )
 
 GATE_NAMES = ("i", "f", "g", "o")
@@ -41,14 +39,6 @@ class LstmParams:
     w: dict[str, Tensor]  # gate -> (d_h, d_in)
     u: dict[str, Tensor]  # gate -> (d_h, d_h)
     b: dict[str, Tensor]  # gate -> (d_h,)
-
-    @property
-    def d_in(self) -> int:
-        return self.w["i"].shape[1]
-
-    @property
-    def d_h(self) -> int:
-        return self.w["i"].shape[0]
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         out = {}
@@ -70,42 +60,20 @@ def init_lstm(d_in: int, d_h: int, rng: np.random.Generator) -> LstmParams:
     return LstmParams(w=w, u=u, b=b)
 
 
-def lstm_step(params: LstmParams, x: Tensor, h_prev: Tensor,
-              c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One forget-gate LSTM step: returns (h, c)."""
-    if x.shape != (params.d_in,):
-        raise ShapeError(f"lstm_step: input shape {x.shape}, "
-                         f"expected ({params.d_in},)")
-    if h_prev.shape != (params.d_h,) or c_prev.shape != (params.d_h,):
-        raise ShapeError("lstm_step: state shape mismatch")
-
-    def gate(name: str) -> Tensor:
-        return add(add(matmul(params.w[name], x),
-                       matmul(params.u[name], h_prev)), params.b[name])
-
-    i = sigmoid(gate("i"))
-    f = sigmoid(gate("f"))
-    g = tanh(gate("g"))
-    o = sigmoid(gate("o"))
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh(c))
-    return h, c
-
-
 def lstm_encode_dialog(params: LstmParams, inputs: list[Tensor]) -> list[Tensor]:
     """Run the LSTM from a zero state over the sequence; returns all h_i.
 
-    Strictly causal: h_i never sees inputs after position i.
+    Strictly causal: h_i never sees inputs after position i. The inputs are
+    stacked into one matrix and the whole sequence is one ``lstm_sequence``
+    op, so the tape holds three nodes however long the dialog is.
     """
     if len(inputs) == 0:
         raise ValueError("lstm_encode_dialog needs at least one input")
-    h = Tensor(np.zeros(params.d_h))
-    c = Tensor(np.zeros(params.d_h))
-    hiddens = []
-    for x in inputs:
-        h, c = lstm_step(params, x, h, c)
-        hiddens.append(h)
-    return hiddens
+    hiddens = lstm_sequence(stack(inputs),
+                            [params.w[g] for g in GATE_NAMES],
+                            [params.u[g] for g in GATE_NAMES],
+                            [params.b[g] for g in GATE_NAMES])
+    return unstack(hiddens)
 
 
 @dataclass

@@ -1,10 +1,10 @@
-"""Gated cross-modal filtering and assembly of the classifier input."""
+"""Gated cross-modal filtering of each modality."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, add, concat, matmul, mul, sigmoid, tanh
+from .tensor import ShapeError, Tensor, add, matmul, mul, sigmoid, tanh
 
 
 def filter_modality(h_mod: Tensor, h_cross: Tensor, gate_w: Tensor,
@@ -25,12 +25,6 @@ def filter_modality(h_mod: Tensor, h_cross: Tensor, gate_w: Tensor,
         raise ShapeError(f"gate bias shape {gate_b.shape} vs {h_mod.shape}")
     gate = sigmoid(add(matmul(gate_w, h_cross), gate_b))
     return mul(tanh(h_mod), gate)
-
-
-def fuse_representation(h_audio: Tensor, h_text: Tensor,
-                        h_cross: Tensor) -> Tensor:
-    """Concatenate both filtered modalities with the cross-modal vector."""
-    return concat([h_audio, h_text, h_cross], axis=0)
 
 
 def init_filter_gate(mod_dim: int, cross_dim: int,

@@ -29,9 +29,18 @@ from .encoders import (
     init_lstm,
     lstm_encode_dialog,
 )
-from .fusion import filter_modality, fuse_representation, init_filter_gate
+from .fusion import filter_modality, init_filter_gate
 from .hier_attention import LevelTrace, hier_attend, init_projection
-from .tensor import Tensor, add, concat, dropout, matmul, relu, sigmoid
+from .tensor import (
+    Tensor,
+    affine_rowwise,
+    concat,
+    dropout,
+    relu,
+    sigmoid,
+    stack,
+    unstack,
+)
 
 MODALITIES = ("audio", "text", "both")
 TEXT_REPRS = ("mean", "hier")
@@ -309,48 +318,32 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
     h_audio = (lstm_encode_dialog(_lstm_view(params, "lstm_audio"), reps_audio)
                if config.uses_audio else None)
 
-    n = len(dialog.utterances)
     dialog_trace = None
     if config.use_context_attn:
         out_audio, out_text, out_cross, dialog_trace = contextualize_dialog(
             h_audio, h_text, config.attn_width_dialog)
-        if config.modality == "both":
-            if config.use_filter:
-                trunks = [
-                    fuse_representation(
-                        filter_modality(out_audio[k], out_cross[k],
-                                        params["filter_audio.gate_w"],
-                                        params["filter_audio.gate_b"]),
-                        filter_modality(out_text[k], out_cross[k],
-                                        params["filter_text.gate_w"],
-                                        params["filter_text.gate_b"]),
-                        out_cross[k])
-                    for k in range(n)
-                ]
-            else:
-                trunks = [
-                    concat([out_audio[k], out_text[k], out_cross[k]], axis=0)
-                    for k in range(n)
-                ]
-        else:
-            trunks = out_audio if out_audio is not None else out_text
-    elif config.modality == "both":
-        trunks = [concat([h_audio[k], h_text[k]], axis=0) for k in range(n)]
+        if config.use_filter:
+            out_audio = [filter_modality(a, x, params["filter_audio.gate_w"],
+                                         params["filter_audio.gate_b"])
+                         for a, x in zip(out_audio, out_cross)]
+            out_text = [filter_modality(t, x, params["filter_text.gate_w"],
+                                        params["filter_text.gate_b"])
+                        for t, x in zip(out_text, out_cross)]
+        columns = (out_audio, out_text, out_cross)
     else:
-        trunks = h_audio if h_audio is not None else h_text
+        columns = (h_audio, h_text)
+    # one (n, trunk_dim) row per utterance: audio, text, cross blocks
+    blocks = [stack(column) for column in columns if column is not None]
+    trunk = blocks[0] if len(blocks) == 1 else concat(blocks, axis=1)
 
     probabilities: dict[str, list[Tensor]] = {}
     for task in config.tasks:
-        w1 = params[f"head_{task}.w1"]
-        b1 = params[f"head_{task}.b1"]
-        w2 = params[f"head_{task}.w2"]
-        b2 = params[f"head_{task}.b2"]
-        scores = []
-        for trunk in trunks:
-            hidden = relu(add(matmul(w1, trunk), b1))
-            hidden = dropout(hidden, rate, training, rng)
-            scores.append(sigmoid(add(matmul(w2, hidden), b2)))
-        probabilities[task] = scores
+        hidden = relu(affine_rowwise(trunk, params[f"head_{task}.w1"],
+                                     params[f"head_{task}.b1"]))
+        hidden = dropout(hidden, rate, training, rng)
+        scores = sigmoid(affine_rowwise(hidden, params[f"head_{task}.w2"],
+                                        params[f"head_{task}.b2"]))
+        probabilities[task] = unstack(scores)
     return DialogPrediction(probabilities=probabilities,
                             dialog_trace=dialog_trace,
                             text_traces=text_traces,

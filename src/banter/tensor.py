@@ -136,10 +136,12 @@ def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate adjoints of ``loss`` into every reachable requires_grad tensor.
+    """Accumulate adjoints of ``loss`` into every reachable requires_grad leaf.
 
-    Traverses the active tape in exact reverse execution order. Repeated
-    calls without zeroing gradients accumulate.
+    Traverses the active tape in exact reverse execution order. Only leaves
+    (parameters and graph inputs) receive a ``.grad``; op outputs keep
+    ``None``, so their adjoints are freed as soon as their node has run.
+    Repeated calls without zeroing gradients accumulate.
     """
     tape = active_tape()
     if tape is None:
@@ -161,7 +163,6 @@ def backward(loss: Tensor) -> None:
             owned.pop(id(out), None)
             if g is not None:
                 any_grad = True
-                out.accumulate_grad(g)
                 out_grads.append(g)
             else:
                 out_grads.append(np.zeros_like(out.data))
@@ -300,6 +301,27 @@ def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+def stack(xs: Sequence[Tensor]) -> Tensor:
+    """Same-shape tensors as the rows of a new leading axis: n x (d,) -> (n, d)."""
+    if len(xs) == 0:
+        raise ValueError("stack of an empty list")
+    for x in xs[1:]:
+        if x.shape != xs[0].shape:
+            raise ShapeError(f"stack: shape {x.shape} vs {xs[0].shape}")
+    out = Tensor(np.stack([x.data for x in xs]))
+    _finish("stack", [out], list(xs), lambda gs: tuple(gs[0]))
+    return out
+
+
+def unstack(a: Tensor) -> list[Tensor]:
+    """The rows of ``a`` as separate tensors, the inverse of ``stack``."""
+    if a.data.ndim == 0:
+        raise ShapeError("unstack of a scalar")
+    outs = [Tensor(row) for row in a.data]
+    _finish("unstack", outs, [a], lambda gs: (np.stack(gs),))
+    return outs
+
+
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.sum(a.data))
     _finish("sum_all", [out], [a], lambda gs: (np.full_like(a.data, gs[0]),))
@@ -344,22 +366,52 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return out
 
 
-def affine_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """One affine map applied to every row: (m, k) @ (d, k).T + (d,)."""
+def _rowwise_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` with every row computed as its own matrix-vector product.
+
+    A GEMM over all rows lets BLAS choose its blocking, and with it the
+    summation order inside a row, from the row count: with OpenBLAS a row
+    of ``x @ w.T`` can change in its last bits when rows are appended. Here
+    row i comes out the same for any number of rows.
+    """
+    return np.matmul(x[:, None, :], w.T)[:, 0]
+
+
+def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError(f"affine_rows: bad operand ranks {x.shape}, "
+        raise ShapeError(f"{op}: bad operand ranks {x.shape}, "
                          f"{w.shape}, {b.shape}")
     if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
-        raise ShapeError(f"affine_rows: {x.shape} rows through {w.shape} "
+        raise ShapeError(f"{op}: {x.shape} rows through {w.shape} "
                          f"+ {b.shape}")
-    out = Tensor(x.data @ w.data.T + b.data)
+    out = Tensor(product(x.data, w.data) + b.data)
 
     def bwd(gs):
         g = gs[0]
         return g @ w.data, g.T @ x.data, g.sum(axis=0)
 
-    _finish("affine_rows", [out], [x, w, b], bwd)
+    _finish(op, [out], [x, w, b], bwd)
     return out
+
+
+def affine_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One affine map applied to every row: (m, k) @ (d, k).T + (d,).
+
+    One GEMM, so a row's bits may depend on how many rows there are; fine
+    for rows that all belong to one utterance. Rows that are dialog
+    positions go through ``affine_rowwise``.
+    """
+    return _affine("affine_rows", x, w, b, lambda xd, wd: xd @ wd.T)
+
+
+def affine_rowwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``affine_rows`` computed one row at a time.
+
+    Row i is bit for bit the same however many rows follow it, so a dialog
+    prefix scores its positions exactly as the whole dialog does. The
+    backward pass still forms the weight gradient as one GEMM.
+    """
+    return _affine("affine_rowwise", x, w, b, _rowwise_product)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +439,14 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
+def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, stable in both tails: exp only sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # stable in both tails
-    y = np.where(a.data >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    y = _stable_sigmoid(a.data)
     out = Tensor(y)
 
     def bwd(gs):
@@ -510,6 +565,99 @@ def sliding_windows(a: Tensor, size: int) -> Tensor:
         return (dx,)
 
     _finish("sliding_windows", [out], [a], bwd)
+    return out
+
+
+def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
+                  b: Sequence[Tensor]) -> Tensor:
+    """Forget-gate LSTM over the rows of ``x`` from a zero state.
+
+    ``x`` is (n, d_in); ``w``, ``u`` and ``b`` hold the (h, d_in) input
+    weights, (h, h) recurrent weights and (h,) biases of the gates in the
+    order input, forget, cell, output. Row t of the (n, h) result is
+
+        z_k = W_k x_t + U_k h_{t-1} + b_k
+        c_t = sigmoid(z_f) * c_{t-1} + sigmoid(z_i) * tanh(z_g)
+        h_t = sigmoid(z_o) * tanh(c_t)
+
+    so it sees rows 0..t of ``x`` only. The whole sequence is one tape
+    node. The forward pass stacks the four gates and walks the steps in
+    numpy; the input projections of all steps are computed up front, but
+    one row at a time (``_rowwise_product``), unlike ``affine_rows``:
+    rows here are dialog positions, and a dialog prefix must give its
+    positions the same bits as the whole dialog. The backward pass runs
+    backpropagation through time in numpy, then forms each weight gradient
+    as one GEMM over all steps.
+    """
+    if len(w) != 4 or len(u) != 4 or len(b) != 4:
+        raise ShapeError("lstm_sequence: needs w, u and b for 4 gates")
+    if x.data.ndim != 2 or x.shape[0] < 1:
+        raise ShapeError(f"lstm_sequence: expects a non-empty (n, d_in) "
+                         f"matrix, got shape {x.shape}")
+    if w[0].data.ndim != 2:
+        raise ShapeError(f"lstm_sequence: input weights {w[0].shape}")
+    hd = w[0].shape[0]
+    for k in range(4):
+        if w[k].shape != (hd, x.shape[1]):
+            raise ShapeError(f"lstm_sequence: input shape {x.shape} through "
+                             f"gate weights {w[k].shape}")
+        if u[k].shape != (hd, hd) or b[k].shape != (hd,):
+            raise ShapeError(f"lstm_sequence: recurrence {u[k].shape} or "
+                             f"bias {b[k].shape} does not fit width {hd}")
+    w_all = np.concatenate([t.data for t in w])
+    u_all = np.concatenate([t.data for t in u])
+    b_all = np.concatenate([t.data for t in b])
+    n = x.shape[0]
+    projected = _rowwise_product(x.data, w_all)
+    # per step: sigmoid(z_i), sigmoid(z_f), tanh(z_g), sigmoid(z_o)
+    acts = np.empty((n, 4 * hd))
+    cells = np.empty((n, hd))
+    tanh_cells = np.empty((n, hd))
+    hiddens = np.empty((n, hd))
+    cell_gate = slice(2 * hd, 3 * hd)
+    h = np.zeros(hd)
+    c = np.zeros(hd)
+    for t in range(n):
+        z = (projected[t] + u_all @ h) + b_all
+        a = _stable_sigmoid(z)
+        a[cell_gate] = np.tanh(z[cell_gate])
+        i, f, g, o = a[:hd], a[hd:2 * hd], a[cell_gate], a[3 * hd:]
+        c = f * c + i * g
+        tanh_cells[t] = np.tanh(c)
+        h = o * tanh_cells[t]
+        acts[t], cells[t], hiddens[t] = a, c, h
+    out = Tensor(hiddens)
+
+    def bwd(gs):
+        d_hiddens = gs[0]
+        i, f, g, o = (acts[:, k * hd:(k + 1) * hd] for k in range(4))
+        c_prev = np.vstack([np.zeros((1, hd)), cells[:-1]])
+        # dz = dL/dc (i, f, g blocks) or dL/dh (o block) times these
+        factors = np.hstack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                             i * (1.0 - g * g),
+                             tanh_cells * o * (1.0 - o)])
+        h_to_c = o * (1.0 - tanh_cells * tanh_cells)
+        d_z = np.empty((n, 4 * hd))
+        dh_next = np.zeros(hd)
+        dc_next = np.zeros(hd)
+        for t in range(n - 1, -1, -1):
+            dh = d_hiddens[t] + dh_next
+            dc = dh * h_to_c[t] + dc_next
+            blocks = d_z[t].reshape(4, hd)
+            blocks[:3] = dc
+            blocks[3] = dh
+            d_z[t] *= factors[t]
+            dc_next = dc * f[t]
+            dh_next = d_z[t] @ u_all
+        dx = d_z @ w_all if x.requires_grad else None
+        dw = d_z.T @ x.data
+        du = d_z[1:].T @ hiddens[:-1]
+        db = d_z.sum(axis=0)
+        gates = [slice(k * hd, (k + 1) * hd) for k in range(4)]
+        return (dx, *(dw[s] for s in gates), *(du[s] for s in gates),
+                *(db[s] for s in gates))
+
+    _finish("lstm_sequence", [out], [x, *w, *u, *b], bwd)
     return out
 
 

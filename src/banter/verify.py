@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor
 from .context_attention import contextualize_dialog
 from .data import MFCC_COLUMNS, Dialog, EmbeddingTable, UtteranceRecord
-from .encoders import init_acoustic, init_lstm, lstm_step
+from .encoders import init_acoustic, init_lstm, lstm_encode_dialog
 from .fusion import filter_modality, init_filter_gate
 from .gradcheck import grad_check
 from .hier_attention import hier_attend, init_projection, level_count
@@ -97,6 +97,13 @@ def check_linear_gradients() -> None:
         "affine_rows.b": Tensor(rng.normal(size=2), requires_grad=True),
         "sum_axis.x": Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True),
         "reshape.x": Tensor(rng.normal(size=(1, 3)), requires_grad=True),
+        "affine_rowwise.x": Tensor(rng.normal(size=(3, 4)),
+                                   requires_grad=True),
+        "affine_rowwise.w": Tensor(rng.normal(size=(2, 4)),
+                                   requires_grad=True),
+        "affine_rowwise.b": Tensor(rng.normal(size=2), requires_grad=True),
+        "stack.a": Tensor(rng.normal(size=2), requires_grad=True),
+        "stack.b": Tensor(rng.normal(size=2), requires_grad=True),
     }
 
     def f(p):
@@ -106,6 +113,10 @@ def check_linear_gradients() -> None:
                                     p["affine_rows.b"])
         summed = tensor.sum_axis(p["sum_axis.x"], 1)
         flat = tensor.reshape(p["reshape.x"], (3,))
+        rows = tensor.unstack(tensor.affine_rowwise(
+            p["affine_rowwise.x"], p["affine_rowwise.w"],
+            p["affine_rowwise.b"]))
+        stacked = tensor.stack([p["stack.a"], p["stack.b"]])
         terms = [
             tensor.sum_all(squashed),
             tensor.sum_all(tensor.sigmoid(joined)),
@@ -113,13 +124,16 @@ def check_linear_gradients() -> None:
             tensor.sum_all(tensor.tanh(mapped)),
             tensor.sum_all(tensor.tanh(summed)),
             tensor.sum_all(tensor.sigmoid(flat)),
+            tensor.sum_all(tensor.mul(rows[0], tensor.tanh(rows[2]))),
+            tensor.sum_all(tensor.tanh(stacked)),
         ]
         total = terms[0]
         for term in terms[1:]:
             total = tensor.add(total, term)
         return total
 
-    _require_gradients(f, params, "matmul/concat/mean/affine/sum/reshape")
+    _require_gradients(f, params, "matmul/concat/mean/affine/sum/reshape/"
+                                  "stack/unstack")
 
 
 def check_softmax_gradients() -> None:
@@ -149,17 +163,19 @@ def check_softmax_gradients() -> None:
 def check_lstm_gradients() -> None:
     rng = np.random.default_rng(3)
     lstm = init_lstm(3, 4, rng)
-    params = lstm.named("lstm")
-    x = Tensor(rng.normal(size=3))
-    h0 = Tensor(np.zeros(4))
-    c0 = Tensor(np.zeros(4))
+    for n in (1, 2, 5):
+        inputs = {f"lstm.x{t}": Tensor(rng.normal(size=3), requires_grad=True)
+                  for t in range(n)}
+        # every step's h enters the loss, so both carries are exercised
+        step_weights = Tensor(rng.normal(size=(n, 4)))
 
-    def f(_):
-        h1, c1 = lstm_step(lstm, x, h0, c0)
-        h2, _ = lstm_step(lstm, x, h1, c1)
-        return tensor.sum_all(h2)
+        def f(p):
+            hiddens = lstm_encode_dialog(lstm, list(inputs.values()))
+            return tensor.sum_all(tensor.mul(tensor.stack(hiddens),
+                                             step_weights))
 
-    _require_gradients(f, params, "lstm step")
+        _require_gradients(f, {**lstm.named("lstm"), **inputs},
+                           f"lstm over {n} steps")
 
 
 def check_conv_gradients() -> None:

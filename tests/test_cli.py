@@ -21,7 +21,15 @@ from banter.cli import (
     parse_config_file,
     resolve_settings,
 )
-from banter.model import build_variant, init_parameters, save_checkpoint
+from banter.data import load_corpus, load_embeddings, split_train_val
+from banter.model import (
+    build_variant,
+    forward_dialog,
+    init_parameters,
+    load_checkpoint,
+    save_checkpoint,
+)
+from banter.train import TrainConfig, evaluate_split, train
 from synthdata import marker_corpus, masac_shaped_corpus
 from test_model import rewrite_checkpoint_header
 from test_verify import broken_tanh
@@ -134,6 +142,45 @@ class TestTrainCommand:
     def test_history_has_one_row_per_epoch(self, trained):
         lines = (trained / "history.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + int(SMALL_KEYS["max_epochs"])
+
+    def test_report_counts_match_eval_of_saved_checkpoint(self, workspace,
+                                                          tmp_path):
+        # put the threshold between an utterance's float64 and float32
+        # probabilities, where a report from the float64 parameters and an
+        # evaluation of the saved float32 checkpoint disagree
+        _, corpus, emb = workspace
+        cfg = write_config(tmp_path / "run.cfg", corpus, emb)
+        settings = resolve_settings(cfg, {})
+        config = cli._model_config(settings)
+        table = load_embeddings(emb)
+        train_dialogs, val_dialogs = split_train_val(
+            load_corpus(corpus), settings["val_fraction"], settings["seed"])
+        best, _ = train(config, train_dialogs, val_dialogs, TrainConfig(
+            lr=settings["lr"], batch_size=settings["batch_size"],
+            max_epochs=settings["max_epochs"], patience=settings["patience"],
+            seed=settings["seed"], grad_clip=settings["grad_clip"]), table)
+        save_checkpoint(best, tmp_path / "f32.ckpt", config)
+        rounded, _ = load_checkpoint(tmp_path / "f32.ckpt")
+        pairs = []
+        for dialog in val_dialogs:
+            by64 = forward_dialog(config, best, dialog, table)
+            by32 = forward_dialog(config, rounded, dialog, table)
+            for task in config.tasks:
+                pairs += [(float(a.data[0]), float(b.data[0])) for a, b in
+                          zip(by64.probabilities[task],
+                              by32.probabilities[task])]
+        threshold = next(max(pair) for pair in pairs if pair[0] != pair[1])
+
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", corpus, emb, out_dir=out,
+                           threshold=repr(threshold))
+        assert main(["train", "--config", str(cfg)]) == 0
+        reported = json.loads((out / "report.json").read_text())["tasks"]
+        saved, _ = load_checkpoint(out / "model.ckpt")
+        matrices, _ = evaluate_split(config, saved, val_dialogs, table,
+                                     threshold=threshold)
+        for task in config.tasks:
+            assert reported[task]["confusion"] == matrices[task].as_dict()
 
     def test_missing_corpus_key_names_it(self, workspace, tmp_path, capsys):
         _, _, emb = workspace

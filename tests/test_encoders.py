@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from banter.encoders import (
+    GATE_NAMES,
     AcousticEncoderParams,
     LstmParams,
     acoustic_encode,
     init_acoustic,
     init_lstm,
     lstm_encode_dialog,
-    lstm_step,
 )
 from banter.gradcheck import grad_check
-from banter.tensor import ShapeError, Tensor, sum_all
+from banter.tensor import ShapeError, Tape, Tensor, mul, stack, sum_all
 
 
 def const_lstm(d_in, d_h, w=0.0, u=0.0, b=0.0):
@@ -27,67 +27,79 @@ def const_lstm(d_in, d_h, w=0.0, u=0.0, b=0.0):
     )
 
 
-def scalar_lstm_oracle(w, u, b, x, h_prev, c_prev):
-    """Gate formulas evaluated with plain python floats, one unit at a time."""
+def scalar_lstm_oracle(w, u, b, xs):
+    """Gate formulas evaluated with plain python floats, one unit at a time.
+
+    Runs from a zero state over the input sequence and returns every
+    step's (h, c).
+    """
 
     def sig(z):
         return 1.0 / (1.0 + math.exp(-z))
 
-    d_h = len(h_prev)
-    h_out, c_out = [], []
-    for r in range(d_h):
-        pre = {g: sum(w[g][r][k] * x[k] for k in range(len(x)))
-               + sum(u[g][r][k] * h_prev[k] for k in range(d_h))
-               + b[g][r] for g in ("i", "f", "g", "o")}
-        i, f, o = sig(pre["i"]), sig(pre["f"]), sig(pre["o"])
-        g = math.tanh(pre["g"])
-        c = f * c_prev[r] + i * g
-        h_out.append(o * math.tanh(c))
-        c_out.append(c)
-    return h_out, c_out
+    d_h = len(b["i"])
+    h_prev, c_prev = [0.0] * d_h, [0.0] * d_h
+    steps = []
+    for x in xs:
+        h_out, c_out = [], []
+        for r in range(d_h):
+            pre = {g: sum(w[g][r][k] * x[k] for k in range(len(x)))
+                   + sum(u[g][r][k] * h_prev[k] for k in range(d_h))
+                   + b[g][r] for g in ("i", "f", "g", "o")}
+            i, f, o = sig(pre["i"]), sig(pre["f"]), sig(pre["o"])
+            g = math.tanh(pre["g"])
+            c = f * c_prev[r] + i * g
+            h_out.append(o * math.tanh(c))
+            c_out.append(c)
+        steps.append((h_out, c_out))
+        h_prev, c_prev = h_out, c_out
+    return steps
+
+
+def gate_lists(params):
+    return ({g: params.w[g].data.tolist() for g in GATE_NAMES},
+            {g: params.u[g].data.tolist() for g in GATE_NAMES},
+            {g: params.b[g].data.tolist() for g in GATE_NAMES})
 
 
 class TestLstmStep:
+    """The gate arithmetic of each step, read through lstm_encode_dialog."""
+
     def test_zero_params_give_zero_state(self):
+        # with all-zero weights every gate is 0.5 and h_t = 0.5 tanh(c_t),
+        # so h_t == 0 at every step holds exactly when c_t == 0
         params = const_lstm(3, 4)
-        h, c = lstm_step(params, Tensor([1.0, -2.0, 0.5]),
-                         Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-        np.testing.assert_allclose(h.data, np.zeros(4))
-        np.testing.assert_allclose(c.data, np.zeros(4))
+        inputs = [Tensor([1.0, -2.0, 0.5]), Tensor([0.3, 0.1, -4.0])]
+        for h in lstm_encode_dialog(params, inputs):
+            np.testing.assert_allclose(h.data, np.zeros(4))
 
     def test_default_hidden_width(self):
         rng = np.random.default_rng(0)
         params = init_lstm(300, 128, rng)
-        h, c = lstm_step(params, Tensor(rng.uniform(-1, 1, size=300)),
-                         Tensor(np.zeros(128)), Tensor(np.zeros(128)))
-        assert h.shape == (128,)
-        assert c.shape == (128,)
+        hiddens = lstm_encode_dialog(
+            params, [Tensor(rng.uniform(-1, 1, size=300)) for _ in range(3)])
+        assert [h.shape for h in hiddens] == [(128,)] * 3
 
     def test_matches_scalar_oracle(self):
+        # c_1 is checked through h_2, which reads it through tanh(c_1)
         params = const_lstm(2, 2, w=0.1, u=0.1, b=0.1)
-        x = [1.0, 0.0]
-        h, c = lstm_step(params, Tensor(x), Tensor(np.zeros(2)),
-                         Tensor(np.zeros(2)))
-        w = {g: [[0.1, 0.1], [0.1, 0.1]] for g in ("i", "f", "g", "o")}
-        b = {g: [0.1, 0.1] for g in ("i", "f", "g", "o")}
-        want_h, want_c = scalar_lstm_oracle(w, w, b, x, [0.0, 0.0], [0.0, 0.0])
-        np.testing.assert_allclose(h.data, want_h, atol=1e-10)
-        np.testing.assert_allclose(c.data, want_c, atol=1e-10)
+        xs = [[1.0, 0.0], [0.0, 1.0]]
+        hiddens = lstm_encode_dialog(params, [Tensor(x) for x in xs])
+        w = {g: [[0.1, 0.1], [0.1, 0.1]] for g in GATE_NAMES}
+        b = {g: [0.1, 0.1] for g in GATE_NAMES}
+        steps = scalar_lstm_oracle(w, w, b, xs)
+        for h, (want_h, _) in zip(hiddens, steps):
+            np.testing.assert_allclose(h.data, want_h, atol=1e-10)
 
     def test_matches_scalar_oracle_random(self):
+        # from step 2 on the state (h_prev, c_prev) is random and nonzero
         rng = np.random.default_rng(9)
         params = init_lstm(3, 4, rng)
-        x = rng.uniform(-1, 1, size=3)
-        h_prev = rng.uniform(-0.5, 0.5, size=4)
-        c_prev = rng.uniform(-0.5, 0.5, size=4)
-        h, c = lstm_step(params, Tensor(x), Tensor(h_prev), Tensor(c_prev))
-        w = {g: params.w[g].data.tolist() for g in ("i", "f", "g", "o")}
-        u = {g: params.u[g].data.tolist() for g in ("i", "f", "g", "o")}
-        b = {g: params.b[g].data.tolist() for g in ("i", "f", "g", "o")}
-        want_h, want_c = scalar_lstm_oracle(w, u, b, x.tolist(),
-                                            h_prev.tolist(), c_prev.tolist())
-        np.testing.assert_allclose(h.data, want_h, atol=1e-12)
-        np.testing.assert_allclose(c.data, want_c, atol=1e-12)
+        xs = rng.uniform(-1, 1, size=(5, 3))
+        hiddens = lstm_encode_dialog(params, [Tensor(x) for x in xs])
+        steps = scalar_lstm_oracle(*gate_lists(params), xs.tolist())
+        for h, (want_h, _) in zip(hiddens, steps):
+            np.testing.assert_allclose(h.data, want_h, atol=1e-12)
 
     def test_forget_bias_is_one(self):
         params = init_lstm(4, 3, np.random.default_rng(1))
@@ -98,18 +110,20 @@ class TestLstmStep:
     def test_input_shape_mismatch(self):
         params = init_lstm(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            lstm_step(params, Tensor(np.zeros(5)), Tensor(np.zeros(4)),
-                      Tensor(np.zeros(4)))
+            lstm_encode_dialog(params, [Tensor(np.zeros(5))])
+        with pytest.raises(ShapeError):
+            lstm_encode_dialog(params, [Tensor(np.zeros(3)),
+                                        Tensor(np.zeros(5))])
 
 
 class TestLstmEncodeDialog:
     def test_single_step_equivalence(self):
         rng = np.random.default_rng(2)
         params = init_lstm(5, 4, rng)
-        x = Tensor(rng.uniform(-1, 1, size=5))
-        (h_seq,) = lstm_encode_dialog(params, [x])
-        h, _ = lstm_step(params, x, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-        np.testing.assert_allclose(h_seq.data, h.data)
+        x = rng.uniform(-1, 1, size=5)
+        (h_seq,) = lstm_encode_dialog(params, [Tensor(x)])
+        ((want_h, _),) = scalar_lstm_oracle(*gate_lists(params), [x.tolist()])
+        np.testing.assert_allclose(h_seq.data, want_h, atol=1e-12)
 
     def test_causality_under_suffix_append(self):
         rng = np.random.default_rng(3)
@@ -132,13 +146,29 @@ class TestLstmEncodeDialog:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         params = init_lstm(6, 5, rng)
-        inputs = [Tensor(rng.uniform(-1, 1, size=6)) for _ in range(4)]
+        inputs = [Tensor(rng.uniform(-1, 1, size=6), requires_grad=True)
+                  for _ in range(4)]
+        weights = [Tensor(rng.uniform(-1, 1, size=5)) for _ in range(4)]
+        named = {**params.named("lstm"),
+                 **{f"x{k}": x for k, x in enumerate(inputs)}}
 
-        def f(named):
-            return sum_all(lstm_encode_dialog(params, inputs)[-1])
+        def f(_):
+            # every step's h enters the loss, so both carries are exercised
+            terms = [mul(h, w) for h, w in
+                     zip(lstm_encode_dialog(params, inputs), weights)]
+            return sum_all(stack(terms))
 
-        report = grad_check(f, params.named("lstm"), tol=1e-4)
+        report = grad_check(f, named, tol=1e-4)
         assert report.passed, report.summary()
+
+    def test_three_tape_nodes_per_dialog(self):
+        rng = np.random.default_rng(6)
+        params = init_lstm(4, 3, rng)
+        inputs = [Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
+                  for _ in range(6)]
+        with Tape() as tape:
+            lstm_encode_dialog(params, inputs)
+        assert len(tape) <= 3
 
     def test_empty_sequence_rejected(self):
         params = init_lstm(3, 4, np.random.default_rng(0))

@@ -1,11 +1,20 @@
-"""Gated filtering bounds, saturation, monotonicity, and fusion arity."""
+"""Gated filtering bounds, saturation, monotonicity, and trunk width."""
 
 import numpy as np
 import pytest
 
-from banter.fusion import filter_modality, fuse_representation, init_filter_gate
+from banter.fusion import filter_modality, init_filter_gate
 from banter.gradcheck import grad_check
-from banter.tensor import ShapeError, Tensor, mul, sigmoid, sum_all
+from banter.model import ModelConfig
+from banter.tensor import (
+    ShapeError,
+    Tensor,
+    affine_rowwise,
+    concat,
+    sigmoid,
+    stack,
+    sum_all,
+)
 
 
 def random_pair(rng, d):
@@ -75,24 +84,34 @@ class TestFilterModality:
 
 
 class TestFuseRepresentation:
+    """The trunk: filtered audio, filtered text and cross blocks side by side.
+
+    ``forward_dialog`` stacks each block's per-utterance vectors into a
+    matrix and concatenates the matrices along axis 1.
+    """
+
+    @staticmethod
+    def fuse(audio, text, cross):
+        return concat([stack(audio), stack(text), stack(cross)], axis=1)
+
     def test_default_width(self):
-        fused = fuse_representation(Tensor(np.zeros(256)),
-                                    Tensor(np.ones(256)),
-                                    Tensor(np.zeros(384)))
-        assert fused.shape == (896,)
+        n = 3
+        fused = self.fuse([Tensor(np.zeros(256))] * n,
+                          [Tensor(np.ones(256))] * n,
+                          [Tensor(np.zeros(384))] * n)
+        assert fused.shape == (n, 896)
+        assert ModelConfig().trunk_dim == 896
+        np.testing.assert_array_equal(fused.data[:, 256:512], 1.0)
 
     def test_zero_inputs_fuse_to_zero(self):
-        fused = fuse_representation(Tensor(np.zeros(4)), Tensor(np.zeros(4)),
-                                    Tensor(np.zeros(6)))
-        np.testing.assert_allclose(fused.data, np.zeros(14))
+        fused = self.fuse([Tensor(np.zeros(4))], [Tensor(np.zeros(4))],
+                          [Tensor(np.zeros(6))])
+        np.testing.assert_allclose(fused.data, np.zeros((1, 14)))
 
     def test_gradient_through_fused_head(self):
         rng = np.random.default_rng(4)
-        d = 4
+        d, n = 4, 3
         params = {
-            "h_audio": Tensor(rng.uniform(-1, 1, size=2 * d), requires_grad=True),
-            "h_text": Tensor(rng.uniform(-1, 1, size=2 * d), requires_grad=True),
-            "h_cross": Tensor(rng.uniform(-1, 1, size=3 * d), requires_grad=True),
             "gate_audio_w": Tensor(rng.uniform(-1, 1, size=(2 * d, 3 * d)),
                                    requires_grad=True),
             "gate_audio_b": Tensor(rng.uniform(-1, 1, size=2 * d),
@@ -101,16 +120,27 @@ class TestFuseRepresentation:
                                   requires_grad=True),
             "gate_text_b": Tensor(rng.uniform(-1, 1, size=2 * d),
                                   requires_grad=True),
-            "head": Tensor(rng.uniform(-1, 1, size=7 * d), requires_grad=True),
+            "head_w": Tensor(rng.uniform(-1, 1, size=(1, 7 * d)),
+                             requires_grad=True),
+            "head_b": Tensor(rng.uniform(-1, 1, size=1), requires_grad=True),
         }
+        for k in range(n):
+            for name, width in (("h_audio", 2 * d), ("h_text", 2 * d),
+                                ("h_cross", 3 * d)):
+                params[f"{name}{k}"] = Tensor(rng.uniform(-1, 1, size=width),
+                                              requires_grad=True)
 
         def f(p):
-            filtered_a = filter_modality(p["h_audio"], p["h_cross"],
-                                         p["gate_audio_w"], p["gate_audio_b"])
-            filtered_t = filter_modality(p["h_text"], p["h_cross"],
-                                         p["gate_text_w"], p["gate_text_b"])
-            fused = fuse_representation(filtered_a, filtered_t, p["h_cross"])
-            return sigmoid(sum_all(mul(p["head"], fused)))
+            audio = [filter_modality(p[f"h_audio{k}"], p[f"h_cross{k}"],
+                                     p["gate_audio_w"], p["gate_audio_b"])
+                     for k in range(n)]
+            text = [filter_modality(p[f"h_text{k}"], p[f"h_cross{k}"],
+                                    p["gate_text_w"], p["gate_text_b"])
+                    for k in range(n)]
+            fused = self.fuse(audio, text,
+                              [p[f"h_cross{k}"] for k in range(n)])
+            return sum_all(sigmoid(affine_rowwise(fused, p["head_w"],
+                                                  p["head_b"])))
 
         report = grad_check(f, params, tol=1e-4)
         assert report.passed, report.summary()

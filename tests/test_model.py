@@ -219,6 +219,24 @@ class TestForwardDialog:
         assert probs_as_floats(a, "sarcasm") == probs_as_floats(b, "sarcasm")
         assert probs_as_floats(a, "sarcasm") != probs_as_floats(c, "sarcasm")
 
+    @pytest.mark.parametrize("variant", ["LSTM(A)+LSTM(T_avg)", "full"])
+    def test_prefix_scores_bitwise_at_paper_dims(self, variant):
+        # at the paper's widths a GEMM over a dialog's rows can change the
+        # last bits of earlier rows as utterances are appended
+        cfg = build_variant(variant)
+        params = init_parameters(cfg, np.random.default_rng(12))
+        table = toy_table(cfg.d_text_in)
+        for n in range(2, 7):
+            dialog = toy_dialog(n_utts=n, seed=20 + n)
+            whole = forward_dialog(cfg, params, dialog, table)
+            for k in range(1, n):
+                prefix = Dialog(dialog_id=dialog.dialog_id,
+                                utterances=dialog.utterances[:k])
+                part = forward_dialog(cfg, params, prefix, table)
+                for task in cfg.tasks:
+                    assert (probs_as_floats(part, task)
+                            == probs_as_floats(whole, task)[:k])
+
     def test_text_only_ignores_acoustic_frames(self):
         cfg = toy_config(modality="text", use_filter=False)
         params = init_parameters(cfg, np.random.default_rng(8))

@@ -14,6 +14,7 @@ from banter.tensor import (
     Tensor,
     add,
     affine_rows,
+    affine_rowwise,
     apply_activation,
     backward,
     bce_loss,
@@ -24,6 +25,7 @@ from banter.tensor import (
     dropout,
     exp,
     group_softmax,
+    lstm_sequence,
     matmul,
     mean_rows,
     mul,
@@ -33,10 +35,12 @@ from banter.tensor import (
     sigmoid,
     sliding_windows,
     softmax,
+    stack,
     sub,
     sum_all,
     sum_axis,
     tanh,
+    unstack,
 )
 
 
@@ -276,6 +280,67 @@ class TestWindowOps:
             reshape(Tensor([[1.0, 2.0, 3.0]]), (2,))
 
 
+class TestSequenceOps:
+    def test_stack_then_unstack_round_trips(self):
+        rows = [Tensor([1.0, 2.0]), Tensor([3.0, 4.0]), Tensor([5.0, 6.0])]
+        matrix = stack(rows)
+        assert matrix.shape == (3, 2)
+        for got, want in zip(unstack(matrix), rows):
+            np.testing.assert_array_equal(got.data, want.data)
+        with pytest.raises(ShapeError):
+            stack([Tensor([1.0]), Tensor([1.0, 2.0])])
+
+    def test_affine_rowwise_rows_ignore_the_row_count(self):
+        # the widths the model's heads and LSTM projections use
+        rng = np.random.default_rng(15)
+        for d_in, d_out in ((896, 128), (128, 1), (300, 512)):
+            x = rng.uniform(-1, 1, size=(23, d_in))
+            w = rng.uniform(-1, 1, size=(d_out, d_in))
+            b = rng.uniform(-1, 1, size=d_out)
+            whole = affine_rowwise(Tensor(x), Tensor(w), Tensor(b)).data
+            np.testing.assert_allclose(whole, x @ w.T + b, rtol=1e-12,
+                                       atol=1e-12)
+            for n in range(1, 23):
+                part = affine_rowwise(Tensor(x[:n]), Tensor(w), Tensor(b))
+                np.testing.assert_array_equal(part.data, whole[:n])
+
+    def test_lstm_sequence_matches_per_step_reference(self):
+        rng = np.random.default_rng(16)
+        w = [rng.uniform(-1, 1, size=(3, 4)) for _ in range(4)]
+        u = [rng.uniform(-1, 1, size=(3, 3)) for _ in range(4)]
+        b = [rng.uniform(-1, 1, size=3) for _ in range(4)]
+        x = rng.uniform(-2, 2, size=(6, 4))
+        out = lstm_sequence(Tensor(x), [Tensor(a) for a in w],
+                            [Tensor(a) for a in u], [Tensor(a) for a in b])
+        sig = lambda z: 1.0 / (1.0 + np.exp(-z))
+        h, c = np.zeros(3), np.zeros(3)
+        for t in range(6):
+            z = [w[k] @ x[t] + u[k] @ h + b[k] for k in range(4)]
+            c = sig(z[1]) * c + sig(z[0]) * np.tanh(z[2])
+            h = sig(z[3]) * np.tanh(c)
+            np.testing.assert_allclose(out.data[t], h, rtol=1e-12, atol=1e-15)
+
+    def test_lstm_sequence_shapes_checked(self):
+        gates = [Tensor(np.zeros((3, 4))) for _ in range(4)]
+        rec = [Tensor(np.zeros((3, 3))) for _ in range(4)]
+        bias = [Tensor(np.zeros(3)) for _ in range(4)]
+        with pytest.raises(ShapeError):
+            lstm_sequence(Tensor(np.zeros((2, 5))), gates, rec, bias)
+        with pytest.raises(ShapeError):
+            lstm_sequence(Tensor(np.zeros((0, 4))), gates, rec, bias)
+        with pytest.raises(ShapeError):
+            lstm_sequence(Tensor(np.zeros((2, 4))), gates, rec[:3], bias)
+
+    def test_one_matrix_dropout_draws_the_per_row_stream(self):
+        # the heads draw one (n, hh) mask where they used to draw n of (hh,)
+        matrix = dropout(Tensor(np.ones((4, 5))), 0.4, training=True,
+                         rng=np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        rows = [dropout(Tensor(np.ones(5)), 0.4, training=True, rng=rng)
+                for _ in range(4)]
+        np.testing.assert_array_equal(matrix.data, [r.data for r in rows])
+
+
 class TestDropout:
     def test_eval_mode_is_exact_identity(self):
         x = Tensor([1.0, -2.0, 3.0])
@@ -361,12 +426,13 @@ class TestBackward:
             backward(loss)
             np.testing.assert_allclose(x.grad, [8.0])
 
-    def test_intermediates_receive_gradients(self):
+    def test_intermediates_keep_no_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape():
             y = mul(x, x)
             backward(sum_all(y))
-        np.testing.assert_allclose(y.grad, np.ones(2))
+        assert y.grad is None
+        np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_requires_backward_inside_tape(self):
         loss = sum_all(Tensor([1.0]))
@@ -601,6 +667,37 @@ def _op_scenarios(rng):
     c = Tensor(u(2), requires_grad=True)
     scen["affine_rows"] = ({"x": x, "w": w, "c": c}, lambda p: sum_all(
         tanh(affine_rows(p["x"], p["w"], p["c"]))))
+
+    x = Tensor(u(3, 4), requires_grad=True)
+    w = Tensor(u(2, 4), requires_grad=True)
+    c = Tensor(u(2), requires_grad=True)
+    scen["affine_rowwise"] = ({"x": x, "w": w, "c": c}, lambda p: sum_all(
+        tanh(affine_rowwise(p["x"], p["w"], p["c"]))))
+
+    parts = {f"x{i}": Tensor(u(3), requires_grad=True) for i in range(4)}
+    mixer = Tensor(u(4, 3))
+    scen["stack"] = (parts, lambda p, m=mixer: sum_all(tanh(mul(
+        stack([p[f"x{i}"] for i in range(4)]), m))))
+
+    a = Tensor(u(4, 3), requires_grad=True)
+    mixer = Tensor(u(3))
+    # rows 0 and 2 only: the unused rows' adjoints are zeros
+    scen["unstack"] = ({"a": a}, lambda p, m=mixer: sum_all(tanh(add(
+        mul(unstack(p["a"])[0], m), unstack(p["a"])[2]))))
+
+    for n in (1, 2, 5):
+        gates = {f"{kind}_{g}": Tensor(u(*shape), requires_grad=True)
+                 for g in "ifgo"
+                 for kind, shape in (("w", (3, 4)), ("u", (3, 3)),
+                                     ("b", (3,)))}
+        gates["x"] = Tensor(u(n, 4), requires_grad=True)
+        # per-step loss weights: every h_t reaches the loss, so the h and c
+        # carries both get exercised
+        step_weights = Tensor(u(n, 3))
+        scen[f"lstm_sequence_n{n}"] = (gates, lambda p, m=step_weights: sum_all(
+            mul(lstm_sequence(p["x"], [p[f"w_{g}"] for g in "ifgo"],
+                              [p[f"u_{g}"] for g in "ifgo"],
+                              [p[f"b_{g}"] for g in "ifgo"]), m)))
 
     a = Tensor(_away_from(u(6), [0.0]), requires_grad=True)
     scen["relu"] = ({"a": a}, lambda p: sum_all(mul(relu(p["a"]), relu(p["a"]))))
