@@ -4,16 +4,15 @@ For utterance i with window width D, the window covers positions
 max(1, i-D+1) .. i (1-based). Each modality gets softmax weights over its
 own windowed hidden states; a third attention spans both modalities jointly.
 Attended means are concatenated with the current hidden state(s) as a
-residual, so position i always keeps its own representation.
+residual, so position i always keeps its own representation. Every
+attention is one ``window_attend`` op over the whole (n, d) dialog matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .tensor import ShapeError, Tensor, add, concat, group_softmax, mul, scale
+from .tensor import ShapeError, Tensor, concat, window_attend
 
 
 def window_indices(i: int, width: int) -> list[int]:
@@ -23,52 +22,6 @@ def window_indices(i: int, width: int) -> list[int]:
     if width < 1:
         raise ValueError(f"window width must be >= 1, got {width}")
     return list(range(max(1, i - width + 1), i + 1))
-
-
-def _weighted_mean(weights: list[Tensor], vectors: list[Tensor]) -> Tensor:
-    total = mul(weights[0], vectors[0])
-    for w, v in zip(weights[1:], vectors[1:]):
-        total = add(total, mul(w, v))
-    return scale(total, 1.0 / len(vectors))
-
-
-def attended_modality(hiddens: list[Tensor], i: int,
-                      width: int) -> tuple[Tensor, list[Tensor]]:
-    """Window-attended mean of one modality, residual-concatenated with h_i.
-
-    Returns the 2d output and the per-position weight vectors.
-    """
-    if not 1 <= i <= len(hiddens):
-        raise IndexError(f"utterance index {i} outside 1..{len(hiddens)}")
-    window = [hiddens[j - 1] for j in window_indices(i, width)]
-    weights = group_softmax(window)
-    mean = _weighted_mean(weights, window)
-    return concat([mean, hiddens[i - 1]], axis=0), weights
-
-
-def attended_cross(h_audio: list[Tensor], h_text: list[Tensor], i: int,
-                   width: int) -> tuple[Tensor, list[Tensor], list[Tensor]]:
-    """Joint attention over both modalities' windowed states.
-
-    The softmax group holds 2 * |window| vectors (audio block, then text
-    block) and the mean divides by that group size. Output is
-    mean (+) h_i_audio (+) h_i_text, dimension 3d. Returns the output plus
-    the weight lists for the audio and text members.
-    """
-    if len(h_audio) != len(h_text):
-        raise ShapeError(f"modality length mismatch: "
-                         f"{len(h_audio)} vs {len(h_text)}")
-    if not 1 <= i <= len(h_audio):
-        raise IndexError(f"utterance index {i} outside 1..{len(h_audio)}")
-    if h_audio[0].shape != h_text[0].shape:
-        raise ShapeError(f"modality dim mismatch: {h_audio[0].shape} "
-                         f"vs {h_text[0].shape}")
-    span = window_indices(i, width)
-    group = [h_audio[j - 1] for j in span] + [h_text[j - 1] for j in span]
-    weights = group_softmax(group)
-    mean = _weighted_mean(weights, group)
-    out = concat([mean, h_audio[i - 1], h_text[i - 1]], axis=0)
-    return out, weights[:len(span)], weights[len(span):]
 
 
 @dataclass
@@ -89,50 +42,49 @@ class DialogAttentionTrace:
     rows: list[TraceRow]
 
 
-def _summarize(weights: list[Tensor]) -> list[float]:
-    # heatmap cells are scalars: reduce each weight vector by coordinate mean
-    return [float(np.mean(w.data)) for w in weights]
+def _attend(blocks: list[Tensor], width: int, rows: list[TraceRow],
+            fields: tuple[str, ...]) -> Tensor:
+    """``window_attend`` over the blocks, residual-concatenated with them.
+
+    Fills each row's trace field for block b with the coordinate means of
+    that block's valid slot weights: the last min(i, width) of its slots.
+    """
+    attended, weights = window_attend(blocks, width)
+    for row, cells in zip(rows, weights.mean(axis=2).tolist()):
+        valid = min(row.target, width)
+        for b, field in enumerate(fields):
+            setattr(row, field, cells[(b + 1) * width - valid:(b + 1) * width])
+    return concat([attended, *blocks], axis=1)
 
 
 def contextualize_dialog(
-    h_audio: list[Tensor] | None,
-    h_text: list[Tensor] | None,
+    h_audio: Tensor | None,
+    h_text: Tensor | None,
     width: int,
-) -> tuple[list[Tensor] | None, list[Tensor] | None, list[Tensor] | None,
-           DialogAttentionTrace]:
+) -> tuple[Tensor | None, Tensor | None, Tensor | None, DialogAttentionTrace]:
     """Apply windowed attention at every position of a dialog.
 
-    Either modality list may be None (single-modality variants); the cross
-    output exists only when both are present. Returns per-position attended
-    representations plus the scalar trace for heatmap export.
+    ``h_audio`` and ``h_text`` are (n, d) hidden-state matrices, one row per
+    utterance. Either may be None (single-modality variants); the cross
+    output exists only when both are present. Returns the attended (n, 2d)
+    modality and (n, 3d) cross matrices plus the scalar trace for heatmap
+    export.
     """
     reference = h_audio if h_audio is not None else h_text
     if reference is None:
         raise ValueError("contextualize_dialog needs at least one modality")
-    n = len(reference)
-    if h_audio is not None and h_text is not None and len(h_audio) != len(h_text):
-        raise ShapeError(f"modality length mismatch: "
-                         f"{len(h_audio)} vs {len(h_text)}")
-
-    out_audio = [] if h_audio is not None else None
-    out_text = [] if h_text is not None else None
-    out_cross = [] if (h_audio is not None and h_text is not None) else None
-    rows = []
-    for i in range(1, n + 1):
-        row = TraceRow(target=i, window=window_indices(i, width),
-                       audio=[], text=[], cross_audio=[], cross_text=[])
-        if h_audio is not None:
-            attended, w = attended_modality(h_audio, i, width)
-            out_audio.append(attended)
-            row.audio = _summarize(w)
-        if h_text is not None:
-            attended, w = attended_modality(h_text, i, width)
-            out_text.append(attended)
-            row.text = _summarize(w)
-        if out_cross is not None:
-            attended, w_audio, w_text = attended_cross(h_audio, h_text, i, width)
-            out_cross.append(attended)
-            row.cross_audio = _summarize(w_audio)
-            row.cross_text = _summarize(w_text)
-        rows.append(row)
-    return out_audio, out_text, out_cross, DialogAttentionTrace(width=width, rows=rows)
+    both = h_audio is not None and h_text is not None
+    if both and h_audio.shape != h_text.shape:
+        raise ShapeError(f"modality shape mismatch: "
+                         f"{h_audio.shape} vs {h_text.shape}")
+    rows = [TraceRow(target=i, window=window_indices(i, width),
+                     audio=[], text=[], cross_audio=[], cross_text=[])
+            for i in range(1, reference.shape[0] + 1)]
+    out_audio = (_attend([h_audio], width, rows, ("audio",))
+                 if h_audio is not None else None)
+    out_text = (_attend([h_text], width, rows, ("text",))
+                if h_text is not None else None)
+    out_cross = (_attend([h_audio, h_text], width, rows,
+                         ("cross_audio", "cross_text")) if both else None)
+    return out_audio, out_text, out_cross, DialogAttentionTrace(width=width,
+                                                                rows=rows)

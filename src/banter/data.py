@@ -1,4 +1,4 @@
-"""Dialog corpus loading, word-vector tables, and corpus statistics.
+"""Dialog corpus loading, word-vector tables, and train/validation splits.
 
 Corpora are UTF-8 JSON-lines: one dialog object per line, each holding an
 ordered utterance list. Acoustic frames ride inline as nested arrays or in a
@@ -43,17 +43,6 @@ class Dialog:
     utterances: list[UtteranceRecord]
 
 
-@dataclass
-class CorpusStats:
-    dialogs: int
-    utterances: int
-    sarcastic: int
-    humorous: int
-    max_utterance_len: int
-    avg_utterance_len: float
-    vocabulary: int
-
-
 class EmbeddingTable:
     """Token to vector map with a fixed dimension and zero-vector OOV policy."""
 
@@ -83,18 +72,6 @@ class EmbeddingTable:
         if vec is None:
             return np.zeros(self.dimension)
         return vec
-
-
-@dataclass
-class EmbeddedUtterance:
-    """Token embedding matrix plus how many rows fell back to zero."""
-
-    matrix: np.ndarray
-    oov_count: int
-
-    @property
-    def oov_rate(self) -> float:
-        return self.oov_count / self.matrix.shape[0]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -250,42 +227,15 @@ def load_embeddings(path) -> EmbeddingTable:
     return table
 
 
-def embed_utterance(tokens: list[str], table: EmbeddingTable) -> EmbeddedUtterance:
+def embed_utterance(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
     """Stack per-token vectors into an N x d matrix; OOV rows are zero."""
     if len(tokens) == 0:
         raise ValueError("cannot embed an empty token list")
     matrix = np.zeros((len(tokens), table.dimension))
-    oov = 0
     for k, token in enumerate(tokens):
         if token in table:
             matrix[k] = table.lookup(token)
-        else:
-            oov += 1
-    return EmbeddedUtterance(matrix=matrix, oov_count=oov)
-
-
-def corpus_stats(dialogs: list[Dialog]) -> CorpusStats:
-    """Exact corpus counts: sizes, positive labels, lengths, vocabulary."""
-    if len(dialogs) == 0:
-        raise ValueError("corpus_stats needs a non-empty corpus")
-    lengths = []
-    sarcastic = humorous = 0
-    vocab: set[str] = set()
-    for dialog in dialogs:
-        for utt in dialog.utterances:
-            lengths.append(len(utt.tokens))
-            sarcastic += utt.sarcasm
-            humorous += utt.humor
-            vocab.update(utt.tokens)
-    return CorpusStats(
-        dialogs=len(dialogs),
-        utterances=len(lengths),
-        sarcastic=sarcastic,
-        humorous=humorous,
-        max_utterance_len=max(lengths),
-        avg_utterance_len=float(np.mean(lengths)),
-        vocabulary=len(vocab),
-    )
+    return matrix
 
 
 def split_train_val(dialogs: list[Dialog], fraction: float = 0.10,

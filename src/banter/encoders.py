@@ -20,7 +20,6 @@ from .tensor import (
     mean_rows,
     relu,
     stack,
-    unstack,
 )
 
 GATE_NAMES = ("i", "f", "g", "o")
@@ -60,20 +59,20 @@ def init_lstm(d_in: int, d_h: int, rng: np.random.Generator) -> LstmParams:
     return LstmParams(w=w, u=u, b=b)
 
 
-def lstm_encode_dialog(params: LstmParams, inputs: list[Tensor]) -> list[Tensor]:
-    """Run the LSTM from a zero state over the sequence; returns all h_i.
+def lstm_encode_dialog(params: LstmParams, inputs: list[Tensor]) -> Tensor:
+    """Run the LSTM from a zero state over the sequence; returns the (n, h)
+    matrix whose row i is h_i.
 
     Strictly causal: h_i never sees inputs after position i. The inputs are
     stacked into one matrix and the whole sequence is one ``lstm_sequence``
-    op, so the tape holds three nodes however long the dialog is.
+    op, so the tape holds two nodes however long the dialog is.
     """
     if len(inputs) == 0:
         raise ValueError("lstm_encode_dialog needs at least one input")
-    hiddens = lstm_sequence(stack(inputs),
-                            [params.w[g] for g in GATE_NAMES],
-                            [params.u[g] for g in GATE_NAMES],
-                            [params.b[g] for g in GATE_NAMES])
-    return unstack(hiddens)
+    return lstm_sequence(stack(inputs),
+                         [params.w[g] for g in GATE_NAMES],
+                         [params.u[g] for g in GATE_NAMES],
+                         [params.b[g] for g in GATE_NAMES])
 
 
 @dataclass

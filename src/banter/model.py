@@ -38,7 +38,6 @@ from .tensor import (
     dropout,
     relu,
     sigmoid,
-    stack,
     unstack,
 )
 
@@ -289,7 +288,7 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
 
     for utt in dialog.utterances:
         if config.uses_text:
-            matrix = embed_utterance(utt.tokens, embeddings).matrix
+            matrix = embed_utterance(utt.tokens, embeddings)
             if config.text_repr == "mean":
                 rep = Tensor(matrix.mean(axis=0))
             else:
@@ -323,17 +322,17 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
         out_audio, out_text, out_cross, dialog_trace = contextualize_dialog(
             h_audio, h_text, config.attn_width_dialog)
         if config.use_filter:
-            out_audio = [filter_modality(a, x, params["filter_audio.gate_w"],
-                                         params["filter_audio.gate_b"])
-                         for a, x in zip(out_audio, out_cross)]
-            out_text = [filter_modality(t, x, params["filter_text.gate_w"],
-                                        params["filter_text.gate_b"])
-                        for t, x in zip(out_text, out_cross)]
-        columns = (out_audio, out_text, out_cross)
+            out_audio = filter_modality(out_audio, out_cross,
+                                        params["filter_audio.gate_w"],
+                                        params["filter_audio.gate_b"])
+            out_text = filter_modality(out_text, out_cross,
+                                       params["filter_text.gate_w"],
+                                       params["filter_text.gate_b"])
+        blocks = (out_audio, out_text, out_cross)
     else:
-        columns = (h_audio, h_text)
+        blocks = (h_audio, h_text)
     # one (n, trunk_dim) row per utterance: audio, text, cross blocks
-    blocks = [stack(column) for column in columns if column is not None]
+    blocks = [block for block in blocks if block is not None]
     trunk = blocks[0] if len(blocks) == 1 else concat(blocks, axis=1)
 
     probabilities: dict[str, list[Tensor]] = {}
@@ -448,7 +447,8 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
     """Read a checkpoint; bit-exact inverse of save at f32 precision.
 
     Parameter names and shapes must be exactly those ``init_parameters``
-    builds for the stored config.
+    builds for the stored config, and their byte ranges must tile the blob
+    in header order: no gap, overlap or trailing byte.
     """
     path = Path(path)
     if not path.is_file():
@@ -487,6 +487,7 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
         if name not in header:
             raise CheckpointError(f"{path}: missing parameter {name!r}")
     params = ParameterSet()
+    end = 0  # save_checkpoint writes the parameters back to back
     for name, entry in header.items():
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected parameter {name!r} "
@@ -502,11 +503,18 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
                 f"{entry.get('dtype')!r}")
         count = int(np.prod(shape)) if shape else 1
         offset = int(entry["offset"])
+        if offset != end:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} starts at blob offset {offset}, "
+                f"expected {end} (the previous parameter's end)")
         end = offset + 4 * count
-        if offset < 0 or end > len(blob):
+        if end > len(blob):
             raise CheckpointError(f"{path}: truncated blob at parameter "
                                   f"{name!r}")
         values = np.frombuffer(blob, dtype="<f4", count=count,
                                offset=offset).reshape(shape)
         params.register(name, Tensor(values, requires_grad=True))
+    if end != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes "
+                              f"after the last parameter {name!r}")
     return params, config

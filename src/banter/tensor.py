@@ -206,13 +206,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
-    _finish("sub", [out], [a, b], lambda gs: (gs[0], -gs[0]))
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("mul", a, b)
     out = Tensor(a.data * b.data)
@@ -221,17 +214,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return gs[0] * b.data, gs[0] * a.data
 
     _finish("mul", [out], [a, b], bwd)
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("div", a, b)
-    out = Tensor(a.data / b.data)
-
-    def bwd(gs):
-        return gs[0] / b.data, -gs[0] * a.data / (b.data * b.data)
-
-    _finish("div", [out], [a, b], bwd)
     return out
 
 
@@ -245,38 +227,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # linear algebra
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Supports (m,k)@(k,n), (m,k)@(k,) and (k,)@(k,n)."""
-    if a.data.ndim == 2 and b.data.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
-        out = Tensor(a.data @ b.data)
-
-        def bwd(gs):
-            return gs[0] @ b.data.T, a.data.T @ gs[0]
-
-    elif a.data.ndim == 2 and b.data.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
-        out = Tensor(a.data @ b.data)
-
-        def bwd(gs):
-            return np.outer(gs[0], b.data), a.data.T @ gs[0]
-
-    elif a.data.ndim == 1 and b.data.ndim == 2:
-        if a.shape[0] != b.shape[0]:
-            raise ShapeError(f"matmul: inner dims {a.shape} @ {b.shape}")
-        out = Tensor(a.data @ b.data)
-
-        def bwd(gs):
-            return b.data @ gs[0], np.outer(a.data, gs[0])
-
-    else:
-        raise ShapeError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
-    _finish("matmul", [out], [a, b], bwd)
-    return out
 
 
 def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -456,75 +406,66 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y)
-
-    def bwd(gs):
-        return (gs[0] * y,)
-
-    _finish("exp", [out], [a], bwd)
-    return out
-
-
-_ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid}
-
-
-def apply_activation(a: Tensor, kind: str) -> Tensor:
-    """Elementwise relu / tanh / sigmoid, gradient rule included."""
-    if not np.all(np.isfinite(a.data)):
-        raise NumericError(f"{kind}: non-finite input")
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(a)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip values into [lo, hi]; gradient passes only through unclipped entries."""
-    y = np.clip(a.data, lo, hi)
-    out = Tensor(y)
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def bwd(gs):
-        return (gs[0] * inside,)
-
-    _finish("clamp", [out], [a], bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # model-specific ops
 
 
-def group_softmax(vectors: Sequence[Tensor]) -> list[Tensor]:
-    """Per-coordinate softmax across a group of same-dimension vectors.
+def window_attend(blocks: Sequence[Tensor],
+                  width: int) -> tuple[Tensor, np.ndarray]:
+    """Causal windowed attention over the rows of k same-shape (n, d) blocks.
 
-    Coordinate c of the result satisfies sum_i out_i[c] == 1. The group is
-    stabilized by subtracting the per-coordinate max before exponentiation,
-    which leaves both the value and the gradient unchanged.
+    Row t of the (n, d) result attends to rows max(0, t - width + 1) .. t
+    of every block: a per-coordinate softmax over those k * min(t + 1,
+    width) vectors weights their sum, which is then divided by their count.
+
+    Inside the op each block gets ``width - 1`` leading zero rows, so every
+    position has a full window of ``k * width`` slots; slot b * width + j
+    of row t holds block b's row t - width + 1 + j. The softmax masks the
+    pad slots out (weight exactly 0), and because they come first and add
+    exact zeros, every sum sees the valid slots in the same order as a
+    per-position loop would. Also returns the (n, k * width, d) weights.
     """
-    if len(vectors) == 0:
-        raise ValueError("group_softmax of an empty group")
-    d = vectors[0].shape
-    for v in vectors:
-        if v.data.ndim != 1 or v.shape != d:
-            raise ShapeError(f"group_softmax: expected ({d}) vectors, got {v.shape}")
-    stacked = np.stack([v.data for v in vectors])
-    shifted = stacked - stacked.max(axis=0)
-    exps = np.exp(shifted)
+    if len(blocks) == 0:
+        raise ValueError("window_attend needs at least one block")
+    if width < 1:
+        raise ValueError(f"window width must be >= 1, got {width}")
+    shape = blocks[0].shape
+    if len(shape) != 2 or shape[0] < 1:
+        raise ShapeError(f"window_attend expects non-empty (n, d) blocks, "
+                         f"got shape {shape}")
+    for block in blocks[1:]:
+        if block.shape != shape:
+            raise ShapeError(f"window_attend: block shape {block.shape} "
+                             f"vs {shape}")
+    n, d = shape
+    k, lead = len(blocks), width - 1
+    padded = np.zeros((k, lead + n, d))
+    for b, block in enumerate(blocks):
+        padded[b, lead:] = block.data
+    # rows[j, t]: the padded row in slot j of position t
+    rows = np.arange(width)[:, None] + np.arange(n)
+    # slot-major (k * width, n, d), so sums over axis 0 add slot by slot
+    slots = padded[:, rows].reshape(k * width, n, d)
+    valid = np.tile(rows >= lead, (k, 1))[:, :, None]
+    peak = np.where(valid, slots, -np.inf).max(axis=0)
+    exps = np.exp(np.where(valid, slots - peak, -np.inf))
     weights = exps / exps.sum(axis=0)
-    outs = [Tensor(weights[i]) for i in range(len(vectors))]
+    pooled = (weights * slots).sum(axis=0)
+    inv_count = 1.0 / (k * np.minimum(np.arange(1, n + 1), width))[:, None]
+    out = Tensor(pooled * inv_count)
 
     def bwd(gs):
-        gmat = np.stack(gs)
-        inner = (gmat * weights).sum(axis=0)
-        dx = weights * (gmat - inner)
-        return tuple(dx[i] for i in range(dx.shape[0]))
+        # d pooled / d slot_j = w_j * (1 + slot_j - pooled), per coordinate
+        g = gs[0] * inv_count
+        d_slots = (weights * (1.0 + slots - pooled) * g).reshape(k, width,
+                                                                 n, d)
+        d_padded = np.zeros_like(padded)
+        for j in range(width):
+            d_padded[:, j:j + n] += d_slots[:, j]
+        return tuple(d_padded[:, lead:])
 
-    _finish("group_softmax", outs, list(vectors), bwd)
-    return outs
+    _finish("window_attend", [out], list(blocks), bwd)
+    return out, weights.transpose(1, 0, 2)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -716,12 +657,16 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(gs):
         g = gs[0]
-        d_padded = np.zeros_like(padded)
         d_kernels = np.zeros_like(kernels.data)
         for tap in range(width):
-            d_padded[tap:tap + frames] += g @ kernels.data[:, tap, :]
             d_kernels[:, tap, :] = g.T @ padded[tap:tap + frames]
-        return d_padded[pad:pad + frames], d_kernels, g.sum(axis=0)
+        dx = None
+        if x.requires_grad:
+            d_padded = np.zeros_like(padded)
+            for tap in range(width):
+                d_padded[tap:tap + frames] += g @ kernels.data[:, tap, :]
+            dx = d_padded[pad:pad + frames]
+        return dx, d_kernels, g.sum(axis=0)
 
     _finish("conv1d_same", [out], [x, kernels, bias], bwd)
     return out

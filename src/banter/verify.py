@@ -56,25 +56,17 @@ def check_elementwise_gradients() -> None:
     params = {
         "tanh.x": Tensor(rng.normal(size=4), requires_grad=True),
         "sigmoid.x": Tensor(rng.normal(size=4), requires_grad=True),
-        "exp.x": Tensor(rng.normal(size=4) * 0.5, requires_grad=True),
         "relu.x": Tensor(_signed_away_from_zero(rng, 4), requires_grad=True),
         "mul.a": Tensor(rng.normal(size=3), requires_grad=True),
         "mul.b": Tensor(rng.normal(size=3), requires_grad=True),
-        "div.a": Tensor(rng.normal(size=3), requires_grad=True),
-        "div.b": Tensor(_signed_away_from_zero(rng, 3), requires_grad=True),
-        "sub.a": Tensor(rng.normal(size=3), requires_grad=True),
-        "sub.b": Tensor(rng.normal(size=3), requires_grad=True),
     }
 
     def f(p):
         terms = [
             tensor.sum_all(tensor.tanh(p["tanh.x"])),
             tensor.sum_all(tensor.sigmoid(p["sigmoid.x"])),
-            tensor.sum_all(tensor.exp(tensor.scale(p["exp.x"], 0.4))),
             tensor.sum_all(tensor.relu(p["relu.x"])),
             tensor.sum_all(tensor.mul(p["mul.a"], p["mul.b"])),
-            tensor.sum_all(tensor.div(p["div.a"], p["div.b"])),
-            tensor.sum_all(tensor.sub(p["sub.a"], p["sub.b"])),
         ]
         total = terms[0]
         for term in terms[1:]:
@@ -87,8 +79,6 @@ def check_elementwise_gradients() -> None:
 def check_linear_gradients() -> None:
     rng = np.random.default_rng(1)
     params = {
-        "matmul.m": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        "matmul.v": Tensor(rng.normal(size=4), requires_grad=True),
         "concat.a": Tensor(rng.normal(size=2), requires_grad=True),
         "concat.b": Tensor(rng.normal(size=3), requires_grad=True),
         "mean_rows.x": Tensor(rng.normal(size=(3, 2)), requires_grad=True),
@@ -107,7 +97,6 @@ def check_linear_gradients() -> None:
     }
 
     def f(p):
-        squashed = tensor.tanh(tensor.matmul(p["matmul.m"], p["matmul.v"]))
         joined = tensor.concat([p["concat.a"], p["concat.b"]], axis=0)
         mapped = tensor.affine_rows(p["affine_rows.x"], p["affine_rows.w"],
                                     p["affine_rows.b"])
@@ -118,7 +107,6 @@ def check_linear_gradients() -> None:
             p["affine_rowwise.b"]))
         stacked = tensor.stack([p["stack.a"], p["stack.b"]])
         terms = [
-            tensor.sum_all(squashed),
             tensor.sum_all(tensor.sigmoid(joined)),
             tensor.sum_all(tensor.mean_rows(p["mean_rows.x"])),
             tensor.sum_all(tensor.tanh(mapped)),
@@ -132,32 +120,30 @@ def check_linear_gradients() -> None:
             total = tensor.add(total, term)
         return total
 
-    _require_gradients(f, params, "matmul/concat/mean/affine/sum/reshape/"
+    _require_gradients(f, params, "concat/mean/affine/sum/reshape/"
                                   "stack/unstack")
 
 
 def check_softmax_gradients() -> None:
     rng = np.random.default_rng(2)
-    params = {f"group_softmax.v{k}": Tensor(rng.normal(size=3),
+    params = {f"window_attend.h{k}": Tensor(rng.normal(size=(4, 3)),
                                             requires_grad=True)
-              for k in range(4)}
+              for k in range(2)}
 
     params["sliding_windows.x"] = Tensor(rng.normal(size=(5, 3)),
                                          requires_grad=True)
 
     def f(p):
-        weights = tensor.group_softmax([p[f"group_softmax.v{k}"]
-                                        for k in range(4)])
-        mixed = weights[0]
-        for k, w in enumerate(weights[1:], start=1):
-            mixed = tensor.add(mixed, tensor.mul(w, p[f"group_softmax.v{k}"]))
+        # the cross-modal dialog attention: two blocks, window 3 over 4 rows
+        mixed, _ = tensor.window_attend([p["window_attend.h0"],
+                                         p["window_attend.h1"]], 3)
         # one whole attention level: windows weighted by their softmax
         windows = tensor.sliding_windows(p["sliding_windows.x"], 3)
         level = tensor.mul(tensor.softmax(windows, axis=1), windows)
         return tensor.add(tensor.sum_all(tensor.tanh(mixed)),
                           tensor.sum_all(tensor.tanh(level)))
 
-    _require_gradients(f, params, "group softmax/windowed softmax")
+    _require_gradients(f, params, "windowed dialog attention/windowed softmax")
 
 
 def check_lstm_gradients() -> None:
@@ -171,8 +157,7 @@ def check_lstm_gradients() -> None:
 
         def f(p):
             hiddens = lstm_encode_dialog(lstm, list(inputs.values()))
-            return tensor.sum_all(tensor.mul(tensor.stack(hiddens),
-                                             step_weights))
+            return tensor.sum_all(tensor.mul(hiddens, step_weights))
 
         _require_gradients(f, {**lstm.named("lstm"), **inputs},
                            f"lstm over {n} steps")
@@ -265,19 +250,18 @@ def check_hier_structure() -> None:
 def check_context_causality() -> None:
     rng = np.random.default_rng(7)
     n, width, dim = 8, 3, 4
-    base = [rng.normal(size=dim) for _ in range(n)]
-    h_audio = [Tensor(v) for v in base]
-    h_text = [Tensor(rng.normal(size=dim)) for _ in range(n)]
-    out_audio, _, out_cross, trace = contextualize_dialog(h_audio, h_text,
-                                                          width)
-    bumped_audio = [Tensor(v) for v in base]
-    bumped_audio[-1] = Tensor(base[-1] + 3.0)
-    bumped_out, _, bumped_cross, _ = contextualize_dialog(bumped_audio,
+    base = rng.normal(size=(n, dim))
+    h_text = Tensor(rng.normal(size=(n, dim)))
+    out_audio, _, out_cross, trace = contextualize_dialog(Tensor(base),
+                                                          h_text, width)
+    bumped = base.copy()
+    bumped[-1] += 3.0
+    bumped_out, _, bumped_cross, _ = contextualize_dialog(Tensor(bumped),
                                                           h_text, width)
     for k in range(n - 1):
-        if not np.array_equal(out_audio[k].data, bumped_out[k].data):
+        if not np.array_equal(out_audio.data[k], bumped_out.data[k]):
             raise AssertionError(f"position {k + 1} saw a later utterance")
-        if not np.array_equal(out_cross[k].data, bumped_cross[k].data):
+        if not np.array_equal(out_cross.data[k], bumped_cross.data[k]):
             raise AssertionError(f"cross position {k + 1} saw a later "
                                  f"utterance")
     for i, row in enumerate(trace.rows, start=1):
@@ -292,15 +276,15 @@ def check_filter_bounds() -> None:
     rng = np.random.default_rng(8)
     for _ in range(10):
         d = int(rng.integers(1, 5))
-        h_mod = Tensor(rng.uniform(-6, 6, size=2 * d))
-        h_cross = Tensor(rng.uniform(-6, 6, size=3 * d))
+        h_mod = Tensor(rng.uniform(-6, 6, size=(1, 2 * d)))
+        h_cross = Tensor(rng.uniform(-6, 6, size=(1, 3 * d)))
         gate_w, gate_b = init_filter_gate(2 * d, 3 * d, rng)
         out = filter_modality(h_mod, h_cross, gate_w, gate_b)
         if not np.all(np.abs(out.data) < 1.0):
             raise AssertionError(f"filter output escaped (-1, 1): {out.data}")
     d = 3
-    h_mod = Tensor(rng.uniform(-2, 2, size=2 * d))
-    h_cross = Tensor(rng.uniform(-2, 2, size=3 * d))
+    h_mod = Tensor(rng.uniform(-2, 2, size=(1, 2 * d)))
+    h_cross = Tensor(rng.uniform(-2, 2, size=(1, 3 * d)))
     zero_w = Tensor(np.zeros((2 * d, 3 * d)))
     closed = filter_modality(h_mod, h_cross, zero_w,
                              Tensor(np.full(2 * d, -30.0)))

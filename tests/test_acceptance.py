@@ -152,23 +152,23 @@ def criterion_4():
     start = time.monotonic()
     rng = np.random.default_rng(2)
     n, width, dim = 12, 4, 6
-    base_audio = [rng.normal(size=dim) for _ in range(n)]
-    base_text = [rng.normal(size=dim) for _ in range(n)]
+    base_audio = rng.normal(size=(n, dim))
+    base_text = rng.normal(size=(n, dim))
 
     def run(audio_rows):
-        return contextualize_dialog([Tensor(v) for v in audio_rows],
-                                    [Tensor(v) for v in base_text], width)
+        return contextualize_dialog(Tensor(audio_rows), Tensor(base_text),
+                                    width)
 
     out_audio, out_text, out_cross, trace = run(base_audio)
     problems = []
     for j in range(n):
-        bumped = [row.copy() for row in base_audio]
+        bumped = base_audio.copy()
         bumped[j] = bumped[j] + 5.0
         bumped_audio, _, bumped_cross, _ = run(bumped)
         for k in range(j):
-            if not np.array_equal(out_audio[k].data, bumped_audio[k].data) \
-                    or not np.array_equal(out_cross[k].data,
-                                          bumped_cross[k].data):
+            if not np.array_equal(out_audio.data[k], bumped_audio.data[k]) \
+                    or not np.array_equal(out_cross.data[k],
+                                          bumped_cross.data[k]):
                 problems.append(f"perturbing {j + 1} changed output {k + 1}")
     document = heatmap_document(trace, "gate")
     for row in document["rows"]:
@@ -193,15 +193,15 @@ def criterion_5():
     problems = []
     for _ in range(20):
         d = int(rng.integers(1, 6))
-        h_mod = Tensor(rng.uniform(-8, 8, size=2 * d))
-        h_cross = Tensor(rng.uniform(-8, 8, size=3 * d))
+        h_mod = Tensor(rng.uniform(-8, 8, size=(1, 2 * d)))
+        h_cross = Tensor(rng.uniform(-8, 8, size=(1, 3 * d)))
         gate_w, gate_b = init_filter_gate(2 * d, 3 * d, rng)
         out = filter_modality(h_mod, h_cross, gate_w, gate_b)
         if not np.all(np.abs(out.data) < 1.0):
             problems.append("output escaped the open unit box")
     d = 4
-    h_mod = Tensor(rng.uniform(-2, 2, size=2 * d))
-    h_cross = Tensor(rng.uniform(-2, 2, size=3 * d))
+    h_mod = Tensor(rng.uniform(-2, 2, size=(1, 2 * d)))
+    h_cross = Tensor(rng.uniform(-2, 2, size=(1, 3 * d)))
     zero_w = Tensor(np.zeros((2 * d, 3 * d)))
     closed = filter_modality(h_mod, h_cross, zero_w,
                              Tensor(np.full(2 * d, -30.0)))

@@ -315,6 +315,39 @@ class TestEvalCommand:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "head_humor.b2" in err
 
+    def _eval_error(self, workspace, ckpt, tmp_path, capsys):
+        _, corpus, emb = workspace
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(corpus),
+                     "--embeddings", str(emb), "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        return code, err
+
+    def test_checkpoint_with_a_trailing_byte_is_a_data_error(
+            self, workspace, trained, tmp_path, capsys):
+        bad = tmp_path / "long.ckpt"
+        bad.write_bytes((trained / "model.ckpt").read_bytes() + b"\0")
+        code, err = self._eval_error(workspace, bad, tmp_path, capsys)
+        assert code == 3
+        _, config = load_checkpoint(trained / "model.ckpt")
+        last = init_parameters(config, np.random.default_rng(0)).names()[-1]
+        assert str(bad) in err and f"'{last}'" in err
+
+    def test_checkpoint_with_shared_offsets_is_a_data_error(
+            self, workspace, trained, tmp_path, capsys):
+        def overlap(header):
+            first, second = [name for name in header if name != "__meta__"][:2]
+            header[second]["offset"] = header[first]["offset"]
+
+        bad = rewrite_checkpoint_header(trained / "model.ckpt",
+                                        tmp_path / "overlap.ckpt", overlap)
+        code, err = self._eval_error(workspace, bad, tmp_path, capsys)
+        assert code == 3
+        _, config = load_checkpoint(trained / "model.ckpt")
+        second = init_parameters(config, np.random.default_rng(0)).names()[1]
+        assert str(bad) in err and f"'{second}'" in err
+
     def test_text_checkpoint_requires_embeddings_flag(self, workspace,
                                                       trained, tmp_path,
                                                       capsys):

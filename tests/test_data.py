@@ -1,6 +1,7 @@
-"""Corpus loading, embedding tables, stats, and split behavior."""
+"""Corpus loading, embedding tables, corpus counts, and split behavior."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import synthdata
 from banter.data import (
     CorpusError,
     EmbeddingTable,
-    corpus_stats,
     embed_utterance,
     load_corpus,
     load_embeddings,
@@ -135,11 +135,26 @@ class TestLoadCorpus:
             load_corpus(tmp_path / "absent.jsonl")
 
 
+def counts(dialogs):
+    """Counts over loaded dialogs, recomputed from the records themselves."""
+    utts = [utt for dialog in dialogs for utt in dialog.utterances]
+    lengths = [len(utt.tokens) for utt in utts]
+    return SimpleNamespace(
+        dialogs=len(dialogs), utterances=len(utts),
+        sarcastic=sum(utt.sarcasm for utt in utts),
+        humorous=sum(utt.humor for utt in utts),
+        max_utterance_len=max(lengths),
+        avg_utterance_len=float(np.mean(lengths)),
+        vocabulary=len({tok for utt in utts for tok in utt.tokens}))
+
+
 class TestCorpusStats:
+    """The synthetic generators' counts survive writing and loading."""
+
     def test_train_shaped_counts(self, tmp_path):
         path = synthdata.masac_shaped_corpus(
             tmp_path / "train.jsonl", 1100, 14000, 2748, 5054)
-        stats = corpus_stats(load_corpus(path))
+        stats = counts(load_corpus(path))
         assert stats.dialogs == 1100
         assert stats.utterances == 14000
         assert stats.sarcastic == 2748
@@ -148,7 +163,7 @@ class TestCorpusStats:
     def test_test_shaped_counts(self, tmp_path):
         path = synthdata.masac_shaped_corpus(
             tmp_path / "test.jsonl", 90, 1576, 391, 740)
-        stats = corpus_stats(load_corpus(path))
+        stats = counts(load_corpus(path))
         assert (stats.dialogs, stats.utterances) == (90, 1576)
         assert (stats.sarcastic, stats.humorous) == (391, 740)
 
@@ -158,7 +173,7 @@ class TestCorpusStats:
              "sarcasm": 1, "humor": 0},
         ]}
         path = synthdata.write_corpus(tmp_path / "one.jsonl", [dialog])
-        stats = corpus_stats(load_corpus(path))
+        stats = counts(load_corpus(path))
         assert (stats.dialogs, stats.utterances) == (1, 1)
         assert (stats.sarcastic, stats.humorous) == (1, 0)
 
@@ -169,7 +184,7 @@ class TestCorpusStats:
             {"id": "u1", "speaker": "a", "tokens": ["a", "b", "c", "d", "e"],
              "sarcasm": 0, "humor": 0},
         ]}]
-        stats = corpus_stats(load_corpus(
+        stats = counts(load_corpus(
             synthdata.write_corpus(tmp_path / "len.jsonl", fixture)))
         assert stats.max_utterance_len == 5
         assert stats.avg_utterance_len == 4.0
@@ -185,7 +200,7 @@ class TestCorpusStats:
             path = synthdata.masac_shaped_corpus(
                 tmp_path / f"round{trial}.jsonl", n_d, n_u, n_s, n_h,
                 seed=trial)
-            stats = corpus_stats(load_corpus(path))
+            stats = counts(load_corpus(path))
             assert (stats.dialogs, stats.utterances) == (n_d, n_u)
             assert (stats.sarcastic, stats.humorous) == (n_s, n_h)
 
@@ -260,22 +275,23 @@ class TestEmbedUtterance:
 
     def test_repeated_token(self):
         out = embed_utterance(["a", "a"], self.table())
-        np.testing.assert_allclose(out.matrix, [[1, 0], [1, 0]])
-        assert out.oov_count == 0
+        np.testing.assert_array_equal(out, [[1, 0], [1, 0]])
 
     def test_all_oov(self):
         out = embed_utterance(["x", "y"], self.table())
-        np.testing.assert_allclose(out.matrix, np.zeros((2, 2)))
-        assert out.oov_rate == 1.0
+        np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
     def test_partial_oov_rate(self):
+        # one OOV token in four: exactly one zero row, the last
         out = embed_utterance(["a", "b", "a", "zz"], self.table())
-        assert out.oov_rate == 0.25
-        assert out.matrix.shape == (4, 2)
+        assert out.shape == (4, 2)
+        zero_rows = np.flatnonzero(~out.any(axis=1))
+        assert zero_rows.tolist() == [3]
+        np.testing.assert_array_equal(out[:3], [[1, 0], [0, 1], [1, 0]])
 
     def test_oov_rows_have_zero_norm(self):
         out = embed_utterance(["a", "zz", "b"], self.table())
-        norms = np.linalg.norm(out.matrix, axis=1)
+        norms = np.linalg.norm(out, axis=1)
         assert norms[1] == 0.0
         assert norms[0] > 0 and norms[2] > 0
 

@@ -15,7 +15,7 @@ from banter.encoders import (
     lstm_encode_dialog,
 )
 from banter.gradcheck import grad_check
-from banter.tensor import ShapeError, Tape, Tensor, mul, stack, sum_all
+from banter.tensor import ShapeError, Tape, Tensor, mul, sum_all
 
 
 def const_lstm(d_in, d_h, w=0.0, u=0.0, b=0.0):
@@ -70,15 +70,15 @@ class TestLstmStep:
         # so h_t == 0 at every step holds exactly when c_t == 0
         params = const_lstm(3, 4)
         inputs = [Tensor([1.0, -2.0, 0.5]), Tensor([0.3, 0.1, -4.0])]
-        for h in lstm_encode_dialog(params, inputs):
-            np.testing.assert_allclose(h.data, np.zeros(4))
+        hiddens = lstm_encode_dialog(params, inputs)
+        np.testing.assert_allclose(hiddens.data, np.zeros((2, 4)))
 
     def test_default_hidden_width(self):
         rng = np.random.default_rng(0)
         params = init_lstm(300, 128, rng)
         hiddens = lstm_encode_dialog(
             params, [Tensor(rng.uniform(-1, 1, size=300)) for _ in range(3)])
-        assert [h.shape for h in hiddens] == [(128,)] * 3
+        assert hiddens.shape == (3, 128)
 
     def test_matches_scalar_oracle(self):
         # c_1 is checked through h_2, which reads it through tanh(c_1)
@@ -88,8 +88,8 @@ class TestLstmStep:
         w = {g: [[0.1, 0.1], [0.1, 0.1]] for g in GATE_NAMES}
         b = {g: [0.1, 0.1] for g in GATE_NAMES}
         steps = scalar_lstm_oracle(w, w, b, xs)
-        for h, (want_h, _) in zip(hiddens, steps):
-            np.testing.assert_allclose(h.data, want_h, atol=1e-10)
+        for h, (want_h, _) in zip(hiddens.data, steps):
+            np.testing.assert_allclose(h, want_h, atol=1e-10)
 
     def test_matches_scalar_oracle_random(self):
         # from step 2 on the state (h_prev, c_prev) is random and nonzero
@@ -98,8 +98,8 @@ class TestLstmStep:
         xs = rng.uniform(-1, 1, size=(5, 3))
         hiddens = lstm_encode_dialog(params, [Tensor(x) for x in xs])
         steps = scalar_lstm_oracle(*gate_lists(params), xs.tolist())
-        for h, (want_h, _) in zip(hiddens, steps):
-            np.testing.assert_allclose(h.data, want_h, atol=1e-12)
+        for h, (want_h, _) in zip(hiddens.data, steps):
+            np.testing.assert_allclose(h, want_h, atol=1e-12)
 
     def test_forget_bias_is_one(self):
         params = init_lstm(4, 3, np.random.default_rng(1))
@@ -121,9 +121,9 @@ class TestLstmEncodeDialog:
         rng = np.random.default_rng(2)
         params = init_lstm(5, 4, rng)
         x = rng.uniform(-1, 1, size=5)
-        (h_seq,) = lstm_encode_dialog(params, [Tensor(x)])
+        (h_seq,) = lstm_encode_dialog(params, [Tensor(x)]).data
         ((want_h, _),) = scalar_lstm_oracle(*gate_lists(params), [x.tolist()])
-        np.testing.assert_allclose(h_seq.data, want_h, atol=1e-12)
+        np.testing.assert_allclose(h_seq, want_h, atol=1e-12)
 
     def test_causality_under_suffix_append(self):
         rng = np.random.default_rng(3)
@@ -132,31 +132,28 @@ class TestLstmEncodeDialog:
         base = lstm_encode_dialog(params, prefix)
         extended = lstm_encode_dialog(
             params, prefix + [Tensor(rng.uniform(-1, 1, size=4))])
-        for got, want in zip(extended[:5], base):
-            np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(extended.data[:5], base.data)
 
     def test_hidden_states_bounded(self):
         for seed in range(10):
             r = np.random.default_rng(seed)
             params = init_lstm(3, 4, r)
             inputs = [Tensor(r.uniform(-5, 5, size=3)) for _ in range(8)]
-            for h in lstm_encode_dialog(params, inputs):
-                assert np.all(np.abs(h.data) < 1.0)
+            hiddens = lstm_encode_dialog(params, inputs)
+            assert np.all(np.abs(hiddens.data) < 1.0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         params = init_lstm(6, 5, rng)
         inputs = [Tensor(rng.uniform(-1, 1, size=6), requires_grad=True)
                   for _ in range(4)]
-        weights = [Tensor(rng.uniform(-1, 1, size=5)) for _ in range(4)]
+        weights = Tensor(rng.uniform(-1, 1, size=(4, 5)))
         named = {**params.named("lstm"),
                  **{f"x{k}": x for k, x in enumerate(inputs)}}
 
         def f(_):
             # every step's h enters the loss, so both carries are exercised
-            terms = [mul(h, w) for h, w in
-                     zip(lstm_encode_dialog(params, inputs), weights)]
-            return sum_all(stack(terms))
+            return sum_all(mul(lstm_encode_dialog(params, inputs), weights))
 
         report = grad_check(f, named, tol=1e-4)
         assert report.passed, report.summary()

@@ -11,15 +11,16 @@ from banter.tensor import (
     Tensor,
     affine_rowwise,
     concat,
+    mul,
     sigmoid,
-    stack,
     sum_all,
+    tanh,
 )
 
 
-def random_pair(rng, d):
-    h_mod = Tensor(rng.uniform(-3, 3, size=2 * d))
-    h_cross = Tensor(rng.uniform(-3, 3, size=3 * d))
+def random_pair(rng, d, n=1):
+    h_mod = Tensor(rng.uniform(-3, 3, size=(n, 2 * d)))
+    h_cross = Tensor(rng.uniform(-3, 3, size=(n, 3 * d)))
     return h_mod, h_cross
 
 
@@ -39,7 +40,7 @@ class TestFilterModality:
         gate_w = Tensor(np.zeros((8, 12)))
         gate_b = Tensor(np.full(8, -30.0))
         out = filter_modality(h_mod, h_cross, gate_w, gate_b)
-        np.testing.assert_allclose(out.data, np.zeros(8), atol=1e-12)
+        np.testing.assert_allclose(out.data, np.zeros((1, 8)), atol=1e-12)
 
     def test_saturated_high_gate_passes_through(self):
         rng = np.random.default_rng(2)
@@ -55,8 +56,8 @@ class TestFilterModality:
         for seed in range(25):
             rng = np.random.default_rng(seed)
             d = int(rng.integers(1, 6))
-            h_mod = Tensor(rng.uniform(-8, 8, size=2 * d))
-            h_cross = Tensor(rng.uniform(-8, 8, size=3 * d))
+            h_mod = Tensor(rng.uniform(-8, 8, size=(1, 2 * d)))
+            h_cross = Tensor(rng.uniform(-8, 8, size=(1, 3 * d)))
             gate_w, gate_b = init_filter_gate(2 * d, 3 * d, rng)
             out = filter_modality(h_mod, h_cross, gate_w, gate_b)
             assert np.all(np.abs(out.data) < 1.0)
@@ -76,36 +77,52 @@ class TestFilterModality:
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            filter_modality(Tensor(np.zeros(4)), Tensor(np.zeros(6)),
+            filter_modality(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 6))),
                             Tensor(np.zeros((5, 6))), Tensor(np.zeros(5)))
         with pytest.raises(ShapeError):
-            filter_modality(Tensor(np.zeros(4)), Tensor(np.zeros(6)),
+            filter_modality(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 6))),
                             Tensor(np.zeros((4, 6))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            filter_modality(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 6))),
+                            Tensor(np.zeros((4, 6))), Tensor(np.zeros(4)))
+
+    def test_rows_match_per_vector_gate_bit_for_bit(self):
+        # the per-utterance form this layer replaced: one matrix-vector
+        # product per row, at paper widths (2d = 256, 3d = 384)
+        rng = np.random.default_rng(5)
+        gate_w, gate_b = init_filter_gate(256, 384, rng)
+        for n in range(1, 13):
+            h_mod, h_cross = random_pair(rng, 128, n)
+            out = filter_modality(h_mod, h_cross, gate_w, gate_b)
+            for i in range(n):
+                gate = sigmoid(Tensor(gate_w.data @ h_cross.data[i]
+                                      + gate_b.data))
+                want = mul(tanh(Tensor(h_mod.data[i])), gate)
+                np.testing.assert_array_equal(out.data[i], want.data)
 
 
 class TestFuseRepresentation:
     """The trunk: filtered audio, filtered text and cross blocks side by side.
 
-    ``forward_dialog`` stacks each block's per-utterance vectors into a
-    matrix and concatenates the matrices along axis 1.
+    ``forward_dialog`` concatenates the three (n, width) block matrices
+    along axis 1.
     """
 
     @staticmethod
     def fuse(audio, text, cross):
-        return concat([stack(audio), stack(text), stack(cross)], axis=1)
+        return concat([audio, text, cross], axis=1)
 
     def test_default_width(self):
         n = 3
-        fused = self.fuse([Tensor(np.zeros(256))] * n,
-                          [Tensor(np.ones(256))] * n,
-                          [Tensor(np.zeros(384))] * n)
+        fused = self.fuse(Tensor(np.zeros((n, 256))), Tensor(np.ones((n, 256))),
+                          Tensor(np.zeros((n, 384))))
         assert fused.shape == (n, 896)
         assert ModelConfig().trunk_dim == 896
         np.testing.assert_array_equal(fused.data[:, 256:512], 1.0)
 
     def test_zero_inputs_fuse_to_zero(self):
-        fused = self.fuse([Tensor(np.zeros(4))], [Tensor(np.zeros(4))],
-                          [Tensor(np.zeros(6))])
+        fused = self.fuse(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))),
+                          Tensor(np.zeros((1, 6))))
         np.testing.assert_allclose(fused.data, np.zeros((1, 14)))
 
     def test_gradient_through_fused_head(self):
@@ -124,21 +141,17 @@ class TestFuseRepresentation:
                              requires_grad=True),
             "head_b": Tensor(rng.uniform(-1, 1, size=1), requires_grad=True),
         }
-        for k in range(n):
-            for name, width in (("h_audio", 2 * d), ("h_text", 2 * d),
-                                ("h_cross", 3 * d)):
-                params[f"{name}{k}"] = Tensor(rng.uniform(-1, 1, size=width),
-                                              requires_grad=True)
+        for name, width in (("h_audio", 2 * d), ("h_text", 2 * d),
+                            ("h_cross", 3 * d)):
+            params[name] = Tensor(rng.uniform(-1, 1, size=(n, width)),
+                                  requires_grad=True)
 
         def f(p):
-            audio = [filter_modality(p[f"h_audio{k}"], p[f"h_cross{k}"],
-                                     p["gate_audio_w"], p["gate_audio_b"])
-                     for k in range(n)]
-            text = [filter_modality(p[f"h_text{k}"], p[f"h_cross{k}"],
-                                    p["gate_text_w"], p["gate_text_b"])
-                    for k in range(n)]
-            fused = self.fuse(audio, text,
-                              [p[f"h_cross{k}"] for k in range(n)])
+            audio = filter_modality(p["h_audio"], p["h_cross"],
+                                    p["gate_audio_w"], p["gate_audio_b"])
+            text = filter_modality(p["h_text"], p["h_cross"],
+                                   p["gate_text_w"], p["gate_text_b"])
+            fused = self.fuse(audio, text, p["h_cross"])
             return sum_all(sigmoid(affine_rowwise(fused, p["head_w"],
                                                   p["head_b"])))
 

@@ -14,8 +14,8 @@ from banter.tensor import Tensor
 
 def random_trace(n: int, width: int, seed: int = 0, both: bool = True):
     rng = np.random.default_rng(seed)
-    h_audio = [Tensor(rng.normal(size=4)) for _ in range(n)] if both else None
-    h_text = [Tensor(rng.normal(size=4)) for _ in range(n)]
+    h_audio = Tensor(rng.normal(size=(n, 4))) if both else None
+    h_text = Tensor(rng.normal(size=(n, 4)))
     _, _, _, trace = contextualize_dialog(h_audio, h_text, width)
     return trace
 

@@ -1,5 +1,7 @@
 """Unit and property tests for the tensor kernel, tape, and optimizer."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,18 +17,12 @@ from banter.tensor import (
     add,
     affine_rows,
     affine_rowwise,
-    apply_activation,
     backward,
     bce_loss,
-    clamp,
     concat,
     conv1d_same,
-    div,
     dropout,
-    exp,
-    group_softmax,
     lstm_sequence,
-    matmul,
     mean_rows,
     mul,
     relu,
@@ -36,11 +32,11 @@ from banter.tensor import (
     sliding_windows,
     softmax,
     stack,
-    sub,
     sum_all,
     sum_axis,
     tanh,
     unstack,
+    window_attend,
 )
 
 
@@ -85,57 +81,71 @@ class TestTensorBasics:
 
 class TestActivations:
     def test_sigmoid_at_zero_is_half(self):
-        out = apply_activation(Tensor(0.0), "sigmoid")
+        out = sigmoid(Tensor(0.0))
         assert out.item() == 0.5
 
     def test_relu_definition(self):
-        out = apply_activation(Tensor([-2.0, 3.0]), "relu")
+        out = relu(Tensor([-2.0, 3.0]))
         np.testing.assert_allclose(out.data, [0.0, 3.0])
 
     def test_tanh_matches_independent_series(self):
-        out = apply_activation(Tensor(0.7), "tanh")
+        out = tanh(Tensor(0.7))
         assert abs(out.item() - tanh_reference(0.7)) < 1e-12
 
     def test_tanh_series_agreement_across_range(self):
         for x in np.linspace(-1.5, 1.5, 13):
-            got = apply_activation(Tensor(float(x)), "tanh").item()
+            got = tanh(Tensor(float(x))).item()
             assert abs(got - tanh_reference(float(x))) < 1e-12
 
     def test_sigmoid_stable_in_tails(self):
-        out = apply_activation(Tensor([-800.0, 800.0]), "sigmoid")
+        out = sigmoid(Tensor([-800.0, 800.0]))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-300)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            apply_activation(Tensor(1.0), "softsign")
 
 
 class TestMatmul:
+    """The matrix product inside the affine ops: x @ w.T, bias zero.
+
+    ``affine_rowwise`` is the product the filter gate uses; the tape has
+    no bare matrix-product op.
+    """
+
+    @staticmethod
+    def product(x, w):
+        return affine_rowwise(x, w, Tensor(np.zeros(w.shape[0])))
+
     def test_identity_returns_operand(self):
         rng = np.random.default_rng(0)
         m = Tensor(rng.uniform(-1, 1, size=(3, 3)))
-        out = matmul(Tensor(np.eye(3)), m)
+        out = self.product(m, Tensor(np.eye(3)))
         np.testing.assert_allclose(out.data, m.data)
 
     def test_one_by_one(self):
-        out = matmul(Tensor([[2.0]]), Tensor([[3.0]]))
+        out = self.product(Tensor([[2.0]]), Tensor([[3.0]]))
         np.testing.assert_allclose(out.data, [[6.0]])
 
     def test_gradient_of_sum_is_ones_times_b_transpose(self):
+        # d sum(x @ w.T) / dx = ones @ w, for the input and the weights
         rng = np.random.default_rng(1)
-        a = Tensor(rng.uniform(-1, 1, size=(4, 5)), requires_grad=True)
-        b = Tensor(rng.uniform(-1, 1, size=(5, 3)))
+        x = Tensor(rng.uniform(-1, 1, size=(4, 5)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=(3, 5)), requires_grad=True)
         with Tape():
-            backward(sum_all(matmul(a, b)))
-        np.testing.assert_allclose(a.grad, np.ones((4, 3)) @ b.data.T, atol=1e-12)
+            backward(sum_all(self.product(x, w)))
+        np.testing.assert_allclose(x.grad, np.ones((4, 3)) @ w.data,
+                                   atol=1e-12)
+        np.testing.assert_allclose(w.grad, np.ones((3, 4)) @ x.data,
+                                   atol=1e-12)
 
     def test_inner_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+            self.product(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
     def test_unsupported_ranks(self):
         with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones(3)), Tensor(np.ones(3)))
+            affine_rowwise(Tensor(np.ones(3)), Tensor(np.ones((1, 3))),
+                           Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError):
+            affine_rowwise(Tensor(np.ones((1, 3))), Tensor(np.ones(3)),
+                           Tensor(np.zeros(1)))
 
 
 class TestConcat:
@@ -171,56 +181,70 @@ class TestConcat:
 
 
 class TestGroupSoftmax:
+    """The per-coordinate softmax over a window group inside window_attend.
+
+    ``weights[t, s]`` is the weight vector of slot s at position t; with
+    width w, the last min(t + 1, w) slots of each block hold the group.
+    """
+
     def test_singleton_group_is_all_ones(self):
-        (w,) = group_softmax([Tensor([0.3, -2.0, 5.0])])
-        np.testing.assert_allclose(w.data, np.ones(3))
+        _, w = window_attend([Tensor([[0.3, -2.0, 5.0]])], 1)
+        np.testing.assert_array_equal(w[0, 0], np.ones(3))
 
     def test_identical_vectors_share_weight_equally(self):
-        v = np.array([0.1, 0.9, -4.0])
-        w1, w2 = group_softmax([Tensor(v), Tensor(v)])
-        np.testing.assert_allclose(w1.data, np.full(3, 0.5))
-        np.testing.assert_allclose(w2.data, np.full(3, 0.5))
+        v = np.array([[0.1, 0.9, -4.0]])
+        _, w = window_attend([Tensor(v), Tensor(v)], 1)
+        np.testing.assert_allclose(w[0], np.full((2, 3), 0.5))
+        _, w = window_attend([Tensor(np.vstack([v, v]))], 2)
+        np.testing.assert_allclose(w[1], np.full((2, 3), 0.5))
 
     def test_log_spaced_coordinates(self):
         # coordinate values 0, ln2, ln4 normalize to 1/7, 2/7, 4/7
-        vs = [Tensor([0.0]), Tensor([np.log(2.0)]), Tensor([np.log(4.0)])]
-        ws = group_softmax(vs)
-        np.testing.assert_allclose(
-            [w.data[0] for w in ws], [1 / 7, 2 / 7, 4 / 7], atol=1e-12)
+        rows = np.log([[1.0], [2.0], [4.0]])
+        _, w = window_attend([Tensor(rows)], 3)
+        np.testing.assert_allclose(w[2, :, 0], [1 / 7, 2 / 7, 4 / 7],
+                                   atol=1e-12)
 
     def test_weights_sum_to_one_per_coordinate(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            n = int(rng.integers(2, 6))
-            vs = [Tensor(rng.uniform(-5, 5, size=4)) for _ in range(n)]
-            ws = group_softmax(vs)
-            total = np.sum([w.data for w in ws], axis=0)
-            np.testing.assert_allclose(total, np.ones(4), atol=1e-9)
-            for w in ws:
-                assert np.all(w.data > 0.0) and np.all(w.data < 1.0)
+            n, width = (int(v) for v in rng.integers(2, 6, size=2))
+            k = int(rng.integers(1, 3))
+            blocks = [Tensor(rng.uniform(-5, 5, size=(n, 4)))
+                      for _ in range(k)]
+            _, w = window_attend(blocks, width)
+            np.testing.assert_allclose(w.sum(axis=1), np.ones((n, 4)),
+                                       atol=1e-9)
+            for t in range(n):
+                group = np.tile(np.arange(width) >= width - min(t + 1, width),
+                                k)
+                # pad slots before the dialog start get exactly zero weight
+                assert np.all(w[t, ~group] == 0.0)
+                if group.sum() > 1:
+                    assert np.all((w[t, group] > 0.0) & (w[t, group] < 1.0))
 
     def test_invariant_under_per_coordinate_shift(self):
         rng = np.random.default_rng(8)
-        vs = [rng.uniform(-2, 2, size=3) for _ in range(4)]
+        rows = rng.uniform(-2, 2, size=(4, 3))
         shift = rng.uniform(-10, 10, size=3)
-        base = group_softmax([Tensor(v) for v in vs])
-        shifted = group_softmax([Tensor(v + shift) for v in vs])
-        for b, s in zip(base, shifted):
-            np.testing.assert_allclose(b.data, s.data, atol=1e-12)
+        _, base = window_attend([Tensor(rows)], 4)
+        _, shifted = window_attend([Tensor(rows + shift)], 4)
+        np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     def test_large_magnitudes_do_not_overflow(self):
-        vs = [Tensor([900.0, -900.0]), Tensor([890.0, -890.0])]
-        ws = group_softmax(vs)
-        for w in ws:
-            assert np.all(np.isfinite(w.data))
+        rows = Tensor([[900.0, -900.0], [890.0, -890.0]])
+        out, w = window_attend([rows, rows], 2)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(out.data))
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            group_softmax([])
+            window_attend([], 3)
+        with pytest.raises(ShapeError):
+            window_attend([Tensor(np.zeros((0, 2)))], 3)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            group_softmax([Tensor([1.0, 2.0]), Tensor([1.0])])
+            window_attend([Tensor([[1.0, 2.0]]), Tensor([[1.0]])], 3)
 
 
 class TestWindowOps:
@@ -244,12 +268,12 @@ class TestWindowOps:
             sliding_windows(Tensor(np.ones(4)), 2)
 
     def test_softmax_matches_group_softmax(self):
+        # a full window of window_attend is the same softmax over its rows
         rng = np.random.default_rng(13)
         rows = rng.uniform(-3, 3, size=(4, 3))
         out = softmax(Tensor(rows[None]), axis=1)
-        want = group_softmax([Tensor(r) for r in rows])
-        np.testing.assert_allclose(out.data[0], [w.data for w in want],
-                                   atol=1e-15)
+        _, want = window_attend([Tensor(rows)], 4)
+        np.testing.assert_allclose(out.data[0], want[3], atol=1e-15)
         np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_softmax_large_magnitudes_do_not_overflow(self):
@@ -483,10 +507,10 @@ class TestGradCheck:
             "w": Tensor(rng.uniform(-1, 1, size=(1, 5)), requires_grad=True),
             "b": Tensor(rng.uniform(-1, 1, size=1), requires_grad=True),
         }
-        x = Tensor(rng.uniform(-1, 1, size=5))
+        x = Tensor(rng.uniform(-1, 1, size=(1, 5)))
 
         def f(p):
-            z = add(matmul(p["w"], x), p["b"])
+            z = affine_rows(x, p["w"], p["b"])
             return bce_loss(sigmoid(sum_all(z)), 1)
 
         report = grad_check(f, params, tol=1e-4)
@@ -590,7 +614,7 @@ class TestClipGradients:
 
 
 def _away_from(x: np.ndarray, points: list, margin: float = 0.05) -> np.ndarray:
-    """Nudge values off finite-difference kinks (relu corner, clamp edges)."""
+    """Nudge values off finite-difference kinks (the relu corner)."""
     out = x.copy()
     for p in points:
         near = np.abs(out - p) < margin
@@ -599,7 +623,10 @@ def _away_from(x: np.ndarray, points: list, margin: float = 0.05) -> np.ndarray:
 
 
 def _op_scenarios(rng):
-    """Named (params, loss_fn) pairs exercising every registered op."""
+    """Named (params, loss_fn) pairs exercising every tape op.
+
+    A key is the op's name, or the name followed by a bracketed variant.
+    """
     u = lambda *s: rng.uniform(-1, 1, size=s)
     scen = {}
 
@@ -608,36 +635,11 @@ def _op_scenarios(rng):
                    lambda p: sum_all(tanh(add(p["a"], p["b"]))))
 
     a, b = Tensor(u(4), requires_grad=True), Tensor(u(4), requires_grad=True)
-    scen["sub"] = ({"a": a, "b": b},
-                   lambda p: sum_all(tanh(sub(p["a"], p["b"]))))
-
-    a, b = Tensor(u(4), requires_grad=True), Tensor(u(4), requires_grad=True)
     scen["mul"] = ({"a": a, "b": b},
                    lambda p: sum_all(tanh(mul(p["a"], p["b"]))))
 
-    a = Tensor(u(4), requires_grad=True)
-    denom = rng.uniform(0.5, 1.5, size=4) * rng.choice([-1.0, 1.0], size=4)
-    b = Tensor(denom, requires_grad=True)
-    scen["div"] = ({"a": a, "b": b},
-                   lambda p: sum_all(tanh(div(p["a"], p["b"]))))
-
     a = Tensor(u(5), requires_grad=True)
     scen["scale"] = ({"a": a}, lambda p: sum_all(tanh(scale(p["a"], 1.7))))
-
-    a = Tensor(u(3, 4), requires_grad=True)
-    b = Tensor(u(4, 2), requires_grad=True)
-    scen["matmul_mm"] = ({"a": a, "b": b},
-                         lambda p: sum_all(tanh(matmul(p["a"], p["b"]))))
-
-    a = Tensor(u(3, 4), requires_grad=True)
-    b = Tensor(u(4), requires_grad=True)
-    scen["matmul_mv"] = ({"a": a, "b": b},
-                         lambda p: sum_all(tanh(matmul(p["a"], p["b"]))))
-
-    a = Tensor(u(4), requires_grad=True)
-    b = Tensor(u(4, 3), requires_grad=True)
-    scen["matmul_vm"] = ({"a": a, "b": b},
-                         lambda p: sum_all(tanh(matmul(p["a"], p["b"]))))
 
     parts = {f"x{i}": Tensor(u(3), requires_grad=True) for i in range(3)}
     mixer = Tensor(u(9))
@@ -694,7 +696,7 @@ def _op_scenarios(rng):
         # per-step loss weights: every h_t reaches the loss, so the h and c
         # carries both get exercised
         step_weights = Tensor(u(n, 3))
-        scen[f"lstm_sequence_n{n}"] = (gates, lambda p, m=step_weights: sum_all(
+        scen[f"lstm_sequence[n={n}]"] = (gates, lambda p, m=step_weights: sum_all(
             mul(lstm_sequence(p["x"], [p[f"w_{g}"] for g in "ifgo"],
                               [p[f"u_{g}"] for g in "ifgo"],
                               [p[f"b_{g}"] for g in "ifgo"]), m)))
@@ -709,17 +711,16 @@ def _op_scenarios(rng):
     scen["sigmoid"] = ({"a": a},
                        lambda p: sum_all(mul(sigmoid(p["a"]), sigmoid(p["a"]))))
 
-    a = Tensor(u(6), requires_grad=True)
-    scen["exp"] = ({"a": a}, lambda p: sum_all(tanh(exp(p["a"]))))
-
-    a = Tensor(_away_from(u(6), [-0.5, 0.5]), requires_grad=True)
-    scen["clamp"] = ({"a": a},
-                     lambda p: sum_all(tanh(clamp(p["a"], -0.5, 0.5))))
-
-    vs = {f"v{i}": Tensor(u(3), requires_grad=True) for i in range(3)}
-    mixer = Tensor(u(9))
-    scen["group_softmax"] = (vs, lambda p, m=mixer: sum_all(mul(concat(
-        group_softmax([p["v0"], p["v1"], p["v2"]]), axis=0), m)))
+    # one block (a modality) and two (the cross view), with fewer rows
+    # than the window and more
+    for k in (1, 2):
+        for n in (2, 5):
+            blocks = {f"h{b}": Tensor(u(n, 3), requires_grad=True)
+                      for b in range(k)}
+            mixer = Tensor(u(n, 3))
+            scen[f"window_attend[k={k},n={n}]"] = (
+                blocks, lambda p, m=mixer, k=k: sum_all(mul(window_attend(
+                    [p[f"h{b}"] for b in range(k)], 3)[0], m)))
 
     a = Tensor(u(2, 3, 4), requires_grad=True)
     mixer = Tensor(u(2, 3, 4))
@@ -793,3 +794,53 @@ class TestConv1d:
         with pytest.raises(ShapeError):
             conv1d_same(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 3, 5))),
                         Tensor(np.ones(1)))
+
+
+class TestOpRegistry:
+    @staticmethod
+    def tape_ops() -> set[str]:
+        """Public functions of the tensor module that record tape nodes.
+
+        A function records one when its source calls ``_finish``, directly
+        or through a private helper of the module that does.
+        """
+        functions = {name: fn for name, fn in vars(T).items()
+                     if inspect.isfunction(fn) and fn.__module__ == T.__name__}
+        sources = {name: inspect.getsource(fn)
+                   for name, fn in functions.items()}
+        recorders = {"_finish"}
+        for name, source in sources.items():
+            if name.startswith("_") and "_finish(" in source:
+                recorders.add(name)
+        return {name for name, source in sources.items()
+                if not name.startswith("_")
+                and any(f"{r}(" in source for r in recorders)}
+
+    def test_every_tape_op_has_a_gradient_scenario(self):
+        ops = self.tape_ops()
+        assert {"add", "affine_rowwise", "window_attend", "bce_loss"} <= ops
+        covered = {key.split("[")[0]
+                   for key in _op_scenarios(np.random.default_rng(0))}
+        assert sorted(ops - covered) == []
+        # stale scenarios: every key names an op that still exists
+        assert sorted(covered - ops) == []
+
+
+class TestConv1dAdjoints:
+    def test_constant_input_gets_no_adjoint(self):
+        rng = np.random.default_rng(18)
+        x = rng.uniform(-1, 1, size=(6, 4))
+        k = rng.uniform(-1, 1, size=(3, 3, 4))
+        c = rng.uniform(-1, 1, size=3)
+        g = rng.uniform(-1, 1, size=(6, 3))
+        grads = []
+        for x_needs_grad in (True, False):
+            with Tape() as tape:
+                conv1d_same(Tensor(x, requires_grad=x_needs_grad),
+                            Tensor(k, requires_grad=True),
+                            Tensor(c, requires_grad=True))
+                grads.append(tape._nodes[-1].backward_fn([g]))
+        (dx, dk, dc), (no_dx, const_dk, const_dc) = grads
+        assert dx is not None and no_dx is None
+        np.testing.assert_array_equal(const_dk, dk)
+        np.testing.assert_array_equal(const_dc, dc)
