@@ -31,7 +31,13 @@ import json
 import sys
 from pathlib import Path
 
-from .data import CorpusError, load_corpus, load_embeddings, split_train_val
+from .data import (
+    CorpusError,
+    decode_line,
+    load_corpus,
+    load_embeddings,
+    split_train_val,
+)
 from .model import (
     CheckpointError,
     ConfigError,
@@ -107,8 +113,11 @@ def parse_config_file(path) -> dict[str, str]:
     if not path.is_file():
         raise CliError(EXIT_CONFIG, f"config file not found: {path}")
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    for lineno, raw_line in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = decode_line(raw_line, path, lineno)
+        except CorpusError as exc:
+            raise CliError(EXIT_CONFIG, str(exc)) from None
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -174,10 +183,7 @@ def _load_embeddings_checked(path_str: str):
 def _load_checkpoint_checked(path_str: str):
     try:
         return load_checkpoint(path_str)
-    except FileNotFoundError:
-        raise CliError(EXIT_DATA,
-                       f"checkpoint file not found: {path_str}") from None
-    except (CheckpointError, ConfigError) as exc:
+    except CheckpointError as exc:
         raise CliError(EXIT_DATA, f"checkpoint {path_str}: {exc}") from None
 
 

@@ -74,6 +74,16 @@ class EmbeddingTable:
         return vec
 
 
+def decode_line(raw: bytes, path, lineno: int) -> str:
+    """One line of a UTF-8 text file; a bad byte is named by its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}:{lineno}: not UTF-8 text (byte "
+                          f"{raw[exc.start]:#04x} at column {exc.start + 1})"
+                          ) from None
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CorpusError(message)
@@ -160,8 +170,10 @@ def load_corpus(path) -> list[Dialog]:
     base_dir = path.parent
     dialogs: list[Dialog] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    # lines are decoded one at a time, so a bad byte is named by its line
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = decode_line(raw, path, lineno)
             if not line.strip():
                 continue
             try:
@@ -193,8 +205,8 @@ def load_embeddings(path) -> EmbeddingTable:
     path = Path(path)
     if not path.is_file():
         raise CorpusError(f"embedding file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
+    with open(path, "rb") as fh:
+        header = decode_line(fh.readline(), path, 1).split()
         if len(header) != 2:
             raise CorpusError(f"{path}:1: header must be '<count> <dim>'")
         try:
@@ -205,7 +217,8 @@ def load_embeddings(path) -> EmbeddingTable:
             raise CorpusError(f"{path}:1: dimension must be positive, got {dim}")
         table = EmbeddingTable(dim)
         rows = 0
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, raw in enumerate(fh, start=2):
+            line = decode_line(raw, path, lineno)
             if not line.strip():
                 continue
             # fastText .vec rows may end in a space before the newline

@@ -83,10 +83,6 @@ class AcousticEncoderParams:
     bias: Tensor
 
     @property
-    def channels(self) -> int:
-        return self.kernels.shape[0]
-
-    @property
     def coefficients(self) -> int:
         return self.kernels.shape[2]
 

@@ -181,11 +181,6 @@ class ParameterSet:
         return sum(t.size for t in self._tensors.values())
 
 
-def _head_param_count(config: ModelConfig) -> int:
-    hh = config.head_hidden
-    return hh * config.trunk_dim + hh + hh + 1
-
-
 def init_parameters(config: ModelConfig,
                     rng: np.random.Generator) -> ParameterSet:
     """Fresh parameters for a configuration; draw order is fixed."""
@@ -443,6 +438,17 @@ def save_checkpoint(params: ParameterSet, path, config: ModelConfig) -> None:
         fh.write(bytes(blob))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_matches_default(value, default) -> bool:
+    """A stored config value has its field's type; floats accept ints."""
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
     """Read a checkpoint; bit-exact inverse of save at f32 precision.
 
@@ -469,14 +475,22 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
         header = json.loads(raw[cursor:cursor + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     blob = raw[cursor + head_len:]
     meta = header.pop(META_KEY, None)
-    if meta is None:
-        raise CheckpointError(f"{path}: header missing {META_KEY!r}")
-    known_fields = {f.name for f in fields(ModelConfig)}
-    unknown = set(meta) - known_fields
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header {META_KEY!r} is missing or "
+                              f"not an object")
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    unknown = set(meta) - set(defaults)
     if unknown:
         raise CheckpointError(f"{path}: unknown config fields {sorted(unknown)}")
+    for key, value in meta.items():
+        if not _json_matches_default(value, defaults[key]):
+            raise CheckpointError(
+                f"{path}: config field {key!r} must be "
+                f"{type(defaults[key]).__name__}, got {value!r}")
     try:
         config = ModelConfig(**meta)
     except ConfigError as exc:
@@ -492,7 +506,17 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
         if name not in expected:
             raise CheckpointError(f"{path}: unexpected parameter {name!r} "
                                   f"for the stored config")
-        shape = tuple(int(s) for s in entry["shape"])
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: parameter {name!r} entry is not "
+                                  f"an object")
+        shape, offset = entry.get("shape"), entry.get("offset")
+        if not isinstance(shape, list) or not all(map(_is_int, shape)):
+            raise CheckpointError(f"{path}: parameter {name!r} shape must be "
+                                  f"a list of integers, got {shape!r}")
+        if not _is_int(offset):
+            raise CheckpointError(f"{path}: parameter {name!r} offset must be "
+                                  f"an integer, got {offset!r}")
+        shape = tuple(shape)
         if shape != expected[name]:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {list(shape)}, the "
@@ -502,7 +526,6 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
                 f"{path}: parameter {name!r} has unsupported dtype "
                 f"{entry.get('dtype')!r}")
         count = int(np.prod(shape)) if shape else 1
-        offset = int(entry["offset"])
         if offset != end:
             raise CheckpointError(
                 f"{path}: parameter {name!r} starts at blob offset {offset}, "

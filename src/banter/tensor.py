@@ -88,7 +88,7 @@ class Tape:
             loss = ...
             backward(loss)
 
-    Clearing or discarding a tape never touches parameter values.
+    Discarding a tape never touches parameter values.
     """
 
     def __init__(self):
@@ -96,9 +96,6 @@ class Tape:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def clear(self) -> None:
-        self._nodes.clear()
 
     def __enter__(self) -> "Tape":
         _STATE.stack.append(self)

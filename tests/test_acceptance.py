@@ -22,8 +22,8 @@ if str(TESTS_DIR) not in sys.path:
 
 from synthdata import marker_corpus
 
+from banter import verify
 from banter.cli import main as cli_main
-from banter.context_attention import contextualize_dialog
 from banter.data import (
     MFCC_COLUMNS,
     Dialog,
@@ -33,10 +33,7 @@ from banter.data import (
     load_embeddings,
     split_train_val,
 )
-from banter.fusion import filter_modality, init_filter_gate
 from banter.gradcheck import grad_check
-from banter.hier_attention import hier_attend, init_projection, level_count
-from banter.metrics import ConfusionMatrix, compute_metrics
 from banter.model import (
     ModelConfig,
     build_variant,
@@ -44,26 +41,32 @@ from banter.model import (
     init_parameters,
     parameter_count,
 )
-from banter.report import heatmap_document
-from banter.tensor import Tensor, add, bce_loss
+from banter.tensor import add, bce_loss
 from banter.train import TrainConfig, evaluate_split, macro_f1, train
+
+
+def _timed_verify_check(check, seconds=None):
+    """Run one ``banter.verify`` check under an optional time bound.
+
+    The check's failure message, if any, becomes the detail.
+    """
+    start = time.monotonic()
+    try:
+        check()
+    except AssertionError as exc:
+        problem = str(exc)
+    else:
+        problem = ""
+    elapsed = time.monotonic() - start
+    ok = not problem and (seconds is None or elapsed < seconds)
+    bound = "" if seconds is None else f" against a {seconds:g}s bound"
+    detail = f"verify.{check.__name__} in {elapsed:.2f}s{bound}"
+    return ok, detail + (f"; {problem}" if problem else "")
 
 
 def criterion_1():
     """Metric oracle reproduces the published confusion arithmetic."""
-    s = compute_metrics(ConfusionMatrix(tp=249, fn=142, fp=58, tn=1127))
-    ok = (s.accuracy == 1376 / 1576
-          and abs(s.precision - 0.811) <= 3e-3
-          and abs(s.recall - 0.636) <= 3e-3
-          and abs(s.f1 - 0.711) <= 3e-3)
-    h = compute_metrics(ConfusionMatrix(tp=635, fn=105, fp=174, tn=662))
-    ok = ok and all(abs(got - want) <= 1e-3 for got, want in (
-        (h.precision, 0.785), (h.recall, 0.858),
-        (h.f1, 0.820), (h.accuracy, 0.823)))
-    detail = (f"sarcasm P={s.precision:.4f} R={s.recall:.4f} F1={s.f1:.4f} "
-              f"acc={s.accuracy:.4f}; humor P={h.precision:.4f} "
-              f"R={h.recall:.4f} F1={h.f1:.4f} acc={h.accuracy:.4f}")
-    return ok, detail
+    return _timed_verify_check(verify.check_metric_arithmetic)
 
 
 def _grad_check_fixture():
@@ -117,108 +120,17 @@ def criterion_2():
 
 def criterion_3():
     """Hierarchical collapse has the exact level geometry, any N and X."""
-    start = time.monotonic()
-    rng = np.random.default_rng(1)
-    dim = 4
-    problems = []
-    for width in range(2, 6):
-        proj_w, proj_b = init_projection(dim, rng)
-        for n in range(1, 65):
-            vectors = Tensor(rng.normal(size=(n, dim)))
-            out, trace = hier_attend(vectors, proj_w, proj_b, width)
-            if trace.attention_levels != level_count(n, width):
-                problems.append(f"N={n} X={width}: level count")
-            sizes = trace.level_sizes()
-            for level, size in enumerate(sizes):
-                if size != max(1, n - level * (width - 1)):
-                    problems.append(f"N={n} X={width} level {level}: size")
-            if out.shape != (dim,):
-                problems.append(f"N={n} X={width}: output dim")
-            for record in trace.levels[1:]:
-                # per window and coordinate: (windows, size, d) -> (windows, d)
-                total = record.window_weights.sum(axis=1)
-                if not np.allclose(total, 1.0, atol=1e-9):
-                    problems.append(f"N={n} X={width}: weight sum")
-    elapsed = time.monotonic() - start
-    ok = not problems and elapsed < 10.0
-    head = f"; first problem: {problems[0]}" if problems else ""
-    detail = (f"N in [1,64] x X in [2,5], {4 * 64} traces clean "
-              f"in {elapsed:.1f}s{head}")
-    return ok, detail
+    return _timed_verify_check(verify.check_hier_structure, 10.0)
 
 
 def criterion_4():
     """Dialog attention is causal and banded to min(i, D) entries."""
-    start = time.monotonic()
-    rng = np.random.default_rng(2)
-    n, width, dim = 12, 4, 6
-    base_audio = rng.normal(size=(n, dim))
-    base_text = rng.normal(size=(n, dim))
-
-    def run(audio_rows):
-        return contextualize_dialog(Tensor(audio_rows), Tensor(base_text),
-                                    width)
-
-    out_audio, out_text, out_cross, trace = run(base_audio)
-    problems = []
-    for j in range(n):
-        bumped = base_audio.copy()
-        bumped[j] = bumped[j] + 5.0
-        bumped_audio, _, bumped_cross, _ = run(bumped)
-        for k in range(j):
-            if not np.array_equal(out_audio.data[k], bumped_audio.data[k]) \
-                    or not np.array_equal(out_cross.data[k],
-                                          bumped_cross.data[k]):
-                problems.append(f"perturbing {j + 1} changed output {k + 1}")
-    document = heatmap_document(trace, "gate")
-    for row in document["rows"]:
-        i = row["target_i"]
-        for field, cells in row["weights"].items():
-            if len(cells) != min(i, width):
-                problems.append(f"row {i} field {field}: {len(cells)} cells")
-            if any(cell == 0.0 for cell in cells):
-                problems.append(f"row {i} field {field}: zero weight")
-    elapsed = time.monotonic() - start
-    ok = not problems and elapsed < 10.0
-    head = f"; first problem: {problems[0]}" if problems else ""
-    detail = (f"{n} suffix perturbations, heatmap banding min(i, {width}) "
-              f"in {elapsed:.1f}s{head}")
-    return ok, detail
+    return _timed_verify_check(verify.check_context_causality, 10.0)
 
 
 def criterion_5():
     """Filter output stays inside (-1, 1); saturated gates block or pass."""
-    start = time.monotonic()
-    rng = np.random.default_rng(3)
-    problems = []
-    for _ in range(20):
-        d = int(rng.integers(1, 6))
-        h_mod = Tensor(rng.uniform(-8, 8, size=(1, 2 * d)))
-        h_cross = Tensor(rng.uniform(-8, 8, size=(1, 3 * d)))
-        gate_w, gate_b = init_filter_gate(2 * d, 3 * d, rng)
-        out = filter_modality(h_mod, h_cross, gate_w, gate_b)
-        if not np.all(np.abs(out.data) < 1.0):
-            problems.append("output escaped the open unit box")
-    d = 4
-    h_mod = Tensor(rng.uniform(-2, 2, size=(1, 2 * d)))
-    h_cross = Tensor(rng.uniform(-2, 2, size=(1, 3 * d)))
-    zero_w = Tensor(np.zeros((2 * d, 3 * d)))
-    closed = filter_modality(h_mod, h_cross, zero_w,
-                             Tensor(np.full(2 * d, -30.0)))
-    closed_err = float(np.max(np.abs(closed.data)))
-    opened = filter_modality(h_mod, h_cross, zero_w,
-                             Tensor(np.full(2 * d, 30.0)))
-    opened_err = float(np.max(np.abs(opened.data - np.tanh(h_mod.data))))
-    if closed_err > 1e-12:
-        problems.append(f"closed gate leaks {closed_err:.2e}")
-    if opened_err > 1e-12:
-        problems.append(f"open gate distorts by {opened_err:.2e}")
-    elapsed = time.monotonic() - start
-    ok = not problems and elapsed < 1.0
-    head = f"; {problems[0]}" if problems else ""
-    detail = (f"bounds over 20 draws, saturation errs {closed_err:.1e} / "
-              f"{opened_err:.1e} in {elapsed:.2f}s{head}")
-    return ok, detail
+    return _timed_verify_check(verify.check_filter_bounds, 1.0)
 
 
 def _probe_margin(dialogs, table, coord, task):

@@ -238,6 +238,28 @@ class TestTrainCommand:
                            val_fraction=0.99)
         assert main(["train", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("kind, exit_code", [
+        ("run file", 2), ("corpus", 3), ("embeddings", 3)])
+    def test_non_utf8_line_is_named(self, workspace, tmp_path, capsys, kind,
+                                    exit_code):
+        _, corpus, emb = workspace
+        files = {"corpus": tmp_path / corpus.name,
+                 "embeddings": tmp_path / emb.name}
+        shutil.copy(corpus, files["corpus"])
+        shutil.copy(emb, files["embeddings"])
+        files["run file"] = write_config(tmp_path / "run.cfg",
+                                         files["corpus"], files["embeddings"])
+        # the last line: a reader that decodes ahead in chunks would fail
+        # lines early
+        lines = files[kind].read_bytes().splitlines(keepends=True)
+        lines[-1] = b"\xff" + lines[-1]
+        files[kind].write_bytes(b"".join(lines))
+        assert main(["train", "--config", str(files["run file"])]) \
+            == exit_code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{files[kind]}:{len(lines)}: not UTF-8 text" in err
+
     def test_same_seed_runs_are_byte_identical(self, workspace, tmp_path):
         tmp, corpus, emb = workspace
         cfg = write_config(tmp_path / "run.cfg", corpus, emb)
@@ -306,7 +328,8 @@ class TestEvalCommand:
         _, corpus, emb = workspace
         bad = rewrite_checkpoint_header(
             trained / "model.ckpt", tmp_path / "bad.ckpt",
-            lambda header: header.pop("head_humor.b2"))
+            lambda header: {name: entry for name, entry in header.items()
+                            if name != "head_humor.b2"})
         code = main(["eval", "--checkpoint", str(bad), "--data", str(corpus),
                      "--embeddings", str(emb), "--out",
                      str(tmp_path / "out")])
@@ -347,6 +370,27 @@ class TestEvalCommand:
         _, config = load_checkpoint(trained / "model.ckpt")
         second = init_parameters(config, np.random.default_rng(0)).names()[1]
         assert str(bad) in err and f"'{second}'" in err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h.update({"head_sarcasm.b2": {"shape": [1],
+                                                 "dtype": "f32"}}),
+         "'head_sarcasm.b2'"),
+        (lambda h: h["head_sarcasm.b2"].update(offset="x"),
+         "'head_sarcasm.b2'"),
+        (lambda h: h.update({"head_sarcasm.b2": 5}), "'head_sarcasm.b2'"),
+        (lambda h: h["head_sarcasm.b2"].update(shape=None),
+         "'head_sarcasm.b2'"),
+        (lambda h: h["__meta__"].update(d_hidden="4"), "'d_hidden'"),
+        (lambda h: [h], "not a JSON object"),
+    ], ids=["no offset", "string offset", "entry not an object",
+            "null shape", "string config field", "list header"])
+    def test_malformed_header_is_a_data_error(self, workspace, trained,
+                                              tmp_path, capsys, edit, named):
+        bad = rewrite_checkpoint_header(trained / "model.ckpt",
+                                        tmp_path / "bad.ckpt", edit)
+        code, err = self._eval_error(workspace, bad, tmp_path, capsys)
+        assert code == 3
+        assert str(bad) in err and named in err
 
     def test_text_checkpoint_requires_embeddings_flag(self, workspace,
                                                       trained, tmp_path,

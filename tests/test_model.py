@@ -414,12 +414,16 @@ class TestParameterEconomy:
 
 
 def rewrite_checkpoint_header(src, dst, edit):
-    """Copy a checkpoint with ``edit(header)`` applied to its JSON header."""
+    """Copy a checkpoint with ``edit(header)`` applied to its JSON header.
+
+    ``edit`` changes the header in place and returns None, or returns the
+    header to write instead.
+    """
     raw = Path(src).read_bytes()
     head_len = int.from_bytes(raw[6:14], "little")
     header = json.loads(raw[14:14 + head_len].decode("utf-8"))
-    edit(header)
-    head = json.dumps(header).encode("utf-8")
+    edited = edit(header)
+    head = json.dumps(header if edited is None else edited).encode("utf-8")
     Path(dst).write_bytes(raw[:6] + len(head).to_bytes(8, "little") + head
                           + raw[14 + head_len:])
     return dst
@@ -496,7 +500,8 @@ class TestCheckpoint:
     def test_missing_parameter_named(self, tmp_path):
         _, _, path = self._setup(tmp_path)
         bad = rewrite_checkpoint_header(
-            path, tmp_path / "bad.ckpt", lambda h: h.pop("head_humor.b2"))
+            path, tmp_path / "bad.ckpt",
+            lambda h: {k: v for k, v in h.items() if k != "head_humor.b2"})
         with pytest.raises(CheckpointError,
                            match="missing parameter 'head_humor.b2'"):
             load_checkpoint(bad)

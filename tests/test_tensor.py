@@ -23,7 +23,6 @@ from banter.tensor import (
     conv1d_same,
     dropout,
     lstm_sequence,
-    mean_rows,
     mul,
     relu,
     reshape,
@@ -38,6 +37,7 @@ from banter.tensor import (
     unstack,
     window_attend,
 )
+from banter.verify import CHECKS, OP_GROUPS, op_scenarios
 
 
 def tanh_reference(x: float, depth: int = 30) -> float:
@@ -613,149 +613,11 @@ class TestClipGradients:
         np.testing.assert_allclose(p.grad, [0.5])
 
 
-def _away_from(x: np.ndarray, points: list, margin: float = 0.05) -> np.ndarray:
-    """Nudge values off finite-difference kinks (the relu corner)."""
-    out = x.copy()
-    for p in points:
-        near = np.abs(out - p) < margin
-        out[near] = p + margin * np.where(out[near] >= p, 1.0, -1.0) * 2.0
-    return out
-
-
-def _op_scenarios(rng):
-    """Named (params, loss_fn) pairs exercising every tape op.
-
-    A key is the op's name, or the name followed by a bracketed variant.
-    """
-    u = lambda *s: rng.uniform(-1, 1, size=s)
-    scen = {}
-
-    a, b = Tensor(u(4), requires_grad=True), Tensor(u(4), requires_grad=True)
-    scen["add"] = ({"a": a, "b": b},
-                   lambda p: sum_all(tanh(add(p["a"], p["b"]))))
-
-    a, b = Tensor(u(4), requires_grad=True), Tensor(u(4), requires_grad=True)
-    scen["mul"] = ({"a": a, "b": b},
-                   lambda p: sum_all(tanh(mul(p["a"], p["b"]))))
-
-    a = Tensor(u(5), requires_grad=True)
-    scen["scale"] = ({"a": a}, lambda p: sum_all(tanh(scale(p["a"], 1.7))))
-
-    parts = {f"x{i}": Tensor(u(3), requires_grad=True) for i in range(3)}
-    mixer = Tensor(u(9))
-    scen["concat"] = (parts, lambda p, m=mixer: sum_all(tanh(mul(
-        concat([p["x0"], p["x1"], p["x2"]], axis=0), m))))
-
-    a = Tensor(u(5), requires_grad=True)
-    scen["sum_all"] = ({"a": a}, lambda p: mul(sum_all(p["a"]), sum_all(p["a"])))
-
-    a = Tensor(u(4, 3), requires_grad=True)
-    mixer = Tensor(u(3))
-    scen["mean_rows"] = ({"a": a}, lambda p, m=mixer: sum_all(
-        tanh(mul(mean_rows(p["a"]), m))))
-
-    a = Tensor(u(3, 4, 2), requires_grad=True)
-    mixer = Tensor(u(3, 2))
-    scen["sum_axis"] = ({"a": a}, lambda p, m=mixer: sum_all(
-        tanh(mul(sum_axis(p["a"], 1), m))))
-
-    a = Tensor(u(1, 5), requires_grad=True)
-    mixer = Tensor(u(5))
-    scen["reshape"] = ({"a": a}, lambda p, m=mixer: sum_all(
-        tanh(mul(reshape(p["a"], (5,)), m))))
-
-    x = Tensor(u(3, 4), requires_grad=True)
-    w = Tensor(u(2, 4), requires_grad=True)
-    c = Tensor(u(2), requires_grad=True)
-    scen["affine_rows"] = ({"x": x, "w": w, "c": c}, lambda p: sum_all(
-        tanh(affine_rows(p["x"], p["w"], p["c"]))))
-
-    x = Tensor(u(3, 4), requires_grad=True)
-    w = Tensor(u(2, 4), requires_grad=True)
-    c = Tensor(u(2), requires_grad=True)
-    scen["affine_rowwise"] = ({"x": x, "w": w, "c": c}, lambda p: sum_all(
-        tanh(affine_rowwise(p["x"], p["w"], p["c"]))))
-
-    parts = {f"x{i}": Tensor(u(3), requires_grad=True) for i in range(4)}
-    mixer = Tensor(u(4, 3))
-    scen["stack"] = (parts, lambda p, m=mixer: sum_all(tanh(mul(
-        stack([p[f"x{i}"] for i in range(4)]), m))))
-
-    a = Tensor(u(4, 3), requires_grad=True)
-    mixer = Tensor(u(3))
-    # rows 0 and 2 only: the unused rows' adjoints are zeros
-    scen["unstack"] = ({"a": a}, lambda p, m=mixer: sum_all(tanh(add(
-        mul(unstack(p["a"])[0], m), unstack(p["a"])[2]))))
-
-    for n in (1, 2, 5):
-        gates = {f"{kind}_{g}": Tensor(u(*shape), requires_grad=True)
-                 for g in "ifgo"
-                 for kind, shape in (("w", (3, 4)), ("u", (3, 3)),
-                                     ("b", (3,)))}
-        gates["x"] = Tensor(u(n, 4), requires_grad=True)
-        # per-step loss weights: every h_t reaches the loss, so the h and c
-        # carries both get exercised
-        step_weights = Tensor(u(n, 3))
-        scen[f"lstm_sequence[n={n}]"] = (gates, lambda p, m=step_weights: sum_all(
-            mul(lstm_sequence(p["x"], [p[f"w_{g}"] for g in "ifgo"],
-                              [p[f"u_{g}"] for g in "ifgo"],
-                              [p[f"b_{g}"] for g in "ifgo"]), m)))
-
-    a = Tensor(_away_from(u(6), [0.0]), requires_grad=True)
-    scen["relu"] = ({"a": a}, lambda p: sum_all(mul(relu(p["a"]), relu(p["a"]))))
-
-    a = Tensor(u(6), requires_grad=True)
-    scen["tanh"] = ({"a": a}, lambda p: sum_all(mul(tanh(p["a"]), tanh(p["a"]))))
-
-    a = Tensor(u(6), requires_grad=True)
-    scen["sigmoid"] = ({"a": a},
-                       lambda p: sum_all(mul(sigmoid(p["a"]), sigmoid(p["a"]))))
-
-    # one block (a modality) and two (the cross view), with fewer rows
-    # than the window and more
-    for k in (1, 2):
-        for n in (2, 5):
-            blocks = {f"h{b}": Tensor(u(n, 3), requires_grad=True)
-                      for b in range(k)}
-            mixer = Tensor(u(n, 3))
-            scen[f"window_attend[k={k},n={n}]"] = (
-                blocks, lambda p, m=mixer, k=k: sum_all(mul(window_attend(
-                    [p[f"h{b}"] for b in range(k)], 3)[0], m)))
-
-    a = Tensor(u(2, 3, 4), requires_grad=True)
-    mixer = Tensor(u(2, 3, 4))
-    scen["softmax"] = ({"a": a}, lambda p, m=mixer: sum_all(
-        mul(softmax(p["a"], axis=1), m)))
-
-    a = Tensor(u(5, 2), requires_grad=True)
-    mixer = Tensor(u(3, 3, 2))
-    scen["sliding_windows"] = ({"a": a}, lambda p, m=mixer: sum_all(
-        tanh(mul(sliding_windows(p["a"], 3), m))))
-
-    a = Tensor(u(8), requires_grad=True)
-    mask_seed = int(rng.integers(1 << 30))
-    scen["dropout"] = ({"a": a}, lambda p: sum_all(tanh(dropout(
-        p["a"], 0.4, training=True, rng=np.random.default_rng(mask_seed)))))
-
-    x = Tensor(u(4, 2), requires_grad=True)
-    k = Tensor(u(3, 3, 2), requires_grad=True)
-    c = Tensor(u(3), requires_grad=True)
-    scen["conv1d_same"] = ({"x": x, "k": k, "c": c}, lambda p: sum_all(
-        tanh(conv1d_same(p["x"], p["k"], p["c"]))))
-
-    z = Tensor(u(4), requires_grad=True)
-    label = int(rng.integers(0, 2))
-    scen["bce_loss"] = ({"z": z},
-                        lambda p: bce_loss(sigmoid(sum_all(p["z"])), label))
-
-    return scen
-
-
 class TestGradientProperty:
     @pytest.mark.parametrize("seed", range(100))
     def test_all_ops_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        for name, (params, f) in _op_scenarios(rng).items():
+        for name, (params, f) in op_scenarios(rng).items():
             report = grad_check(f, params, tol=1e-4)
             assert report.passed, f"{name}: {report.summary()}"
 
@@ -820,10 +682,22 @@ class TestOpRegistry:
         ops = self.tape_ops()
         assert {"add", "affine_rowwise", "window_attend", "bce_loss"} <= ops
         covered = {key.split("[")[0]
-                   for key in _op_scenarios(np.random.default_rng(0))}
+                   for key in op_scenarios(np.random.default_rng(0))}
         assert sorted(ops - covered) == []
         # stale scenarios: every key names an op that still exists
         assert sorted(covered - ops) == []
+
+    def test_banter_verify_checks_every_scenario_once(self):
+        # a scenario outside OP_GROUPS would pass the unit tests yet be
+        # skipped by `banter verify`
+        grouped = [op for ops in OP_GROUPS.values() for op in ops]
+        covered = {key.split("[")[0]
+                   for key in op_scenarios(np.random.default_rng(0))}
+        assert sorted(op for op in covered if grouped.count(op) != 1) == []
+        assert sorted(set(grouped) - covered) == []
+        check_names = {name for name, _ in CHECKS}
+        assert set(OP_GROUPS) <= check_names
+        assert all(name.startswith("gradients.") for name in OP_GROUPS)
 
 
 class TestConv1dAdjoints:

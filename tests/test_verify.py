@@ -79,7 +79,7 @@ class TestInjectedBug:
 
     def test_patch_teardown_restores_the_op(self, mutated):
         # raises if the broken derivative leaked out of the fixture context
-        verify.check_elementwise_gradients()
+        verify.check_op_gradients("gradients.elementwise")
 
     def test_exception_inside_check_becomes_failure(self, monkeypatch):
         def explode():
