@@ -184,7 +184,7 @@ def _load_checkpoint_checked(path_str: str):
     try:
         return load_checkpoint(path_str)
     except CheckpointError as exc:
-        raise CliError(EXIT_DATA, f"checkpoint {path_str}: {exc}") from None
+        raise CliError(EXIT_DATA, str(exc)) from None
 
 
 def _embeddings_for(config: ModelConfig, path_str, *, source: str,

@@ -32,7 +32,7 @@ def adam_step(state: AdamState, params: Mapping[str, Tensor]) -> None:
             raise ValueError(f"adam_step: parameter {name!r} has no gradient")
         if p.grad.shape != p.data.shape:
             raise ShapeError(f"adam_step: gradient shape mismatch on {name!r}")
-        if not np.all(np.isfinite(p.grad)):
+        if not np.isfinite(p.grad).all():
             raise NumericError(f"adam_step: non-finite gradient on {name!r}")
 
     state.t += 1

@@ -9,7 +9,7 @@ accumulate gradients in exact reverse execution order.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class Tensor:
         # asarray with order="C" keeps 0-d shapes; ascontiguousarray would
         # promote scalars to shape (1,)
         arr = np.asarray(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor initialized with non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -132,13 +132,39 @@ def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
             tape._nodes.append(_Node(tuple(outputs), tuple(parents), backward_fn))
 
 
+class _Outer(NamedTuple):
+    """A weight adjoint ``rows.T @ cols`` handed to ``backward`` unformed.
+
+    A weight used m times gets m of these; ``backward`` forms their sum as
+    one product of the stacked factors instead of m products.
+    """
+
+    rows: np.ndarray  # (m, d): the adjoint of the layer's output
+    cols: np.ndarray  # (m, k): the layer's input
+
+
+def _take_adjoint(key: int, adjoints: dict, outers: dict) -> np.ndarray | None:
+    """Pop a tensor's adjoint: its dense sum plus its stacked outer terms."""
+    g = adjoints.pop(key, None)
+    terms = outers.pop(key, None)
+    if terms:
+        rows = np.concatenate([t.rows for t in terms])
+        cols = np.concatenate([t.cols for t in terms])
+        product = rows.T @ cols
+        g = product if g is None else g + product
+    return g
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate adjoints of ``loss`` into every reachable requires_grad leaf.
 
     Traverses the active tape in exact reverse execution order. Only leaves
     (parameters and graph inputs) receive a ``.grad``; op outputs keep
     ``None``, so their adjoints are freed as soon as their node has run.
-    Repeated calls without zeroing gradients accumulate.
+    Outer-product terms (``_Outer``) a tensor receives are kept in reverse
+    execution order and summed as one product just before the tensor's own
+    node runs, or, for a leaf, after the last node. Repeated calls without
+    zeroing gradients accumulate.
     """
     tape = active_tape()
     if tape is None:
@@ -147,6 +173,7 @@ def backward(loss: Tensor) -> None:
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
 
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    outers: dict[int, list[_Outer]] = {}
     holders: dict[int, Tensor] = {id(loss): loss}
     # adjoint buffers allocated here, and so safe to update in place
     owned: dict[int, np.ndarray] = {}
@@ -155,7 +182,7 @@ def backward(loss: Tensor) -> None:
         out_grads = []
         any_grad = False
         for out in node.outputs:
-            g = adjoints.pop(id(out), None)
+            g = _take_adjoint(id(out), adjoints, outers)
             holders.pop(id(out), None)
             owned.pop(id(out), None)
             if g is not None:
@@ -170,7 +197,10 @@ def backward(loss: Tensor) -> None:
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)
-            if key in owned:
+            holders[key] = parent
+            if isinstance(pg, _Outer):
+                outers.setdefault(key, []).append(pg)
+            elif key in owned:
                 owned[key] += pg
             elif key in adjoints:
                 # the first array came from a backward rule, which may hand
@@ -180,11 +210,10 @@ def backward(loss: Tensor) -> None:
                 adjoints[key] = owned[key] = np.asarray(buf)
             else:
                 adjoints[key] = pg
-                holders[key] = parent
 
     # whatever is left belongs to leaves (parameters and graph inputs)
-    for key, g in adjoints.items():
-        holders[key].accumulate_grad(g)
+    for key, leaf in holders.items():
+        leaf.accumulate_grad(_take_adjoint(key, adjoints, outers))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +361,17 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product) -> Tensor:
         raise ShapeError(f"{op}: {x.shape} rows through {w.shape} "
                          f"+ {b.shape}")
     out = Tensor(product(x.data, w.data) + b.data)
+    rows = x.shape[0]
+    d, k = w.shape
+    # stacking copies both factors; it pays only while they are smaller
+    # than the product they defer
+    stack = rows * (d + k) < d * k
 
     def bwd(gs):
         g = gs[0]
-        return g @ w.data, g.T @ x.data, g.sum(axis=0)
+        dx = g @ w.data if x.requires_grad else None
+        dw = _Outer(g, x.data) if stack else g.T @ x.data
+        return dx, dw, g.sum(axis=0)
 
     _finish(op, [out], [x, w, b], bwd)
     return out

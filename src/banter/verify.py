@@ -193,6 +193,35 @@ def op_scenarios(rng: np.random.Generator) -> dict:
     scen["bce_loss"] = ({"z": z}, lambda p: tensor.bce_loss(
         tensor.sigmoid(tensor.sum_all(p["z"])), label))
 
+    # one weight used three times, as H-ATN uses its projection at every
+    # level: at 10 x 10 the 1- and 4-row uses hand backward stacked outer
+    # terms and the 13-row use a dense product. The 1-row input is a
+    # constant, so that use gives no input adjoint.
+    inputs = {"x4": Tensor(u(4, 10), requires_grad=True),
+              "x13": Tensor(u(13, 10), requires_grad=True)}
+    x1 = Tensor(u(1, 10))
+    mixer = Tensor(u(18, 10))
+    scen["affine_rows[shared_w]"] = (
+        {**inputs, "w": Tensor(u(10, 10), requires_grad=True),
+         "c": Tensor(u(10), requires_grad=True)},
+        lambda p, x1=x1, m=mixer: tensor.sum_all(tensor.mul(tensor.tanh(
+            tensor.concat([tensor.affine_rows(x, p["w"], p["c"])
+                           for x in (x1, p["x4"], p["x13"])])), m)))
+
+    # a weight computed on the tape and used twice: its two stacked terms
+    # must be summed into a dense adjoint before tanh's rule runs
+    parts = {"x": Tensor(u(2, 6), requires_grad=True),
+             "y": Tensor(u(1, 6), requires_grad=True),
+             "v": Tensor(u(4, 6), requires_grad=True),
+             "c": Tensor(u(4), requires_grad=True)}
+
+    def computed_w(p):
+        w = tensor.tanh(p["v"])
+        return tensor.sum_all(tensor.tanh(tensor.concat(
+            [tensor.affine_rowwise(p[x], w, p["c"]) for x in "xy"])))
+
+    scen["affine_rowwise[computed_w]"] = (parts, computed_w)
+
     return scen
 
 

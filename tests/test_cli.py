@@ -307,12 +307,11 @@ class TestEvalCommand:
         assert code == 3
         assert "acoustic" in capsys.readouterr().err
 
-    def test_missing_checkpoint_file(self, workspace, tmp_path):
-        _, corpus, emb = workspace
-        code = main(["eval", "--checkpoint", str(tmp_path / "absent.ckpt"),
-                     "--data", str(corpus), "--embeddings", str(emb),
-                     "--out", str(tmp_path / "out")])
+    def test_missing_checkpoint_file(self, workspace, tmp_path, capsys):
+        absent = tmp_path / "absent.ckpt"
+        code, err = self._eval_error(workspace, absent, tmp_path, capsys)
         assert code == 3
+        assert err.count(str(absent)) == 1
 
     def test_corrupt_checkpoint_is_a_data_error(self, workspace, tmp_path):
         _, corpus, emb = workspace
@@ -390,7 +389,7 @@ class TestEvalCommand:
                                         tmp_path / "bad.ckpt", edit)
         code, err = self._eval_error(workspace, bad, tmp_path, capsys)
         assert code == 3
-        assert str(bad) in err and named in err
+        assert err.count(str(bad)) == 1 and named in err
 
     def test_text_checkpoint_requires_embeddings_flag(self, workspace,
                                                       trained, tmp_path,

@@ -5,8 +5,9 @@ import inspect
 import numpy as np
 import pytest
 
-from banter import gradcheck, optim, tensor as T
+from banter import gradcheck, hier_attention, optim, tensor as T
 from banter.gradcheck import grad_check
+from banter.hier_attention import hier_attend, init_projection
 from banter.optim import AdamState, adam_step, clip_gradients
 from banter.tensor import (
     BCE_EPS,
@@ -492,6 +493,44 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, [3.0])
         assert c.grad is None
 
+    @staticmethod
+    def hier_gradients(n, d, seed):
+        """proj_w's and proj_b's gradients after one H-ATN collapse of n x d."""
+        rng = np.random.default_rng(seed)
+        vectors = Tensor(rng.uniform(-1, 1, size=(n, d)))
+        proj_w, proj_b = init_projection(d, rng)
+        mixer = Tensor(rng.uniform(-1, 1, size=d))
+        with Tape():
+            out, _ = hier_attend(vectors, proj_w, proj_b)
+            backward(sum_all(mul(out, mixer)))
+        return proj_w.grad, proj_b.grad
+
+    @pytest.mark.parametrize("n, d", [(15, 300), (105, 128)])
+    def test_shared_weight_gradient_is_the_sum_of_per_level_products(
+            self, n, d, monkeypatch):
+        stacked, _ = self.hier_gradients(n, d, seed=3)
+        # each level through its own copy of the weight: a copy's gradient
+        # is that level's dense product g.T @ x alone
+        copies = []
+
+        def untied(x, w, b):
+            copies.append(Tensor(w.data, requires_grad=True))
+            return affine_rows(x, copies[-1], b)
+
+        monkeypatch.setattr(hier_attention, "affine_rows", untied)
+        self.hier_gradients(n, d, seed=3)
+        assert len(copies) == hier_attention.level_count(n, 3)
+        per_level = sum(c.grad for c in reversed(copies))
+        np.testing.assert_allclose(stacked, per_level, rtol=0,
+                                   atol=1e-12 * np.abs(per_level).max())
+
+    def test_same_seed_reruns_give_identical_gradients(self):
+        for n, d in ((15, 300), (105, 128)):
+            first = self.hier_gradients(n, d, seed=4)
+            again = self.hier_gradients(n, d, seed=4)
+            for a, b in zip(first, again):
+                np.testing.assert_array_equal(a, b)
+
 
 class TestGradCheck:
     def test_square_at_three(self):
@@ -718,3 +757,30 @@ class TestConv1dAdjoints:
         assert dx is not None and no_dx is None
         np.testing.assert_array_equal(const_dk, dk)
         np.testing.assert_array_equal(const_dc, dc)
+
+
+class TestAffineAdjoints:
+    # 1 row of 6 columns through 5 x 6 is a stacked weight term, 9 rows a
+    # dense one
+    @pytest.mark.parametrize("rows", [1, 9])
+    @pytest.mark.parametrize("op", [affine_rows, affine_rowwise])
+    def test_constant_input_gets_no_adjoint(self, op, rows):
+        rng = np.random.default_rng(19)
+        x = rng.uniform(-1, 1, size=(rows, 6))
+        w = rng.uniform(-1, 1, size=(5, 6))
+        c = rng.uniform(-1, 1, size=5)
+        mixer = Tensor(rng.uniform(-1, 1, size=(rows, 5)))
+        adjoints, operands = [], []
+        for x_needs_grad in (True, False):
+            operands.append((Tensor(x, requires_grad=x_needs_grad),
+                             Tensor(w, requires_grad=True),
+                             Tensor(c, requires_grad=True)))
+            with Tape() as tape:
+                out = op(*operands[-1])
+                adjoints.append(tape._nodes[-1].backward_fn([mixer.data]))
+                backward(sum_all(mul(out, mixer)))
+        assert adjoints[0][0] is not None and adjoints[1][0] is None
+        (_, w1, c1), (x2, w2, c2) = operands
+        assert x2.grad is None
+        np.testing.assert_array_equal(w2.grad, w1.grad)
+        np.testing.assert_array_equal(c2.grad, c1.grad)
