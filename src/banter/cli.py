@@ -1,7 +1,9 @@
 """Command line front end: train, eval, inspect, and verify subcommands.
 
 Exit codes: 0 success, 2 configuration problem, 3 data problem, 4 numeric
-failure during optimization, 5 verification failure.
+failure during optimization, 5 verification failure. ``main`` maps the
+library's exceptions to them; a subcommand converts one itself only where
+the same exception class means another problem there.
 
 The MSHC_THREADS environment variable caps BLAS parallelism. The cap must
 land before numpy initializes its thread pools, so it is applied at import
@@ -150,41 +152,17 @@ def resolve_settings(config_path, overrides: dict) -> dict:
 
 
 def _model_config(settings: dict) -> ModelConfig:
-    try:
-        return build_variant(
-            settings["variant"],
-            task_mode=settings["task_mode"],
-            d_text_in=settings["d_text_in"],
-            d_hidden=settings["d_hidden"],
-            d_audio=settings["d_audio"],
-            attn_width_tokens=settings["attn_width_tokens"],
-            attn_width_dialog=settings["attn_width_dialog"],
-            dropout=settings["dropout"],
-            head_hidden=settings["head_hidden"],
-        )
-    except ConfigError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
-
-
-def _load_corpus_checked(path_str: str):
-    try:
-        return load_corpus(path_str)
-    except CorpusError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
-
-
-def _load_embeddings_checked(path_str: str):
-    try:
-        return load_embeddings(path_str)
-    except CorpusError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
-
-
-def _load_checkpoint_checked(path_str: str):
-    try:
-        return load_checkpoint(path_str)
-    except CheckpointError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
+    return build_variant(
+        settings["variant"],
+        task_mode=settings["task_mode"],
+        d_text_in=settings["d_text_in"],
+        d_hidden=settings["d_hidden"],
+        d_audio=settings["d_audio"],
+        attn_width_tokens=settings["attn_width_tokens"],
+        attn_width_dialog=settings["attn_width_dialog"],
+        dropout=settings["dropout"],
+        head_hidden=settings["head_hidden"],
+    )
 
 
 def _embeddings_for(config: ModelConfig, path_str, *, source: str,
@@ -199,7 +177,7 @@ def _embeddings_for(config: ModelConfig, path_str, *, source: str,
     if not path_str:
         raise CliError(EXIT_CONFIG,
                        f"{source} is required: the model variant reads text")
-    table = _load_embeddings_checked(path_str)
+    table = load_embeddings(path_str)
     if table.dimension != config.d_text_in:
         raise CliError(mismatch_exit,
                        f"embedding table carries {table.dimension}-dimensional "
@@ -218,16 +196,16 @@ def cmd_train(args) -> int:
     if not settings["corpus"]:
         raise CliError(EXIT_CONFIG, "config key 'corpus' is required to train")
     config = _model_config(settings)
-    dialogs = _load_corpus_checked(settings["corpus"])
+    dialogs = load_corpus(settings["corpus"])
     table = _embeddings_for(config, settings["embeddings"],
                             source="config key 'embeddings'",
                             mismatch_exit=EXIT_CONFIG)
     try:
         train_dialogs, val_dialogs = split_train_val(
             dialogs, settings["val_fraction"], settings["seed"])
-    except CorpusError as exc:
-        # subclasses ValueError, so it must be caught first
-        raise CliError(EXIT_DATA, str(exc)) from None
+    except CorpusError:
+        # a data error (see main), though it subclasses ValueError
+        raise
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from None
     try:
@@ -237,13 +215,8 @@ def cmd_train(args) -> int:
             seed=settings["seed"], grad_clip=settings["grad_clip"])
     except ValueError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from None
-    try:
-        best, history = train(config, train_dialogs, val_dialogs,
-                              train_config, table)
-    except ModalityError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
-    except NumericError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc)) from None
+    best, history = train(config, train_dialogs, val_dialogs, train_config,
+                          table)
 
     out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -251,12 +224,9 @@ def cmd_train(args) -> int:
     save_checkpoint(best, checkpoint_path, config)
     # report from the float32 values the checkpoint holds, so that `eval`
     # of the saved file agrees with this report at the threshold
-    saved, _ = _load_checkpoint_checked(str(checkpoint_path))
-    try:
-        matrices, metrics = evaluate_split(config, saved, val_dialogs, table,
-                                           threshold=settings["threshold"])
-    except NumericError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc)) from None
+    saved, _ = load_checkpoint(checkpoint_path)
+    matrices, metrics = evaluate_split(config, saved, val_dialogs, table,
+                                       threshold=settings["threshold"])
     history_path = out_dir / "history.csv"
     history.to_csv(history_path)
     report_path = out_dir / "report.txt"
@@ -287,16 +257,11 @@ def _evaluation_document(config, matrices, metrics, n_dialogs):
 
 
 def cmd_eval(args) -> int:
-    params, config = _load_checkpoint_checked(args.checkpoint)
-    dialogs = _load_corpus_checked(args.data)
+    params, config = load_checkpoint(args.checkpoint)
+    dialogs = load_corpus(args.data)
     table = _embeddings_for(config, args.embeddings, source="--embeddings")
-    try:
-        matrices, metrics = evaluate_split(config, params, dialogs, table,
-                                           threshold=EVAL_THRESHOLD)
-    except ModalityError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
-    except NumericError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc)) from None
+    matrices, metrics = evaluate_split(config, params, dialogs, table,
+                                       threshold=EVAL_THRESHOLD)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -319,8 +284,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    params, config = _load_checkpoint_checked(args.checkpoint)
-    dialogs = _load_corpus_checked(args.data)
+    params, config = load_checkpoint(args.checkpoint)
+    dialogs = load_corpus(args.data)
     table = _embeddings_for(config, args.embeddings, source="--embeddings")
     by_id = {d.dialog_id: d for d in dialogs}
     if args.dialog_id not in by_id:
@@ -329,13 +294,8 @@ def cmd_inspect(args) -> int:
                        f"unknown dialog id {args.dialog_id!r}; corpus has "
                        f"{len(by_id)} dialogs (first ids: {known})")
     dialog = by_id[args.dialog_id]
-    try:
-        prediction = forward_dialog(config, params, dialog, table,
-                                    training=False)
-    except ModalityError as exc:
-        raise CliError(EXIT_DATA, str(exc)) from None
-    except NumericError as exc:
-        raise CliError(EXIT_NUMERIC, str(exc)) from None
+    prediction = forward_dialog(config, params, dialog, table,
+                                training=False)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -343,7 +303,7 @@ def cmd_inspect(args) -> int:
     for k, utt in enumerate(dialog.utterances):
         labels = {}
         for task in config.tasks:
-            probability = float(prediction.probabilities[task][k].data[0])
+            probability = float(prediction.scores[task].data[k, 0])
             labels[task] = {"actual": getattr(utt, task),
                             "predicted": int(probability >= EVAL_THRESHOLD),
                             "probability": probability}
@@ -455,8 +415,15 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, exc.message
+    except ConfigError as exc:
+        code, message = EXIT_CONFIG, str(exc)
+    except (CorpusError, CheckpointError, ModalityError) as exc:
+        code, message = EXIT_DATA, str(exc)
+    except NumericError as exc:
+        code, message = EXIT_NUMERIC, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -103,6 +103,9 @@ def _load_frames(raw_mfcc, mfcc_path, base_dir: Path, where: str) -> np.ndarray 
         except ValueError as exc:
             raise CorpusError(f"{where}: ragged or non-numeric mfcc ({exc})") from None
     elif mfcc_path is not None:
+        _require(isinstance(mfcc_path, str) and mfcc_path != "",
+                 f"{where}: mfcc_path must be a non-empty string, "
+                 f"got {mfcc_path!r}")
         sidecar = base_dir / mfcc_path
         if not sidecar.is_file():
             raise CorpusError(f"{where}: mfcc sidecar not found: {sidecar}")
@@ -200,7 +203,8 @@ def load_embeddings(path) -> EmbeddingTable:
     """Read a "<count> <dim>" headed text vector table.
 
     Duplicate tokens keep their first occurrence. Rows whose float count
-    disagrees with the header are rejected naming the row.
+    disagrees with the header, or that hold a NaN or Inf, are rejected
+    naming the row.
     """
     path = Path(path)
     if not path.is_file():
@@ -232,6 +236,9 @@ def load_embeddings(path) -> EmbeddingTable:
                 vec = np.array([float(v) for v in values])
             except ValueError:
                 raise CorpusError(f"{path}:{lineno}: non-numeric value") from None
+            if not np.isfinite(vec).all():
+                raise CorpusError(f"{path}:{lineno}: token {token!r} has a "
+                                  f"non-finite value")
             table.add(token, vec)
             rows += 1
     if rows != count:

@@ -1,9 +1,9 @@
 """Sequence encoders: a forget-gate LSTM and the convolutional audio encoder.
 
-The LSTM runs over per-utterance representation vectors to give each dialog
-position a hidden state. The audio encoder turns a variable-length frame
-matrix into one fixed-width utterance vector via a width-3 convolution over
-time, ReLU, and global mean pooling.
+The LSTM runs over a dialog's matrix of utterance representations, one row
+per utterance, to give each dialog position a hidden state. The audio
+encoder turns a variable-length frame matrix into one fixed-width utterance
+row via a width-3 convolution over time, ReLU, and global mean pooling.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .tensor import (
     lstm_sequence,
     mean_rows,
     relu,
-    stack,
 )
 
 GATE_NAMES = ("i", "f", "g", "o")
@@ -59,17 +58,15 @@ def init_lstm(d_in: int, d_h: int, rng: np.random.Generator) -> LstmParams:
     return LstmParams(w=w, u=u, b=b)
 
 
-def lstm_encode_dialog(params: LstmParams, inputs: list[Tensor]) -> Tensor:
-    """Run the LSTM from a zero state over the sequence; returns the (n, h)
-    matrix whose row i is h_i.
+def lstm_encode_dialog(params: LstmParams, x: Tensor) -> Tensor:
+    """Run the LSTM from a zero state over the rows of the (n, d_in) matrix
+    ``x``; returns the (n, h) matrix whose row i is h_i.
 
-    Strictly causal: h_i never sees inputs after position i. The inputs are
-    stacked into one matrix and the whole sequence is one ``lstm_sequence``
-    op, so the tape holds two nodes however long the dialog is.
+    Strictly causal: h_i never sees rows after i. The whole sequence is one
+    ``lstm_sequence`` op, so the tape holds one node however long the
+    dialog is.
     """
-    if len(inputs) == 0:
-        raise ValueError("lstm_encode_dialog needs at least one input")
-    return lstm_sequence(stack(inputs),
+    return lstm_sequence(x,
                          [params.w[g] for g in GATE_NAMES],
                          [params.u[g] for g in GATE_NAMES],
                          [params.b[g] for g in GATE_NAMES])
@@ -101,7 +98,7 @@ def init_acoustic(channels: int, coefficients: int,
 
 
 def acoustic_encode(params: AcousticEncoderParams, frames: np.ndarray) -> Tensor:
-    """Frame matrix (F x coefficients) -> one utterance vector (channels,).
+    """Frame matrix (F x coefficients) -> one utterance row (1, channels).
 
     Zero-padded width-3 convolution over time, ReLU, global mean pool.
     """

@@ -1,10 +1,10 @@
-"""Hierarchical local attention collapsing a vector sequence to one vector.
+"""Hierarchical local attention collapsing a vector sequence to one row.
 
 Level 0 rectifies the inputs. Each later level slides a stride-1 window of
 fixed width over the previous level's vectors, softmax-weights the window
 per coordinate, averages, and projects through a shared affine + ReLU. The
 level count for N inputs and width X is ceil((N-1)/(X-1)); the final level
-leaves a single context vector. The same operation serves token embeddings
+leaves a single context row. The same operation serves token embeddings
 and audio frame sequences.
 
 Every level is one fixed group of whole-matrix ops on that level's (n, d)
@@ -22,7 +22,6 @@ from .tensor import (
     affine_rows,
     mul,
     relu,
-    reshape,
     scale,
     sliding_windows,
     softmax,
@@ -73,13 +72,13 @@ def level_count(n: int, width: int) -> int:
 
 def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
                 width: int = 3) -> tuple[Tensor, LevelTrace]:
-    """Collapse the N rows of an (N, d) matrix to one (d,) vector.
+    """Collapse the N rows of an (N, d) matrix to one (1, d) row.
 
     Windows slide with stride 1 and full width while enough vectors remain;
     when fewer than ``width`` are left, a single truncated window finishes
     the level. Each window's weighted sum is divided by the window's size,
     so truncated final windows stay a bounded average. Returns the final
-    vector and the complete trace.
+    row and the complete trace.
     """
     if vectors.data.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError(f"hier_attend needs an (n, d) matrix with at least "
@@ -96,7 +95,7 @@ def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
         current = relu(affine_rows(pooled, proj_w, proj_b))
         trace.levels.append(LevelRecord(contexts=current,
                                         window_weights=weights.data))
-    return reshape(current, current.shape[1:]), trace
+    return current, trace
 
 
 def init_projection(dim: int, rng: np.random.Generator,

@@ -2,11 +2,11 @@
 ablation variants, and checkpoint files.
 
 The classifier consumes one dialog at a time. Each utterance becomes a text
-vector (token-embedding mean or hierarchical attention) and an audio vector
-(frame convolution or hierarchical attention over frames); per-modality
-LSTMs walk the dialog, optional windowed dialog attention adds context, an
-optional gate filters each modality by the cross-modal view, and per-task
-sigmoid heads score every utterance.
+row (token-embedding mean or hierarchical attention) and an audio row (frame
+convolution or hierarchical attention over frames), and a dialog is one
+matrix per modality; per-modality LSTMs walk the dialog, optional windowed
+dialog attention adds context, an optional gate filters each modality by the
+cross-modal view, and per-task sigmoid heads score every utterance.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .encoders import (
     lstm_encode_dialog,
 )
 from .fusion import filter_modality, init_filter_gate
-from .hier_attention import LevelTrace, hier_attend, init_projection
+from .hier_attention import hier_attend, init_projection
 from .tensor import (
     Tensor,
     affine_rowwise,
@@ -240,17 +240,23 @@ def _lstm_view(params: ParameterSet, prefix: str) -> LstmParams:
 
 @dataclass
 class DialogPrediction:
-    """Per-utterance probabilities per task, plus attention traces.
+    """Per-task utterance scores of one dialog, plus its attention trace.
 
-    ``probabilities[task][k]`` is a shape-(1,) tensor for utterance k, kept
-    as a tensor so training can backpropagate through it. The trace fields
-    are None for configurations that skip the corresponding module.
+    ``scores[task]`` is the (n, 1) sigmoid output, row k for utterance k,
+    kept as a tensor so training can backpropagate through it.
+    ``dialog_trace`` is None for configurations without context attention.
     """
 
-    probabilities: dict[str, list[Tensor]]
+    scores: dict[str, Tensor]
     dialog_trace: DialogAttentionTrace | None
-    text_traces: list[LevelTrace] | None
-    audio_traces: list[LevelTrace] | None
+
+    @property
+    def probabilities(self) -> dict[str, list[Tensor]]:
+        """Per task, each utterance's shape-(1,) score as its own tensor,
+        for callers that read one utterance at a time. Built from
+        ``scores`` on every access.
+        """
+        return {task: unstack(s) for task, s in self.scores.items()}
 
 
 def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
@@ -260,8 +266,9 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
     """Score every utterance of one dialog under every active task.
 
     Eval mode (training=False) is deterministic; training mode applies
-    dropout to utterance representations and head hidden layers and needs
-    an rng when the dropout rate is nonzero.
+    dropout to each modality's utterance matrix (text, then audio) and to
+    the head hidden layers, and needs an rng when the dropout rate is
+    nonzero.
     """
     if config.uses_text and embeddings is None:
         raise ValueError("text modality requires an embedding table")
@@ -276,40 +283,38 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
                     f"{config.modality!r}")
 
     rate = config.dropout
-    text_traces = [] if config.uses_text and config.text_repr == "hier" else None
-    audio_traces = [] if config.uses_audio and config.audio_repr == "hier" else None
-    reps_text: list[Tensor] | None = [] if config.uses_text else None
-    reps_audio: list[Tensor] | None = [] if config.uses_audio else None
+    # one (n, d) matrix per modality, row k for utterance k
+    x_text = x_audio = None
+    if config.uses_text:
+        matrices = [embed_utterance(utt.tokens, embeddings)
+                    for utt in dialog.utterances]
+        if config.text_repr == "mean":
+            x_text = Tensor(np.stack([m.mean(axis=0) for m in matrices]))
+        else:
+            x_text = concat([
+                hier_attend(Tensor(m), params["text_attn.proj_w"],
+                            params["text_attn.proj_b"],
+                            config.attn_width_tokens)[0]
+                for m in matrices])
+    if config.uses_audio:
+        if config.audio_repr == "conv":
+            encoder = AcousticEncoderParams(kernels=params["acoustic.kernels"],
+                                            bias=params["acoustic.bias"])
+            rows = [acoustic_encode(encoder, utt.acoustic)
+                    for utt in dialog.utterances]
+        else:
+            rows = [hier_attend(Tensor(utt.acoustic),
+                                params["audio_attn.proj_w"],
+                                params["audio_attn.proj_b"],
+                                config.attn_width_tokens)[0]
+                    for utt in dialog.utterances]
+        x_audio = concat(rows)
 
-    for utt in dialog.utterances:
-        if config.uses_text:
-            matrix = embed_utterance(utt.tokens, embeddings)
-            if config.text_repr == "mean":
-                rep = Tensor(matrix.mean(axis=0))
-            else:
-                rep, trace = hier_attend(
-                    Tensor(matrix),
-                    params["text_attn.proj_w"], params["text_attn.proj_b"],
-                    config.attn_width_tokens)
-                text_traces.append(trace)
-            reps_text.append(dropout(rep, rate, training, rng))
-        if config.uses_audio:
-            if config.audio_repr == "conv":
-                encoder = AcousticEncoderParams(
-                    kernels=params["acoustic.kernels"],
-                    bias=params["acoustic.bias"])
-                rep = acoustic_encode(encoder, utt.acoustic)
-            else:
-                rep, trace = hier_attend(
-                    Tensor(utt.acoustic),
-                    params["audio_attn.proj_w"], params["audio_attn.proj_b"],
-                    config.attn_width_tokens)
-                audio_traces.append(trace)
-            reps_audio.append(dropout(rep, rate, training, rng))
-
-    h_text = (lstm_encode_dialog(_lstm_view(params, "lstm_text"), reps_text)
+    h_text = (lstm_encode_dialog(_lstm_view(params, "lstm_text"),
+                                 dropout(x_text, rate, training, rng))
               if config.uses_text else None)
-    h_audio = (lstm_encode_dialog(_lstm_view(params, "lstm_audio"), reps_audio)
+    h_audio = (lstm_encode_dialog(_lstm_view(params, "lstm_audio"),
+                                  dropout(x_audio, rate, training, rng))
                if config.uses_audio else None)
 
     dialog_trace = None
@@ -330,18 +335,14 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
     blocks = [block for block in blocks if block is not None]
     trunk = blocks[0] if len(blocks) == 1 else concat(blocks, axis=1)
 
-    probabilities: dict[str, list[Tensor]] = {}
+    scores: dict[str, Tensor] = {}
     for task in config.tasks:
         hidden = relu(affine_rowwise(trunk, params[f"head_{task}.w1"],
                                      params[f"head_{task}.b1"]))
         hidden = dropout(hidden, rate, training, rng)
-        scores = sigmoid(affine_rowwise(hidden, params[f"head_{task}.w2"],
-                                        params[f"head_{task}.b2"]))
-        probabilities[task] = unstack(scores)
-    return DialogPrediction(probabilities=probabilities,
-                            dialog_trace=dialog_trace,
-                            text_traces=text_traces,
-                            audio_traces=audio_traces)
+        scores[task] = sigmoid(affine_rowwise(hidden, params[f"head_{task}.w2"],
+                                              params[f"head_{task}.b2"]))
+    return DialogPrediction(scores=scores, dialog_trace=dialog_trace)
 
 
 # Ablation grid: audio-only, text-only, and bimodal rows, plus the "full"
@@ -536,6 +537,9 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
                                   f"{name!r}")
         values = np.frombuffer(blob, dtype="<f4", count=count,
                                offset=offset).reshape(shape)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: parameter {name!r} holds "
+                                  f"non-finite values")
         params.register(name, Tensor(values, requires_grad=True))
     if end != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - end} trailing bytes "

@@ -277,20 +277,8 @@ def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def stack(xs: Sequence[Tensor]) -> Tensor:
-    """Same-shape tensors as the rows of a new leading axis: n x (d,) -> (n, d)."""
-    if len(xs) == 0:
-        raise ValueError("stack of an empty list")
-    for x in xs[1:]:
-        if x.shape != xs[0].shape:
-            raise ShapeError(f"stack: shape {x.shape} vs {xs[0].shape}")
-    out = Tensor(np.stack([x.data for x in xs]))
-    _finish("stack", [out], list(xs), lambda gs: tuple(gs[0]))
-    return out
-
-
 def unstack(a: Tensor) -> list[Tensor]:
-    """The rows of ``a`` as separate tensors, the inverse of ``stack``."""
+    """The rows of ``a`` as separate tensors."""
     if a.data.ndim == 0:
         raise ShapeError("unstack of a scalar")
     outs = [Tensor(row) for row in a.data]
@@ -305,11 +293,11 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def mean_rows(a: Tensor) -> Tensor:
-    """Mean over axis 0 of a matrix: (n, d) -> (d,)."""
+    """Mean over axis 0 of a matrix: (n, d) -> (1, d)."""
     if a.data.ndim != 2:
         raise ShapeError(f"mean_rows expects a matrix, got shape {a.shape}")
     n = a.shape[0]
-    out = Tensor(a.data.mean(axis=0))
+    out = Tensor(a.data.mean(axis=0, keepdims=True))
 
     def bwd(gs):
         return (np.tile(gs[0] / n, (n, 1)),)
@@ -329,16 +317,6 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
         return (np.broadcast_to(np.expand_dims(gs[0], axis), a.shape),)
 
     _finish("sum_axis", [out], [a], bwd)
-    return out
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    """The same values in a new shape, e.g. a (1, d) row as a (d,) vector."""
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    out = Tensor(a.data.reshape(shape))
-    _finish("reshape", [out], [a], lambda gs: (gs[0].reshape(a.shape),))
     return out
 
 
@@ -705,27 +683,28 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def bce_loss(p: Tensor, y: int) -> Tensor:
-    """Binary cross-entropy -[y ln p + (1-y) ln(1-p)] on a scalar probability.
+def bce_loss(p: Tensor, y) -> Tensor:
+    """Binary cross-entropy -[y ln p + (1-y) ln(1-p)], summed over ``p``.
 
-    ``p`` is clamped to [BCE_EPS, 1-BCE_EPS] so the loss stays finite; the
-    gradient is zero where the clamp is active.
+    ``y`` holds one 0/1 label per entry of ``p``; a one-entry ``p`` also
+    takes a bare label. Each ``p`` is clamped to [BCE_EPS, 1-BCE_EPS] so the
+    loss stays finite; the gradient is zero where the clamp is active.
     """
-    if p.data.size != 1:
-        raise ShapeError(f"bce_loss expects a scalar probability, got {p.shape}")
-    if y not in (0, 1):
-        raise ValueError(f"bce_loss label must be 0 or 1, got {y!r}")
-    pv = float(p.data.reshape(())[()])
-    pc = min(max(pv, BCE_EPS), 1.0 - BCE_EPS)
-    loss = -(y * np.log(pc) + (1 - y) * np.log(1.0 - pc))
-    out = Tensor(np.asarray(loss))
-    inside = BCE_EPS <= pv <= 1.0 - BCE_EPS
+    labels = np.asarray(y)
+    if labels.size != p.data.size:
+        raise ShapeError(f"bce_loss: {labels.size} labels for probabilities "
+                         f"of shape {p.shape}")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"bce_loss labels must be 0 or 1, got {y!r}")
+    labels = labels.reshape(p.shape).astype(np.float64)
+    pc = np.clip(p.data, BCE_EPS, 1.0 - BCE_EPS)
+    losses = -(labels * np.log(pc) + (1.0 - labels) * np.log(1.0 - pc))
+    out = Tensor(losses.sum())
+    inside = (p.data >= BCE_EPS) & (p.data <= 1.0 - BCE_EPS)
 
     def bwd(gs):
-        if not inside:
-            return (np.zeros_like(p.data),)
-        dp = (pc - y) / (pc * (1.0 - pc))
-        return (np.full_like(p.data, gs[0] * dp),)
+        dp = (pc - labels) / (pc * (1.0 - pc))
+        return (np.where(inside, gs[0] * dp, 0.0),)
 
     _finish("bce_loss", [out], [p], bwd)
     return out

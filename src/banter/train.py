@@ -17,7 +17,13 @@ import numpy as np
 
 from .data import Dialog, EmbeddingTable
 from .metrics import ConfusionMatrix, Metrics, compute_metrics, confusion
-from .model import ModelConfig, ParameterSet, forward_dialog, init_parameters
+from .model import (
+    DialogPrediction,
+    ModelConfig,
+    ParameterSet,
+    forward_dialog,
+    init_parameters,
+)
 from .optim import AdamState, adam_step, clip_gradients
 from .tensor import NumericError, Tape, Tensor, add, backward, bce_loss, scale
 
@@ -120,11 +126,11 @@ def evaluate_split(config: ModelConfig, params: ParameterSet,
         prediction = forward_dialog(config, params, dialog, embeddings,
                                     training=False)
         for task in config.tasks:
-            for utt, prob in zip(dialog.utterances,
-                                 prediction.probabilities[task]):
-                preds[task].append(
-                    1 if float(prob.data[0]) >= threshold else 0)
-                golds[task].append(getattr(utt, task))
+            preds[task].extend(
+                1 if float(p) >= threshold else 0
+                for p in prediction.scores[task].data[:, 0])
+            golds[task].extend(getattr(utt, task)
+                               for utt in dialog.utterances)
     matrices = {task: confusion(preds[task], golds[task])
                 for task in config.tasks}
     return matrices, {task: compute_metrics(matrix)
@@ -138,21 +144,28 @@ def _snapshot(params: ParameterSet) -> ParameterSet:
     return copy
 
 
+def dialog_loss(prediction: DialogPrediction, dialog: Dialog,
+                tasks) -> Tensor:
+    """Summed cross-entropy of a dialog's utterances over ``tasks``: one
+    ``bce_loss`` node per task, on that task's (n, 1) scores."""
+    total = None
+    for task in tasks:
+        term = bce_loss(prediction.scores[task],
+                        [getattr(utt, task) for utt in dialog.utterances])
+        total = term if total is None else add(total, term)
+    return total
+
+
 def _batch_loss(config: ModelConfig, params: ParameterSet,
                 batch: list[Dialog], embeddings, training: bool,
                 rng) -> Tensor:
     total = None
-    count = 0
     for dialog in batch:
         prediction = forward_dialog(config, params, dialog, embeddings,
                                     training=training, rng=rng)
-        for task in config.tasks:
-            for utt, prob in zip(dialog.utterances,
-                                 prediction.probabilities[task]):
-                term = bce_loss(prob, getattr(utt, task))
-                total = term if total is None else add(total, term)
-        count += len(dialog.utterances)
-    return scale(total, 1.0 / count)
+        term = dialog_loss(prediction, dialog, config.tasks)
+        total = term if total is None else add(total, term)
+    return scale(total, 1.0 / sum(len(d.utterances) for d in batch))
 
 
 def train(model_config: ModelConfig, train_dialogs: list[Dialog],
@@ -211,8 +224,12 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
             loss_sum += value * batch_utts
             utterances += batch_utts
 
-        _, val_metrics = evaluate_split(model_config, params, val_dialogs,
-                                        embeddings)
+        try:
+            _, val_metrics = evaluate_split(model_config, params, val_dialogs,
+                                            embeddings)
+        except NumericError as exc:
+            raise NumericError(f"non-finite value in validation after epoch "
+                               f"{epoch}: {exc}") from None
         history.append(EpochRecord(
             epoch=epoch, train_loss=loss_sum / utterances,
             val_metrics=val_metrics,

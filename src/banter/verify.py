@@ -36,7 +36,7 @@ from .model import (
 )
 from .report import heatmap_document
 from .tensor import Tensor
-from .train import TrainConfig, train
+from .train import TrainConfig, dialog_loss, train
 
 
 @dataclass
@@ -87,7 +87,7 @@ def op_scenarios(rng: np.random.Generator) -> dict:
         tensor.sum_all(p["a"]), tensor.sum_all(p["a"])))
 
     a = Tensor(u(4, 3), requires_grad=True)
-    mixer = Tensor(u(3))
+    mixer = Tensor(u(1, 3))
     scen["mean_rows"] = ({"a": a}, lambda p, m=mixer: tensor.sum_all(
         tensor.tanh(tensor.mul(tensor.mean_rows(p["a"]), m))))
 
@@ -95,11 +95,6 @@ def op_scenarios(rng: np.random.Generator) -> dict:
     mixer = Tensor(u(3, 2))
     scen["sum_axis"] = ({"a": a}, lambda p, m=mixer: tensor.sum_all(
         tensor.tanh(tensor.mul(tensor.sum_axis(p["a"], 1), m))))
-
-    a = Tensor(u(1, 5), requires_grad=True)
-    mixer = Tensor(u(5))
-    scen["reshape"] = ({"a": a}, lambda p, m=mixer: tensor.sum_all(
-        tensor.tanh(tensor.mul(tensor.reshape(p["a"], (5,)), m))))
 
     x = Tensor(u(3, 4), requires_grad=True)
     w = Tensor(u(2, 4), requires_grad=True)
@@ -114,11 +109,6 @@ def op_scenarios(rng: np.random.Generator) -> dict:
                               lambda p: tensor.sum_all(tensor.tanh(
                                   tensor.affine_rowwise(p["x"], p["w"],
                                                         p["c"]))))
-
-    parts = {f"x{i}": Tensor(u(3), requires_grad=True) for i in range(4)}
-    mixer = Tensor(u(4, 3))
-    scen["stack"] = (parts, lambda p, m=mixer: tensor.sum_all(tensor.tanh(
-        tensor.mul(tensor.stack([p[f"x{i}"] for i in range(4)]), m))))
 
     a = Tensor(u(4, 3), requires_grad=True)
     mixer = Tensor(u(3))
@@ -222,6 +212,12 @@ def op_scenarios(rng: np.random.Generator) -> dict:
 
     scen["affine_rowwise[computed_w]"] = (parts, computed_w)
 
+    # one task's scores over a dialog: one label per utterance
+    z = Tensor(u(5, 1), requires_grad=True)
+    labels = rng.integers(0, 2, size=5).tolist()
+    scen["bce_loss[rows]"] = ({"z": z}, lambda p: tensor.bce_loss(
+        tensor.sigmoid(p["z"]), labels))
+
     return scen
 
 
@@ -229,9 +225,8 @@ def op_scenarios(rng: np.random.Generator) -> dict:
 OP_GROUPS = {
     "gradients.elementwise": ("add", "mul", "scale", "relu", "tanh",
                               "sigmoid", "dropout", "bce_loss"),
-    "gradients.linear": ("concat", "stack", "unstack", "sum_all", "mean_rows",
-                         "sum_axis", "reshape", "affine_rows",
-                         "affine_rowwise"),
+    "gradients.linear": ("concat", "unstack", "sum_all", "mean_rows",
+                         "sum_axis", "affine_rows", "affine_rowwise"),
     "gradients.softmax": ("softmax", "sliding_windows", "window_attend"),
     "gradients.lstm": ("lstm_sequence",),
     "gradients.conv": ("conv1d_same",),
@@ -291,13 +286,7 @@ def check_model_gradients() -> None:
     def f(_):
         prediction = forward_dialog(config, params, dialog, table,
                                     training=False)
-        total = None
-        for task in config.tasks:
-            for utt, prob in zip(dialog.utterances,
-                                 prediction.probabilities[task]):
-                term = tensor.bce_loss(prob, getattr(utt, task))
-                total = term if total is None else tensor.add(total, term)
-        return total
+        return dialog_loss(prediction, dialog, config.tasks)
 
     report = grad_check(f, params.as_dict(), h=1e-5, tol=1e-4)
     if not report.passed:
@@ -326,7 +315,7 @@ def check_hier_structure() -> None:
                     raise AssertionError(
                         f"N={n} X={width} level {level}: {size} vectors, "
                         f"expected {expected}")
-            if out.shape != (dim,):
+            if out.shape != (1, dim):
                 raise AssertionError(f"N={n} X={width}: output shape "
                                      f"{out.shape}")
             for record in trace.levels[1:]:

@@ -41,8 +41,13 @@ from banter.model import (
     init_parameters,
     parameter_count,
 )
-from banter.tensor import add, bce_loss
-from banter.train import TrainConfig, evaluate_split, macro_f1, train
+from banter.train import (
+    TrainConfig,
+    dialog_loss,
+    evaluate_split,
+    macro_f1,
+    train,
+)
 
 
 def _timed_verify_check(check, seconds=None):
@@ -101,13 +106,7 @@ def criterion_2():
     def f(_):
         prediction = forward_dialog(config, params, dialog, table,
                                     training=False)
-        total = None
-        for task in config.tasks:
-            for utt, prob in zip(dialog.utterances,
-                                 prediction.probabilities[task]):
-                term = bce_loss(prob, getattr(utt, task))
-                total = term if total is None else add(total, term)
-        return total
+        return dialog_loss(prediction, dialog, config.tasks)
 
     report = grad_check(f, params.as_dict(), h=1e-5, tol=1e-4)
     elapsed = time.monotonic() - start

@@ -166,9 +166,8 @@ class TestTrainCommand:
             by64 = forward_dialog(config, best, dialog, table)
             by32 = forward_dialog(config, rounded, dialog, table)
             for task in config.tasks:
-                pairs += [(float(a.data[0]), float(b.data[0])) for a, b in
-                          zip(by64.probabilities[task],
-                              by32.probabilities[task])]
+                pairs += list(zip(by64.scores[task].data[:, 0].tolist(),
+                                  by32.scores[task].data[:, 0].tolist()))
         threshold = next(max(pair) for pair in pairs if pair[0] != pair[1])
 
         out = tmp_path / "out"
@@ -259,6 +258,32 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{files[kind]}:{len(lines)}: not UTF-8 text" in err
+
+    def test_non_finite_embedding_is_a_data_error(self, workspace, tmp_path,
+                                                  capsys):
+        _, corpus, emb = workspace
+        lines = emb.read_text(encoding="utf-8").splitlines()
+        token, *values = lines[2].split(" ")
+        lines[2] = " ".join([token, "nan", *values[1:]])
+        bad = tmp_path / "nan.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.cfg", corpus, bad)
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: {bad}:3: token {token!r} has a non-finite "
+                       f"value\n")
+
+    def test_diverging_run_is_a_numeric_error(self, workspace, tmp_path,
+                                             capsys):
+        _, corpus, emb = workspace
+        cfg = write_config(tmp_path / "run.cfg", corpus, emb, lr="1e300")
+        assert main(["train", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        # the first step leaves parameters near 1e300, so the epoch's
+        # validation pass overflows
+        assert err.count("\n") == 1
+        assert err.startswith("error: non-finite value in validation after "
+                              "epoch 1: ")
 
     def test_same_seed_runs_are_byte_identical(self, workspace, tmp_path):
         tmp, corpus, emb = workspace
@@ -390,6 +415,21 @@ class TestEvalCommand:
         code, err = self._eval_error(workspace, bad, tmp_path, capsys)
         assert code == 3
         assert err.count(str(bad)) == 1 and named in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_is_a_data_error(
+            self, workspace, trained, tmp_path, capsys, value):
+        raw = bytearray((trained / "model.ckpt").read_bytes())
+        # magic, 8-byte header length, header, then the first parameter
+        start = 14 + int.from_bytes(raw[6:14], "little")
+        raw[start:start + 4] = np.float32(value).tobytes()
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(bytes(raw))
+        code, err = self._eval_error(workspace, bad, tmp_path, capsys)
+        assert code == 3
+        _, config = load_checkpoint(trained / "model.ckpt")
+        first = init_parameters(config, np.random.default_rng(0)).names()[0]
+        assert err.count(str(bad)) == 1 and f"'{first}'" in err
 
     def test_text_checkpoint_requires_embeddings_flag(self, workspace,
                                                       trained, tmp_path,

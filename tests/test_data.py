@@ -130,6 +130,17 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="nowhere.csv"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("mfcc_path", [5, "", ["u0.csv"]])
+    def test_sidecar_path_must_be_a_string(self, tmp_path, mfcc_path):
+        dialog = {"dialog_id": "d0", "utterances": [
+            {"id": "u0", "speaker": "a", "tokens": ["x"], "sarcasm": 0,
+             "humor": 0, "mfcc_path": mfcc_path},
+        ]}
+        path = synthdata.write_corpus(tmp_path / "typed.jsonl", [dialog])
+        with pytest.raises(CorpusError,
+                           match="dialog 'd0', utterance 'u0': mfcc_path"):
+            load_corpus(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CorpusError, match="not found"):
             load_corpus(tmp_path / "absent.jsonl")
@@ -259,6 +270,14 @@ class TestEmbeddings:
         path = self.write_table(tmp_path, ["3 2", "kya 1 2", "baat 3 4"])
         with pytest.raises(CorpusError, match="declared 3"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_row_and_token(self, tmp_path, value):
+        path = self.write_table(tmp_path, ["2 2", "kya 1 2", f"a 3 {value}"])
+        with pytest.raises(CorpusError) as err:
+            load_embeddings(path)
+        assert str(err.value) == (f"{path}:3: token 'a' has a non-finite "
+                                  f"value")
 
     def test_bad_header_rejected(self, tmp_path):
         path = self.write_table(tmp_path, ["3", "kya 1 2"])

@@ -69,7 +69,7 @@ class TestLstmStep:
         # with all-zero weights every gate is 0.5 and h_t = 0.5 tanh(c_t),
         # so h_t == 0 at every step holds exactly when c_t == 0
         params = const_lstm(3, 4)
-        inputs = [Tensor([1.0, -2.0, 0.5]), Tensor([0.3, 0.1, -4.0])]
+        inputs = Tensor([[1.0, -2.0, 0.5], [0.3, 0.1, -4.0]])
         hiddens = lstm_encode_dialog(params, inputs)
         np.testing.assert_allclose(hiddens.data, np.zeros((2, 4)))
 
@@ -77,14 +77,14 @@ class TestLstmStep:
         rng = np.random.default_rng(0)
         params = init_lstm(300, 128, rng)
         hiddens = lstm_encode_dialog(
-            params, [Tensor(rng.uniform(-1, 1, size=300)) for _ in range(3)])
+            params, Tensor(rng.uniform(-1, 1, size=(3, 300))))
         assert hiddens.shape == (3, 128)
 
     def test_matches_scalar_oracle(self):
         # c_1 is checked through h_2, which reads it through tanh(c_1)
         params = const_lstm(2, 2, w=0.1, u=0.1, b=0.1)
         xs = [[1.0, 0.0], [0.0, 1.0]]
-        hiddens = lstm_encode_dialog(params, [Tensor(x) for x in xs])
+        hiddens = lstm_encode_dialog(params, Tensor(xs))
         w = {g: [[0.1, 0.1], [0.1, 0.1]] for g in GATE_NAMES}
         b = {g: [0.1, 0.1] for g in GATE_NAMES}
         steps = scalar_lstm_oracle(w, w, b, xs)
@@ -96,7 +96,7 @@ class TestLstmStep:
         rng = np.random.default_rng(9)
         params = init_lstm(3, 4, rng)
         xs = rng.uniform(-1, 1, size=(5, 3))
-        hiddens = lstm_encode_dialog(params, [Tensor(x) for x in xs])
+        hiddens = lstm_encode_dialog(params, Tensor(xs))
         steps = scalar_lstm_oracle(*gate_lists(params), xs.tolist())
         for h, (want_h, _) in zip(hiddens.data, steps):
             np.testing.assert_allclose(h, want_h, atol=1e-12)
@@ -110,10 +110,9 @@ class TestLstmStep:
     def test_input_shape_mismatch(self):
         params = init_lstm(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            lstm_encode_dialog(params, [Tensor(np.zeros(5))])
+            lstm_encode_dialog(params, Tensor(np.zeros((1, 5))))
         with pytest.raises(ShapeError):
-            lstm_encode_dialog(params, [Tensor(np.zeros(3)),
-                                        Tensor(np.zeros(5))])
+            lstm_encode_dialog(params, Tensor(np.zeros(3)))
 
 
 class TestLstmEncodeDialog:
@@ -121,35 +120,32 @@ class TestLstmEncodeDialog:
         rng = np.random.default_rng(2)
         params = init_lstm(5, 4, rng)
         x = rng.uniform(-1, 1, size=5)
-        (h_seq,) = lstm_encode_dialog(params, [Tensor(x)]).data
+        (h_seq,) = lstm_encode_dialog(params, Tensor([x])).data
         ((want_h, _),) = scalar_lstm_oracle(*gate_lists(params), [x.tolist()])
         np.testing.assert_allclose(h_seq, want_h, atol=1e-12)
 
     def test_causality_under_suffix_append(self):
         rng = np.random.default_rng(3)
         params = init_lstm(4, 3, rng)
-        prefix = [Tensor(rng.uniform(-1, 1, size=4)) for _ in range(5)]
-        base = lstm_encode_dialog(params, prefix)
-        extended = lstm_encode_dialog(
-            params, prefix + [Tensor(rng.uniform(-1, 1, size=4))])
+        rows = rng.uniform(-1, 1, size=(6, 4))
+        base = lstm_encode_dialog(params, Tensor(rows[:5]))
+        extended = lstm_encode_dialog(params, Tensor(rows))
         np.testing.assert_array_equal(extended.data[:5], base.data)
 
     def test_hidden_states_bounded(self):
         for seed in range(10):
             r = np.random.default_rng(seed)
             params = init_lstm(3, 4, r)
-            inputs = [Tensor(r.uniform(-5, 5, size=3)) for _ in range(8)]
+            inputs = Tensor(r.uniform(-5, 5, size=(8, 3)))
             hiddens = lstm_encode_dialog(params, inputs)
             assert np.all(np.abs(hiddens.data) < 1.0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         params = init_lstm(6, 5, rng)
-        inputs = [Tensor(rng.uniform(-1, 1, size=6), requires_grad=True)
-                  for _ in range(4)]
+        inputs = Tensor(rng.uniform(-1, 1, size=(4, 6)), requires_grad=True)
         weights = Tensor(rng.uniform(-1, 1, size=(4, 5)))
-        named = {**params.named("lstm"),
-                 **{f"x{k}": x for k, x in enumerate(inputs)}}
+        named = {**params.named("lstm"), "x": inputs}
 
         def f(_):
             # every step's h enters the loss, so both carries are exercised
@@ -161,8 +157,7 @@ class TestLstmEncodeDialog:
     def test_three_tape_nodes_per_dialog(self):
         rng = np.random.default_rng(6)
         params = init_lstm(4, 3, rng)
-        inputs = [Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
-                  for _ in range(6)]
+        inputs = Tensor(rng.uniform(-1, 1, size=(6, 4)), requires_grad=True)
         with Tape() as tape:
             lstm_encode_dialog(params, inputs)
         assert len(tape) <= 3
@@ -170,7 +165,7 @@ class TestLstmEncodeDialog:
     def test_empty_sequence_rejected(self):
         params = init_lstm(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            lstm_encode_dialog(params, [])
+            lstm_encode_dialog(params, Tensor(np.zeros((0, 3))))
 
 
 def naive_conv_oracle(frames, kernels, bias):
@@ -194,7 +189,7 @@ class TestAcousticEncode:
             kernels=Tensor(np.zeros((3, 3, 128)), requires_grad=True),
             bias=Tensor(bias, requires_grad=True))
         out = acoustic_encode(params, np.random.default_rng(0).normal(size=(4, 128)))
-        np.testing.assert_allclose(out.data, [0.5, 0.0, 2.0])
+        np.testing.assert_allclose(out.data, [[0.5, 0.0, 2.0]])
 
     def test_single_frame_sees_center_tap_only(self):
         rng = np.random.default_rng(6)
@@ -203,7 +198,7 @@ class TestAcousticEncode:
         out = acoustic_encode(params, frame)
         center = params.kernels.data[:, 1, :]
         want = np.maximum(center @ frame[0] + params.bias.data, 0.0)
-        np.testing.assert_allclose(out.data, want, atol=1e-12)
+        np.testing.assert_allclose(out.data, [want], atol=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
@@ -211,13 +206,13 @@ class TestAcousticEncode:
         frames = rng.uniform(-1, 1, size=(5, 128))
         out = acoustic_encode(params, frames)
         want = naive_conv_oracle(frames, params.kernels.data, params.bias.data)
-        np.testing.assert_allclose(out.data, want, atol=1e-12)
+        np.testing.assert_allclose(out.data, [want], atol=1e-12)
 
     def test_output_width_is_channel_count(self):
         rng = np.random.default_rng(8)
         params = init_acoustic(128, 128, rng)
         out = acoustic_encode(params, rng.normal(size=(7, 128)))
-        assert out.shape == (128,)
+        assert out.shape == (1, 128)
 
     def test_wrong_column_count_rejected(self):
         params = init_acoustic(4, 128, np.random.default_rng(0))

@@ -19,7 +19,8 @@ def identity_projection(dim):
 
 def hier_oracle(vectors: np.ndarray, proj_w: np.ndarray, proj_b: np.ndarray,
                 width: int) -> np.ndarray:
-    """Independent plain-numpy transcription of the whole hierarchy."""
+    """Independent plain-numpy transcription of the whole hierarchy; returns
+    the final (1, d) row."""
     current = [np.maximum(v, 0.0) for v in vectors]
     while len(current) > 1:
         if len(current) >= width:
@@ -35,7 +36,7 @@ def hier_oracle(vectors: np.ndarray, proj_w: np.ndarray, proj_b: np.ndarray,
             pooled = (weights * stacked).sum(axis=0) / len(window)
             nxt.append(np.maximum(proj_w @ pooled + proj_b, 0.0))
         current = nxt
-    return current[0]
+    return current[0][None, :]
 
 
 class TestLevelCount:
@@ -72,7 +73,7 @@ class TestWindowLevel:
         np.testing.assert_allclose(trace.levels[1].window_weights,
                                    np.full((1, 3, 4), 1 / 3), atol=1e-12)
         # weighted sum reassembles v, then the division by window size
-        np.testing.assert_allclose(out.data, v / 3, atol=1e-12)
+        np.testing.assert_allclose(out.data, [v / 3], atol=1e-12)
 
     def test_log_spaced_first_coordinate(self):
         w, b = identity_projection(2)
@@ -87,7 +88,7 @@ class TestHierAttend:
         v = np.array([1.0, -2.0, 0.5])
         w, b = identity_projection(3)
         out, trace = hier_attend(Tensor([v]), w, b, width=3)
-        np.testing.assert_allclose(out.data, [1.0, 0.0, 0.5])
+        np.testing.assert_allclose(out.data, [[1.0, 0.0, 0.5]])
         assert trace.attention_levels == 0
         assert trace.level_sizes() == [1]
 
@@ -132,7 +133,7 @@ class TestHierAttend:
             w, b = identity_projection(d)
             vectors = Tensor(rng.uniform(-1, 1, size=(n, d)))
             out, _ = hier_attend(vectors, w, b, width=width)
-            assert out.shape == (d,)
+            assert out.shape == (1, d)
 
     def test_level_size_formula(self):
         rng = np.random.default_rng(4)

@@ -24,7 +24,8 @@ from banter.model import (
     variant_label,
     variant_names,
 )
-from banter.tensor import Tape, Tensor, add, backward, bce_loss
+from banter.tensor import Tape, Tensor, backward
+from banter.train import dialog_loss
 
 VOCAB = ["kya", "scene", "hai", "bhai", "arre", "chalo", "theek", "acha"]
 
@@ -65,19 +66,8 @@ def toy_config(**kw) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def total_bce(pred, dialog: Dialog, tasks) -> "Tensor":
-    labels = {"sarcasm": [u.sarcasm for u in dialog.utterances],
-              "humor": [u.humor for u in dialog.utterances]}
-    total = None
-    for task in tasks:
-        for k, prob in enumerate(pred.probabilities[task]):
-            term = bce_loss(prob, labels[task][k])
-            total = term if total is None else add(total, term)
-    return total
-
-
 def probs_as_floats(pred, task: str) -> list[float]:
-    return [float(p.data[0]) for p in pred.probabilities[task]]
+    return pred.scores[task].data[:, 0].tolist()
 
 
 class TestModelConfig:
@@ -191,10 +181,14 @@ class TestForwardDialog:
         pred = forward_dialog(cfg, init_parameters(cfg, np.random.default_rng(5)),
                               dialog, toy_table(cfg.d_text_in))
         for task in cfg.tasks:
-            assert len(pred.probabilities[task]) == 4
-            for prob in pred.probabilities[task]:
-                assert prob.shape == (1,)
-                assert 0.0 < float(prob.data[0]) < 1.0
+            assert pred.scores[task].shape == (4, 1)
+            assert np.all((pred.scores[task].data > 0.0)
+                          & (pred.scores[task].data < 1.0))
+            # the per-utterance view holds the same values
+            view = pred.probabilities[task]
+            assert [prob.shape for prob in view] == [(1,)] * 4
+            assert [float(prob.data[0]) for prob in view] \
+                == probs_as_floats(pred, task)
 
     def test_eval_mode_deterministic(self):
         cfg = toy_config(dropout=0.4)
@@ -284,14 +278,12 @@ class TestForwardDialog:
                               dialog, toy_table(cfg.d_text_in))
         assert pred.dialog_trace is not None
         assert len(pred.dialog_trace.rows) == 3
-        assert pred.text_traces is not None and len(pred.text_traces) == 3
-        assert pred.audio_traces is None
 
         hier_audio = toy_config(audio_repr="hier", d_audio=MFCC_COLUMNS)
         pred = forward_dialog(
             hier_audio, init_parameters(hier_audio, np.random.default_rng(1)),
             dialog, toy_table(hier_audio.d_text_in))
-        assert pred.audio_traces is not None and len(pred.audio_traces) == 3
+        assert len(pred.dialog_trace.rows) == 3
 
         plain = toy_config(text_repr="mean", use_context_attn=False,
                            use_filter=False)
@@ -299,7 +291,6 @@ class TestForwardDialog:
                               init_parameters(plain, np.random.default_rng(1)),
                               dialog, toy_table(plain.d_text_in))
         assert pred.dialog_trace is None
-        assert pred.text_traces is None
 
     def test_joint_head_isolation(self):
         cfg = toy_config()
@@ -310,7 +301,7 @@ class TestForwardDialog:
             params = init_parameters(cfg, np.random.default_rng(42))
             with Tape():
                 pred = forward_dialog(cfg, params, dialog, table)
-                backward(total_bce(pred, dialog, tasks))
+                backward(dialog_loss(pred, dialog, tasks))
             return params
 
         only_sarcasm = run(("sarcasm",))
@@ -333,7 +324,7 @@ class TestForwardDialog:
 
         def f(_):
             pred = forward_dialog(cfg, params, dialog, table, training=False)
-            return total_bce(pred, dialog, cfg.tasks)
+            return dialog_loss(pred, dialog, cfg.tasks)
 
         report = grad_check(f, params.as_dict(), h=1e-5, tol=1e-4)
         assert report.passed, report.summary()
@@ -348,7 +339,7 @@ class TestForwardDialog:
 
         def f(_):
             pred = forward_dialog(cfg, params, dialog, table, training=False)
-            return total_bce(pred, dialog, cfg.tasks)
+            return dialog_loss(pred, dialog, cfg.tasks)
 
         report = grad_check(f, params.as_dict(), h=1e-5, tol=1e-4)
         assert report.passed, report.summary()

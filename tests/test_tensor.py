@@ -26,12 +26,10 @@ from banter.tensor import (
     lstm_sequence,
     mul,
     relu,
-    reshape,
     scale,
     sigmoid,
     sliding_windows,
     softmax,
-    stack,
     sum_all,
     sum_axis,
     tanh,
@@ -298,22 +296,22 @@ class TestWindowOps:
         with pytest.raises(ShapeError):
             affine_rows(Tensor(x), Tensor(w.T), Tensor(b))
 
-    def test_reshape_row_to_vector(self):
-        out = reshape(Tensor([[1.0, 2.0, 3.0]]), (3,))
-        assert out.shape == (3,)
+    def test_mean_rows_keeps_a_row(self):
+        out = T.mean_rows(Tensor([[1.0, 2.0], [3.0, 6.0]]))
+        np.testing.assert_array_equal(out.data, [[2.0, 4.0]])
         with pytest.raises(ShapeError):
-            reshape(Tensor([[1.0, 2.0, 3.0]]), (2,))
+            T.mean_rows(Tensor([1.0, 2.0]))
 
 
 class TestSequenceOps:
-    def test_stack_then_unstack_round_trips(self):
-        rows = [Tensor([1.0, 2.0]), Tensor([3.0, 4.0]), Tensor([5.0, 6.0])]
-        matrix = stack(rows)
-        assert matrix.shape == (3, 2)
-        for got, want in zip(unstack(matrix), rows):
-            np.testing.assert_array_equal(got.data, want.data)
+    def test_unstack_gives_the_rows(self):
+        matrix = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        rows = unstack(matrix)
+        assert [row.shape for row in rows] == [(2,)] * 3
+        for got, want in zip(rows, matrix.data):
+            np.testing.assert_array_equal(got.data, want)
         with pytest.raises(ShapeError):
-            stack([Tensor([1.0]), Tensor([1.0, 2.0])])
+            unstack(Tensor(1.0))
 
     def test_affine_rowwise_rows_ignore_the_row_count(self):
         # the widths the model's heads and LSTM projections use
@@ -417,6 +415,32 @@ class TestBceLoss:
         with pytest.raises(ShapeError):
             bce_loss(Tensor([0.5, 0.5]), 1)
 
+    def test_one_label_per_entry(self):
+        with pytest.raises(ShapeError):
+            bce_loss(Tensor([[0.5], [0.5]]), [1, 0, 1])
+        with pytest.raises(ValueError):
+            bce_loss(Tensor([[0.5], [0.5]]), [1, 2])
+
+    def test_vector_loss_is_the_sum_of_scalar_losses(self):
+        rng = np.random.default_rng(20)
+        p = rng.uniform(0.01, 0.99, size=(7, 1))
+        p[2, 0], p[5, 0] = 0.0, 1.0  # clamped entries
+        y = rng.integers(0, 2, size=7).tolist()
+        whole = Tensor(p, requires_grad=True)
+        with Tape():
+            loss = bce_loss(whole, y)
+            backward(loss)
+        parts = [Tensor(p[k], requires_grad=True) for k in range(7)]
+        with Tape():
+            for part, label in zip(parts, y):
+                backward(bce_loss(part, label))
+        np.testing.assert_allclose(
+            loss.item(), sum(bce_loss(Tensor(p[k]), y[k]).item()
+                             for k in range(7)), rtol=1e-15)
+        np.testing.assert_array_equal(
+            whole.grad, np.stack([part.grad for part in parts]))
+        assert whole.grad[2, 0] == 0.0 and whole.grad[5, 0] == 0.0
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -499,7 +523,7 @@ class TestBackward:
         rng = np.random.default_rng(seed)
         vectors = Tensor(rng.uniform(-1, 1, size=(n, d)))
         proj_w, proj_b = init_projection(d, rng)
-        mixer = Tensor(rng.uniform(-1, 1, size=d))
+        mixer = Tensor(rng.uniform(-1, 1, size=(1, d)))
         with Tape():
             out, _ = hier_attend(vectors, proj_w, proj_b)
             backward(sum_all(mul(out, mixer)))

@@ -144,8 +144,8 @@ class TestEvaluateSplit:
             pred = forward_dialog(cfg, params, dialog, table)
             for task in cfg.tasks:
                 for utt, prob in zip(dialog.utterances,
-                                     pred.probabilities[task]):
-                    setattr(utt, task, 1 if float(prob.data[0]) >= 0.5 else 0)
+                                     pred.scores[task].data[:, 0]):
+                    setattr(utt, task, 1 if float(prob) >= 0.5 else 0)
         matrices, metrics = evaluate_split(cfg, params, dialogs, table)
         for task in cfg.tasks:
             # the fixture must stay mixed for F1=1.0 to be meaningful
