@@ -12,49 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .tensor import ShapeError, Tensor, concat, window_attend
-
-
-def window_indices(i: int, width: int) -> list[int]:
-    """1-based positions attended for target i: the trailing width-wide band."""
-    if i < 1:
-        raise IndexError(f"utterance index must be >= 1, got {i}")
-    if width < 1:
-        raise ValueError(f"window width must be >= 1, got {width}")
-    return list(range(max(1, i - width + 1), i + 1))
-
-
-@dataclass
-class TraceRow:
-    """Scalar attention summaries for one target utterance (1-based)."""
-
-    target: int
-    window: list[int]
-    audio: list[float]
-    text: list[float]
-    cross_audio: list[float]
-    cross_text: list[float]
 
 
 @dataclass
 class DialogAttentionTrace:
-    width: int
-    rows: list[TraceRow]
+    """The weights of every attention run over one dialog.
 
-
-def _attend(blocks: list[Tensor], width: int, rows: list[TraceRow],
-            fields: tuple[str, ...]) -> Tensor:
-    """``window_attend`` over the blocks, residual-concatenated with them.
-
-    Fills each row's trace field for block b with the coordinate means of
-    that block's valid slot weights: the last min(i, width) of its slots.
+    ``weights`` maps "audio", "text" and "cross" to the (n, k * width, d)
+    array ``window_attend`` returned for that attention; an attention that
+    did not run has no key. ``report.heatmap_document`` reads the slots.
     """
-    attended, weights = window_attend(blocks, width)
-    for row, cells in zip(rows, weights.mean(axis=2).tolist()):
-        valid = min(row.target, width)
-        for b, field in enumerate(fields):
-            setattr(row, field, cells[(b + 1) * width - valid:(b + 1) * width])
-    return concat([attended, *blocks], axis=1)
+
+    width: int
+    weights: dict[str, np.ndarray]
 
 
 def contextualize_dialog(
@@ -67,24 +40,22 @@ def contextualize_dialog(
     ``h_audio`` and ``h_text`` are (n, d) hidden-state matrices, one row per
     utterance. Either may be None (single-modality variants); the cross
     output exists only when both are present. Returns the attended (n, 2d)
-    modality and (n, 3d) cross matrices plus the scalar trace for heatmap
-    export.
+    modality and (n, 3d) cross matrices, each ``window_attend``'s output
+    residual-concatenated with its blocks, plus the attention weights.
     """
-    reference = h_audio if h_audio is not None else h_text
-    if reference is None:
+    if h_audio is None and h_text is None:
         raise ValueError("contextualize_dialog needs at least one modality")
-    both = h_audio is not None and h_text is not None
-    if both and h_audio.shape != h_text.shape:
+    if h_audio is not None and h_text is not None \
+            and h_audio.shape != h_text.shape:
         raise ShapeError(f"modality shape mismatch: "
                          f"{h_audio.shape} vs {h_text.shape}")
-    rows = [TraceRow(target=i, window=window_indices(i, width),
-                     audio=[], text=[], cross_audio=[], cross_text=[])
-            for i in range(1, reference.shape[0] + 1)]
-    out_audio = (_attend([h_audio], width, rows, ("audio",))
-                 if h_audio is not None else None)
-    out_text = (_attend([h_text], width, rows, ("text",))
-                if h_text is not None else None)
-    out_cross = (_attend([h_audio, h_text], width, rows,
-                         ("cross_audio", "cross_text")) if both else None)
-    return out_audio, out_text, out_cross, DialogAttentionTrace(width=width,
-                                                                rows=rows)
+    outputs: dict[str, Tensor] = {}
+    weights: dict[str, np.ndarray] = {}
+    for key, blocks in (("audio", [h_audio]), ("text", [h_text]),
+                        ("cross", [h_audio, h_text])):
+        if any(block is None for block in blocks):
+            continue
+        attended, weights[key] = window_attend(blocks, width)
+        outputs[key] = concat([attended, *blocks], axis=1)
+    return (outputs.get("audio"), outputs.get("text"), outputs.get("cross"),
+            DialogAttentionTrace(width=width, weights=weights))

@@ -8,7 +8,7 @@ row via a width-3 convolution over time, ReLU, and global mean pooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -30,84 +30,65 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-bound, bound, size=shape)
 
 
-@dataclass
-class LstmParams:
-    """Gate weights (input, forget, cell, output), recurrences, and biases."""
+def init_lstm(prefix: str, d_in: int, d_h: int,
+              rng: np.random.Generator) -> dict[str, Tensor]:
+    """Uniform fan-balanced weights, zero biases, forget bias +1.
 
-    w: dict[str, Tensor]  # gate -> (d_h, d_in)
-    u: dict[str, Tensor]  # gate -> (d_h, d_h)
-    b: dict[str, Tensor]  # gate -> (d_h,)
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for gate in GATE_NAMES:
-            out[f"{prefix}.w_{gate}"] = self.w[gate]
-            out[f"{prefix}.u_{gate}"] = self.u[gate]
-            out[f"{prefix}.b_{gate}"] = self.b[gate]
-        return out
-
-
-def init_lstm(d_in: int, d_h: int, rng: np.random.Generator) -> LstmParams:
-    """Uniform fan-balanced weights, zero biases, forget bias +1."""
-    w = {g: Tensor(glorot_uniform(rng, d_in, d_h, (d_h, d_in)), requires_grad=True)
-         for g in GATE_NAMES}
-    u = {g: Tensor(glorot_uniform(rng, d_h, d_h, (d_h, d_h)), requires_grad=True)
-         for g in GATE_NAMES}
-    b = {g: Tensor(np.full(d_h, 1.0 if g == "f" else 0.0), requires_grad=True)
-         for g in GATE_NAMES}
-    return LstmParams(w=w, u=u, b=b)
+    Returns ``{prefix}.w_{gate}`` (d_h, d_in), ``{prefix}.u_{gate}``
+    (d_h, d_h) and ``{prefix}.b_{gate}`` (d_h,) for the gates input,
+    forget, cell and output, in that order. All four w are drawn before
+    the four u.
+    """
+    w = [glorot_uniform(rng, d_in, d_h, (d_h, d_in)) for _ in GATE_NAMES]
+    u = [glorot_uniform(rng, d_h, d_h, (d_h, d_h)) for _ in GATE_NAMES]
+    named = {}
+    for gate, w_gate, u_gate in zip(GATE_NAMES, w, u):
+        named[f"{prefix}.w_{gate}"] = Tensor(w_gate, requires_grad=True)
+        named[f"{prefix}.u_{gate}"] = Tensor(u_gate, requires_grad=True)
+        named[f"{prefix}.b_{gate}"] = Tensor(
+            np.full(d_h, 1.0 if gate == "f" else 0.0), requires_grad=True)
+    return named
 
 
-def lstm_encode_dialog(params: LstmParams, x: Tensor) -> Tensor:
-    """Run the LSTM from a zero state over the rows of the (n, d_in) matrix
-    ``x``; returns the (n, h) matrix whose row i is h_i.
+def lstm_encode_dialog(params: Mapping[str, Tensor], prefix: str,
+                       x: Tensor) -> Tensor:
+    """Run the LSTM named ``prefix`` in ``params`` from a zero state over the
+    rows of the (n, d_in) matrix ``x``; returns the (n, h) matrix whose row
+    i is h_i.
 
     Strictly causal: h_i never sees rows after i. The whole sequence is one
     ``lstm_sequence`` op, so the tape holds one node however long the
     dialog is.
     """
-    return lstm_sequence(x,
-                         [params.w[g] for g in GATE_NAMES],
-                         [params.u[g] for g in GATE_NAMES],
-                         [params.b[g] for g in GATE_NAMES])
+    w, u, b = ([params[f"{prefix}.{kind}_{gate}"] for gate in GATE_NAMES]
+               for kind in "wub")
+    return lstm_sequence(x, w, u, b)
 
 
-@dataclass
-class AcousticEncoderParams:
-    """Time convolution kernels (channels x width x coefficients) and bias."""
-
-    kernels: Tensor
-    bias: Tensor
-
-    @property
-    def coefficients(self) -> int:
-        return self.kernels.shape[2]
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.kernels": self.kernels, f"{prefix}.bias": self.bias}
-
-
-def init_acoustic(channels: int, coefficients: int,
-                  rng: np.random.Generator, width: int = 3) -> AcousticEncoderParams:
+def init_acoustic(channels: int, coefficients: int, rng: np.random.Generator,
+                  width: int = 3) -> tuple[Tensor, Tensor]:
+    """Time convolution kernels (channels, width, coefficients) and bias."""
     kernels = Tensor(
         glorot_uniform(rng, coefficients * width, channels,
                        (channels, width, coefficients)),
         requires_grad=True)
     bias = Tensor(np.zeros(channels), requires_grad=True)
-    return AcousticEncoderParams(kernels=kernels, bias=bias)
+    return kernels, bias
 
 
-def acoustic_encode(params: AcousticEncoderParams, frames: np.ndarray) -> Tensor:
+def acoustic_encode(kernels: Tensor, bias: Tensor,
+                    frames: np.ndarray) -> Tensor:
     """Frame matrix (F x coefficients) -> one utterance row (1, channels).
 
     Zero-padded width-3 convolution over time, ReLU, global mean pool.
     """
+    coefficients = kernels.shape[2]
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != params.coefficients:
+    if frames.ndim != 2 or frames.shape[1] != coefficients:
         raise ShapeError(
-            f"acoustic_encode: frames must be F x {params.coefficients}, "
+            f"acoustic_encode: frames must be F x {coefficients}, "
             f"got shape {frames.shape}")
     if frames.shape[0] < 1:
         raise ShapeError("acoustic_encode: empty frame matrix")
-    convolved = conv1d_same(Tensor(frames), params.kernels, params.bias)
+    convolved = conv1d_same(Tensor(frames), kernels, bias)
     return mean_rows(relu(convolved))

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .tensor import Tape, Tensor, backward
 
 # Relative errors are guarded below this scale so finite-difference noise on

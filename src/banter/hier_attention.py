@@ -13,8 +13,6 @@ matrix, however many windows it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import (
@@ -27,34 +25,6 @@ from .tensor import (
     softmax,
     sum_axis,
 )
-
-
-@dataclass
-class LevelRecord:
-    """The (n, d) vectors produced at one level, plus the weights that built
-    them, one (windows, window size, d) array.
-
-    Level 0 has no windows, so its ``window_weights`` is None.
-    """
-
-    contexts: Tensor
-    window_weights: np.ndarray | None = None
-
-
-@dataclass
-class LevelTrace:
-    """All levels of one hierarchical collapse, level 0 first."""
-
-    width: int
-    levels: list[LevelRecord]
-
-    @property
-    def attention_levels(self) -> int:
-        """Number of window-attention levels (excludes level 0)."""
-        return len(self.levels) - 1
-
-    def level_sizes(self) -> list[int]:
-        return [rec.contexts.shape[0] for rec in self.levels]
 
 
 def level_count(n: int, width: int) -> int:
@@ -71,14 +41,15 @@ def level_count(n: int, width: int) -> int:
 
 
 def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
-                width: int = 3) -> tuple[Tensor, LevelTrace]:
+                width: int = 3) -> tuple[Tensor, list[np.ndarray]]:
     """Collapse the N rows of an (N, d) matrix to one (1, d) row.
 
     Windows slide with stride 1 and full width while enough vectors remain;
     when fewer than ``width`` are left, a single truncated window finishes
     the level. Each window's weighted sum is divided by the window's size,
     so truncated final windows stay a bounded average. Returns the final
-    row and the complete trace.
+    row and, per attention level in order, the (windows, size, d) softmax
+    weights that built it; a level's window count is its vector count.
     """
     if vectors.data.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError(f"hier_attend needs an (n, d) matrix with at least "
@@ -86,16 +57,15 @@ def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
     if width < 2:
         raise ValueError(f"window width must be at least 2, got {width}")
     current = relu(vectors)
-    trace = LevelTrace(width=width, levels=[LevelRecord(contexts=current)])
+    level_weights = []
     while current.shape[0] > 1:
         size = min(width, current.shape[0])
         windows = sliding_windows(current, size)
         weights = softmax(windows, axis=1)
         pooled = scale(sum_axis(mul(weights, windows), axis=1), 1.0 / size)
         current = relu(affine_rows(pooled, proj_w, proj_b))
-        trace.levels.append(LevelRecord(contexts=current,
-                                        window_weights=weights.data))
-    return current, trace
+        level_weights.append(weights.data)
+    return current, level_weights
 
 
 def init_projection(dim: int, rng: np.random.Generator,

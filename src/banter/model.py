@@ -20,9 +20,6 @@ import numpy as np
 from .context_attention import DialogAttentionTrace, contextualize_dialog
 from .data import MFCC_COLUMNS, Dialog, EmbeddingTable, embed_utterance
 from .encoders import (
-    GATE_NAMES,
-    AcousticEncoderParams,
-    LstmParams,
     acoustic_encode,
     glorot_uniform,
     init_acoustic,
@@ -191,18 +188,17 @@ def init_parameters(config: ModelConfig,
             proj_w, proj_b = init_projection(config.d_text_in, rng)
             params.register("text_attn.proj_w", proj_w)
             params.register("text_attn.proj_b", proj_b)
-        params.register_all(
-            init_lstm(config.d_text_in, d, rng).named("lstm_text"))
+        params.register_all(init_lstm("lstm_text", config.d_text_in, d, rng))
     if config.uses_audio:
         if config.audio_repr == "conv":
-            params.register_all(
-                init_acoustic(config.d_audio, MFCC_COLUMNS, rng).named("acoustic"))
+            kernels, bias = init_acoustic(config.d_audio, MFCC_COLUMNS, rng)
+            params.register("acoustic.kernels", kernels)
+            params.register("acoustic.bias", bias)
         else:
             proj_w, proj_b = init_projection(MFCC_COLUMNS, rng)
             params.register("audio_attn.proj_w", proj_w)
             params.register("audio_attn.proj_b", proj_b)
-        params.register_all(
-            init_lstm(config.d_audio, d, rng).named("lstm_audio"))
+        params.register_all(init_lstm("lstm_audio", config.d_audio, d, rng))
     if config.use_filter:
         for branch in ("filter_audio", "filter_text"):
             gate_w, gate_b = init_filter_gate(2 * d, 3 * d, rng)
@@ -228,14 +224,6 @@ def init_parameters(config: ModelConfig,
 def parameter_count(config: ModelConfig) -> int:
     """Exact trainable-scalar total for a configuration."""
     return init_parameters(config, np.random.default_rng(0)).total_scalars
-
-
-def _lstm_view(params: ParameterSet, prefix: str) -> LstmParams:
-    return LstmParams(
-        w={g: params[f"{prefix}.w_{g}"] for g in GATE_NAMES},
-        u={g: params[f"{prefix}.u_{g}"] for g in GATE_NAMES},
-        b={g: params[f"{prefix}.b_{g}"] for g in GATE_NAMES},
-    )
 
 
 @dataclass
@@ -298,9 +286,8 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
                 for m in matrices])
     if config.uses_audio:
         if config.audio_repr == "conv":
-            encoder = AcousticEncoderParams(kernels=params["acoustic.kernels"],
-                                            bias=params["acoustic.bias"])
-            rows = [acoustic_encode(encoder, utt.acoustic)
+            rows = [acoustic_encode(params["acoustic.kernels"],
+                                    params["acoustic.bias"], utt.acoustic)
                     for utt in dialog.utterances]
         else:
             rows = [hier_attend(Tensor(utt.acoustic),
@@ -310,10 +297,10 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
                     for utt in dialog.utterances]
         x_audio = concat(rows)
 
-    h_text = (lstm_encode_dialog(_lstm_view(params, "lstm_text"),
+    h_text = (lstm_encode_dialog(params, "lstm_text",
                                  dropout(x_text, rate, training, rng))
               if config.uses_text else None)
-    h_audio = (lstm_encode_dialog(_lstm_view(params, "lstm_audio"),
+    h_audio = (lstm_encode_dialog(params, "lstm_audio",
                                   dropout(x_audio, rate, training, rng))
                if config.uses_audio else None)
 

@@ -11,28 +11,46 @@ from .metrics import ConfusionMatrix, Metrics
 from .model import ModelConfig, variant_label
 
 
+# heatmap field -> (trace key, block): the cross attention's slots hold
+# the audio block, then the text block
+HEATMAP_FIELDS = {
+    "text": ("text", 0),
+    "audio": ("audio", 0),
+    "cross_audio": ("cross", 0),
+    "cross_text": ("cross", 1),
+}
+
+
 def heatmap_document(trace: DialogAttentionTrace, dialog_id: str) -> dict:
     """Banded attention weights for one dialog as a JSON-ready document.
 
     Row i carries min(i, D) scalar weights per populated modality; weights
     for positions outside the window are implicitly zero, which is what
-    gives the heatmap its lower-triangular band.
+    gives the heatmap its lower-triangular band. Each scalar is a valid
+    slot's weight averaged over the coordinates. In ``window_attend``'s
+    layout, block b owns slots b * D .. b * D + D - 1 of every row, and the
+    last min(i, D) of them hold positions i - min(i, D) + 1 .. i.
     """
-    if len(trace.rows) == 0:
+    if not trace.weights:
         raise ValueError("heatmap export needs a non-empty trace")
+    width = trace.width
+    cells = {key: weights.mean(axis=2).tolist()
+             for key, weights in trace.weights.items()}
+    n = len(next(iter(cells.values())))
     rows = []
-    for row in trace.rows:
+    for i in range(1, n + 1):
+        valid = min(i, width)
+        weights = {}
+        for field, (key, block) in HEATMAP_FIELDS.items():
+            end = (block + 1) * width
+            weights[field] = (cells[key][i - 1][end - valid:end]
+                              if key in cells else [])
         rows.append({
-            "target_i": row.target,
-            "window": list(row.window),
-            "weights": {
-                "text": list(row.text),
-                "audio": list(row.audio),
-                "cross_audio": list(row.cross_audio),
-                "cross_text": list(row.cross_text),
-            },
+            "target_i": i,
+            "window": list(range(i - valid + 1, i + 1)),
+            "weights": weights,
         })
-    return {"dialog_id": dialog_id, "D": trace.width, "rows": rows}
+    return {"dialog_id": dialog_id, "D": width, "rows": rows}
 
 
 def export_heatmap(trace: DialogAttentionTrace, dialog_id: str, path) -> dict:

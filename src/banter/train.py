@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -212,6 +211,12 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
                     if not np.isfinite(value):
                         raise NumericError("loss is not finite")
                     backward(loss)
+                # adam_step leaves every gradient zeroed; give a parameter
+                # the first batch did not reach (hier_attend on one-row
+                # inputs never uses its projection) that state too
+                for tensor in named.values():
+                    if tensor.grad is None:
+                        tensor.zero_grad()
                 clip_gradients(named, train_config.grad_clip)
                 adam_step(adam, named)
             except NumericError as exc:

@@ -303,13 +303,15 @@ def check_hier_structure() -> None:
         proj_w, proj_b = init_projection(dim, rng)
         for n in range(1, 65):
             vectors = Tensor(rng.normal(size=(n, dim)))
-            out, trace = hier_attend(vectors, proj_w, proj_b, width)
+            out, level_weights = hier_attend(vectors, proj_w, proj_b, width)
             expected_levels = level_count(n, width)
-            if trace.attention_levels != expected_levels:
+            if len(level_weights) != expected_levels:
                 raise AssertionError(
-                    f"N={n} X={width}: {trace.attention_levels} levels, "
+                    f"N={n} X={width}: {len(level_weights)} levels, "
                     f"expected {expected_levels}")
-            for level, size in enumerate(trace.level_sizes()):
+            # a level holds one vector per window; level 0 holds the inputs
+            sizes = [n] + [weights.shape[0] for weights in level_weights]
+            for level, size in enumerate(sizes):
                 expected = max(1, n - level * (width - 1))
                 if size != expected:
                     raise AssertionError(
@@ -318,9 +320,9 @@ def check_hier_structure() -> None:
             if out.shape != (1, dim):
                 raise AssertionError(f"N={n} X={width}: output shape "
                                      f"{out.shape}")
-            for record in trace.levels[1:]:
+            for weights in level_weights:
                 # per window and coordinate: (windows, size, d) -> (windows, d)
-                total = record.window_weights.sum(axis=1)
+                total = weights.sum(axis=1)
                 if not np.allclose(total, 1.0, atol=1e-9):
                     raise AssertionError(
                         f"N={n} X={width}: weights sum {total}")

@@ -30,7 +30,12 @@ from banter.model import (
     save_checkpoint,
 )
 from banter.train import TrainConfig, evaluate_split, train
-from synthdata import marker_corpus, masac_shaped_corpus
+from synthdata import (
+    marker_corpus,
+    masac_shaped_corpus,
+    write_corpus,
+    write_embeddings,
+)
 from test_model import rewrite_checkpoint_header
 from test_verify import broken_tanh
 
@@ -204,6 +209,28 @@ class TestTrainCommand:
                            variant="LSTM(A)", task_mode="sarcasm")
         assert main(["train", "--config", str(cfg)]) == 0
         assert (out / "model.ckpt").is_file()
+
+    @pytest.mark.parametrize("variant, tokens, frames", [
+        ("LSTM(H-ATN^U)", 1, 3), ("LSTM(H-ATN^A)", 3, 1)])
+    def test_single_row_utterances_train(self, tmp_path, variant, tokens,
+                                         frames):
+        # one-row inputs run no attention level, so that branch's
+        # projection gets no gradient from the first batch
+        rng = np.random.default_rng(0)
+        dialogs = [{"dialog_id": f"d{d}", "utterances": [
+            {"id": f"d{d}_u{j}", "speaker": "s0", "tokens": ["kya"] * tokens,
+             "sarcasm": j % 2, "humor": d % 2,
+             "mfcc": rng.normal(size=(frames, 128)).round(4).tolist()}
+            for j in range(3)]} for d in range(4)]
+        corpus = write_corpus(tmp_path / "corpus.jsonl", dialogs)
+        emb = write_embeddings(tmp_path / "vectors.txt",
+                               {"kya": rng.normal(size=12)}, 12)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", corpus, emb, out_dir=out,
+                           variant=variant, d_audio=128, batch_size=1)
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert (out / "model.ckpt").is_file()
+        assert (out / "history.csv").is_file()
 
     def test_missing_corpus_file_is_a_data_error(self, workspace, tmp_path,
                                                  capsys):

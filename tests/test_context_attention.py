@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from banter.context_attention import contextualize_dialog, window_indices
+from banter.context_attention import contextualize_dialog
 from banter.gradcheck import grad_check
+from banter.report import heatmap_document
 from banter.tensor import ShapeError, Tensor, add, mul, sum_all, window_attend
 
 
@@ -48,24 +49,6 @@ def matrices(rng, n, d):
             Tensor(rng.uniform(-1, 1, size=(n, d))))
 
 
-class TestWindowIndices:
-    def test_full_band(self):
-        assert window_indices(10, 5) == [6, 7, 8, 9, 10]
-
-    def test_clipped_at_dialog_start(self):
-        assert window_indices(1, 5) == [1]
-        assert window_indices(3, 5) == [1, 2, 3]
-
-    def test_width_one_is_self_only(self):
-        assert window_indices(4, 1) == [4]
-
-    def test_bad_arguments(self):
-        with pytest.raises(IndexError):
-            window_indices(0, 5)
-        with pytest.raises(ValueError):
-            window_indices(3, 0)
-
-
 class TestAttendedModality:
     """One modality's attention, read row by row from contextualize_dialog."""
 
@@ -104,8 +87,10 @@ class TestAttendedCross:
     def test_identical_modalities_at_start(self):
         v = np.array([[0.5, 1.5, -1.0]])
         _, _, out, trace = contextualize_dialog(Tensor(v), Tensor(v), 5)
-        assert trace.rows[0].cross_audio == [0.5]
-        assert trace.rows[0].cross_text == [0.5]
+        # slot 4 holds audio row 1, slot 9 text row 1; the rest is padding
+        cross = trace.weights["cross"][0]
+        np.testing.assert_array_equal(cross[[4, 9]], np.full((2, 3), 0.5))
+        np.testing.assert_array_equal(np.delete(cross, [4, 9], axis=0), 0.0)
         np.testing.assert_allclose(out.data[0],
                                    np.concatenate([v[0] / 2, v[0], v[0]]))
 
@@ -157,30 +142,33 @@ class TestContextualizeDialog:
         np.testing.assert_allclose(
             out_t.data[0], np.concatenate([h_t.data[0], h_t.data[0]]))
         assert out_x.shape == (1, 9)
-        assert len(trace.rows) == 1
+        assert {key: w.shape for key, w in trace.weights.items()} == {
+            "audio": (1, 5, 3), "text": (1, 5, 3), "cross": (1, 10, 3)}
 
     def test_trace_window_sizes(self):
+        # row t (1-based) weighs the last min(t, 5) of each block's 5 slots
         rng = np.random.default_rng(6)
         h_a, h_t = matrices(rng, 9, 2)
         _, _, _, trace = contextualize_dialog(h_a, h_t, 5)
-        for row in trace.rows:
-            want = min(row.target, 5)
-            assert len(row.window) == want
-            assert len(row.audio) == want
-            assert len(row.text) == want
-            assert len(row.cross_audio) == want
-            assert len(row.cross_text) == want
-            assert row.window == window_indices(row.target, 5)
+        for weights in trace.weights.values():
+            blocks = weights.reshape(9, -1, 5, 2)
+            for t in range(1, 10):
+                pad = 5 - min(t, 5)
+                np.testing.assert_array_equal(blocks[t - 1, :, :pad], 0.0)
+                assert np.all(blocks[t - 1, :, pad:] > 0.0)
 
     def test_trace_weights_sum_to_one(self):
         rng = np.random.default_rng(7)
         h_a, h_t = matrices(rng, 7, 4)
         _, _, _, trace = contextualize_dialog(h_a, h_t, 5)
-        for row in trace.rows:
-            # scalar summaries inherit normalization from the weight vectors
-            assert abs(sum(row.audio) - 1.0) < 1e-9
-            assert abs(sum(row.text) - 1.0) < 1e-9
-            assert abs(sum(row.cross_audio) + sum(row.cross_text) - 1.0) < 1e-9
+        for weights in trace.weights.values():
+            # per row and coordinate, over every slot of every block
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_zero_width_rejected(self):
+        h = Tensor(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="width"):
+            contextualize_dialog(h, None, 0)
 
     def test_strict_causality(self):
         rng = np.random.default_rng(8)
@@ -202,9 +190,8 @@ class TestContextualizeDialog:
         out_a, out_t, out_x, trace = contextualize_dialog(None, h_t, 5)
         assert out_a is None and out_x is None
         assert out_t.shape == (4, 6)
-        for row in trace.rows:
-            assert row.audio == [] and row.cross_audio == []
-            assert len(row.text) == min(row.target, 5)
+        assert list(trace.weights) == ["text"]
+        assert trace.weights["text"].shape == (4, 5, 3)
 
     def test_low_weight_context_continuity(self):
         # a context utterance with tiny weight moves the output by less
@@ -232,6 +219,7 @@ class TestContextualizeDialog:
                 h_t = rng.uniform(-1, 1, size=(n, d))
                 out_a, out_t, out_x, trace = contextualize_dialog(
                     Tensor(h_a), Tensor(h_t), width)
+                rows = heatmap_document(trace, "d")["rows"]
                 for i in range(1, n + 1):
                     lo = max(0, i - width)
                     a, t = list(h_a[lo:i]), list(h_t[lo:i])
@@ -248,8 +236,8 @@ class TestContextualizeDialog:
                     stacked = np.stack(a + t)
                     exps = np.exp(stacked - stacked.max(axis=0))
                     cells = [float(np.mean(w)) for w in exps / exps.sum(axis=0)]
-                    row = trace.rows[i - 1]
-                    assert row.cross_audio + row.cross_text == cells
+                    row = rows[i - 1]["weights"]
+                    assert row["cross_audio"] + row["cross_text"] == cells
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)

@@ -1,6 +1,5 @@
 """Corpus loading, embedding tables, corpus counts, and split behavior."""
 
-import json
 from types import SimpleNamespace
 
 import numpy as np

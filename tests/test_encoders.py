@@ -7,8 +7,6 @@ import pytest
 
 from banter.encoders import (
     GATE_NAMES,
-    AcousticEncoderParams,
-    LstmParams,
     acoustic_encode,
     init_acoustic,
     init_lstm,
@@ -19,12 +17,11 @@ from banter.tensor import ShapeError, Tape, Tensor, mul, sum_all
 
 
 def const_lstm(d_in, d_h, w=0.0, u=0.0, b=0.0):
-    gates = ("i", "f", "g", "o")
-    return LstmParams(
-        w={g: Tensor(np.full((d_h, d_in), w), requires_grad=True) for g in gates},
-        u={g: Tensor(np.full((d_h, d_h), u), requires_grad=True) for g in gates},
-        b={g: Tensor(np.full(d_h, b), requires_grad=True) for g in gates},
-    )
+    """An LSTM named "lstm" whose weights are constants."""
+    shapes = {"w": ((d_h, d_in), w), "u": ((d_h, d_h), u), "b": ((d_h,), b)}
+    return {f"lstm.{kind}_{g}": Tensor(np.full(shape, value),
+                                       requires_grad=True)
+            for g in GATE_NAMES for kind, (shape, value) in shapes.items()}
 
 
 def scalar_lstm_oracle(w, u, b, xs):
@@ -57,9 +54,9 @@ def scalar_lstm_oracle(w, u, b, xs):
 
 
 def gate_lists(params):
-    return ({g: params.w[g].data.tolist() for g in GATE_NAMES},
-            {g: params.u[g].data.tolist() for g in GATE_NAMES},
-            {g: params.b[g].data.tolist() for g in GATE_NAMES})
+    """The w, u and b gate dicts of the LSTM named "lstm", as lists."""
+    return tuple({g: params[f"lstm.{kind}_{g}"].data.tolist()
+                  for g in GATE_NAMES} for kind in "wub")
 
 
 class TestLstmStep:
@@ -70,21 +67,21 @@ class TestLstmStep:
         # so h_t == 0 at every step holds exactly when c_t == 0
         params = const_lstm(3, 4)
         inputs = Tensor([[1.0, -2.0, 0.5], [0.3, 0.1, -4.0]])
-        hiddens = lstm_encode_dialog(params, inputs)
+        hiddens = lstm_encode_dialog(params, "lstm", inputs)
         np.testing.assert_allclose(hiddens.data, np.zeros((2, 4)))
 
     def test_default_hidden_width(self):
         rng = np.random.default_rng(0)
-        params = init_lstm(300, 128, rng)
+        params = init_lstm("lstm", 300, 128, rng)
         hiddens = lstm_encode_dialog(
-            params, Tensor(rng.uniform(-1, 1, size=(3, 300))))
+            params, "lstm", Tensor(rng.uniform(-1, 1, size=(3, 300))))
         assert hiddens.shape == (3, 128)
 
     def test_matches_scalar_oracle(self):
         # c_1 is checked through h_2, which reads it through tanh(c_1)
         params = const_lstm(2, 2, w=0.1, u=0.1, b=0.1)
         xs = [[1.0, 0.0], [0.0, 1.0]]
-        hiddens = lstm_encode_dialog(params, Tensor(xs))
+        hiddens = lstm_encode_dialog(params, "lstm", Tensor(xs))
         w = {g: [[0.1, 0.1], [0.1, 0.1]] for g in GATE_NAMES}
         b = {g: [0.1, 0.1] for g in GATE_NAMES}
         steps = scalar_lstm_oracle(w, w, b, xs)
@@ -94,78 +91,80 @@ class TestLstmStep:
     def test_matches_scalar_oracle_random(self):
         # from step 2 on the state (h_prev, c_prev) is random and nonzero
         rng = np.random.default_rng(9)
-        params = init_lstm(3, 4, rng)
+        params = init_lstm("lstm", 3, 4, rng)
         xs = rng.uniform(-1, 1, size=(5, 3))
-        hiddens = lstm_encode_dialog(params, Tensor(xs))
+        hiddens = lstm_encode_dialog(params, "lstm", Tensor(xs))
         steps = scalar_lstm_oracle(*gate_lists(params), xs.tolist())
         for h, (want_h, _) in zip(hiddens.data, steps):
             np.testing.assert_allclose(h, want_h, atol=1e-12)
 
     def test_forget_bias_is_one(self):
-        params = init_lstm(4, 3, np.random.default_rng(1))
-        np.testing.assert_allclose(params.b["f"].data, np.ones(3))
+        params = init_lstm("lstm", 4, 3, np.random.default_rng(1))
+        np.testing.assert_allclose(params["lstm.b_f"].data, np.ones(3))
         for gate in ("i", "g", "o"):
-            np.testing.assert_allclose(params.b[gate].data, np.zeros(3))
+            np.testing.assert_allclose(params[f"lstm.b_{gate}"].data,
+                                       np.zeros(3))
 
     def test_input_shape_mismatch(self):
-        params = init_lstm(3, 4, np.random.default_rng(0))
+        params = init_lstm("lstm", 3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            lstm_encode_dialog(params, Tensor(np.zeros((1, 5))))
+            lstm_encode_dialog(params, "lstm", Tensor(np.zeros((1, 5))))
         with pytest.raises(ShapeError):
-            lstm_encode_dialog(params, Tensor(np.zeros(3)))
+            lstm_encode_dialog(params, "lstm", Tensor(np.zeros(3)))
 
 
 class TestLstmEncodeDialog:
     def test_single_step_equivalence(self):
         rng = np.random.default_rng(2)
-        params = init_lstm(5, 4, rng)
+        params = init_lstm("lstm", 5, 4, rng)
         x = rng.uniform(-1, 1, size=5)
-        (h_seq,) = lstm_encode_dialog(params, Tensor([x])).data
+        (h_seq,) = lstm_encode_dialog(params, "lstm", Tensor([x])).data
         ((want_h, _),) = scalar_lstm_oracle(*gate_lists(params), [x.tolist()])
         np.testing.assert_allclose(h_seq, want_h, atol=1e-12)
 
     def test_causality_under_suffix_append(self):
         rng = np.random.default_rng(3)
-        params = init_lstm(4, 3, rng)
+        params = init_lstm("lstm", 4, 3, rng)
         rows = rng.uniform(-1, 1, size=(6, 4))
-        base = lstm_encode_dialog(params, Tensor(rows[:5]))
-        extended = lstm_encode_dialog(params, Tensor(rows))
+        base = lstm_encode_dialog(params, "lstm", Tensor(rows[:5]))
+        extended = lstm_encode_dialog(params, "lstm", Tensor(rows))
         np.testing.assert_array_equal(extended.data[:5], base.data)
 
     def test_hidden_states_bounded(self):
         for seed in range(10):
             r = np.random.default_rng(seed)
-            params = init_lstm(3, 4, r)
+            params = init_lstm("lstm", 3, 4, r)
             inputs = Tensor(r.uniform(-5, 5, size=(8, 3)))
-            hiddens = lstm_encode_dialog(params, inputs)
+            hiddens = lstm_encode_dialog(params, "lstm", inputs)
             assert np.all(np.abs(hiddens.data) < 1.0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
-        params = init_lstm(6, 5, rng)
+        params = init_lstm("lstm", 6, 5, rng)
         inputs = Tensor(rng.uniform(-1, 1, size=(4, 6)), requires_grad=True)
         weights = Tensor(rng.uniform(-1, 1, size=(4, 5)))
-        named = {**params.named("lstm"), "x": inputs}
+        named = {**params, "x": inputs}
 
         def f(_):
             # every step's h enters the loss, so both carries are exercised
-            return sum_all(mul(lstm_encode_dialog(params, inputs), weights))
+            hiddens = lstm_encode_dialog(params, "lstm", inputs)
+            return sum_all(mul(hiddens, weights))
 
         report = grad_check(f, named, tol=1e-4)
         assert report.passed, report.summary()
 
-    def test_three_tape_nodes_per_dialog(self):
+    def test_one_tape_node_per_dialog(self):
         rng = np.random.default_rng(6)
-        params = init_lstm(4, 3, rng)
+        params = init_lstm("lstm", 4, 3, rng)
         inputs = Tensor(rng.uniform(-1, 1, size=(6, 4)), requires_grad=True)
         with Tape() as tape:
-            lstm_encode_dialog(params, inputs)
-        assert len(tape) <= 3
+            lstm_encode_dialog(params, "lstm", inputs)
+        assert len(tape) == 1
 
     def test_empty_sequence_rejected(self):
-        params = init_lstm(3, 4, np.random.default_rng(0))
+        params = init_lstm("lstm", 3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            lstm_encode_dialog(params, Tensor(np.zeros((0, 3))))
+            lstm_encode_dialog(params, "lstm", Tensor(np.zeros((0, 3))))
 
 
 def naive_conv_oracle(frames, kernels, bias):
@@ -185,47 +184,46 @@ def naive_conv_oracle(frames, kernels, bias):
 class TestAcousticEncode:
     def test_zero_kernels_give_rectified_bias(self):
         bias = np.array([0.5, -0.5, 2.0])
-        params = AcousticEncoderParams(
-            kernels=Tensor(np.zeros((3, 3, 128)), requires_grad=True),
-            bias=Tensor(bias, requires_grad=True))
-        out = acoustic_encode(params, np.random.default_rng(0).normal(size=(4, 128)))
+        kernels = Tensor(np.zeros((3, 3, 128)), requires_grad=True)
+        out = acoustic_encode(kernels, Tensor(bias, requires_grad=True),
+                              np.random.default_rng(0).normal(size=(4, 128)))
         np.testing.assert_allclose(out.data, [[0.5, 0.0, 2.0]])
 
     def test_single_frame_sees_center_tap_only(self):
         rng = np.random.default_rng(6)
-        params = init_acoustic(5, 128, rng)
+        kernels, bias = init_acoustic(5, 128, rng)
         frame = rng.uniform(-1, 1, size=(1, 128))
-        out = acoustic_encode(params, frame)
-        center = params.kernels.data[:, 1, :]
-        want = np.maximum(center @ frame[0] + params.bias.data, 0.0)
+        out = acoustic_encode(kernels, bias, frame)
+        center = kernels.data[:, 1, :]
+        want = np.maximum(center @ frame[0] + bias.data, 0.0)
         np.testing.assert_allclose(out.data, [want], atol=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
-        params = init_acoustic(6, 128, rng)
+        kernels, bias = init_acoustic(6, 128, rng)
         frames = rng.uniform(-1, 1, size=(5, 128))
-        out = acoustic_encode(params, frames)
-        want = naive_conv_oracle(frames, params.kernels.data, params.bias.data)
+        out = acoustic_encode(kernels, bias, frames)
+        want = naive_conv_oracle(frames, kernels.data, bias.data)
         np.testing.assert_allclose(out.data, [want], atol=1e-12)
 
     def test_output_width_is_channel_count(self):
         rng = np.random.default_rng(8)
-        params = init_acoustic(128, 128, rng)
-        out = acoustic_encode(params, rng.normal(size=(7, 128)))
+        kernels, bias = init_acoustic(128, 128, rng)
+        out = acoustic_encode(kernels, bias, rng.normal(size=(7, 128)))
         assert out.shape == (1, 128)
 
     def test_wrong_column_count_rejected(self):
-        params = init_acoustic(4, 128, np.random.default_rng(0))
+        kernels, bias = init_acoustic(4, 128, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            acoustic_encode(params, np.zeros((3, 64)))
+            acoustic_encode(kernels, bias, np.zeros((3, 64)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)
-        params = init_acoustic(3, 8, rng, width=3)
+        kernels, bias = init_acoustic(3, 8, rng, width=3)
         frames = rng.uniform(-1, 1, size=(4, 8))
 
         def f(named):
-            return sum_all(acoustic_encode(params, frames))
+            return sum_all(acoustic_encode(kernels, bias, frames))
 
-        report = grad_check(f, params.named("acoustic"), tol=1e-4)
+        report = grad_check(f, {"kernels": kernels, "bias": bias}, tol=1e-4)
         assert report.passed, report.summary()

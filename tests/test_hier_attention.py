@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from banter.gradcheck import grad_check
-from banter.hier_attention import (
-    LevelTrace,
-    hier_attend,
-    init_projection,
-    level_count,
-)
+from banter.hier_attention import hier_attend, init_projection, level_count
 from banter.tensor import Tape, Tensor, sum_all
 
 
 def identity_projection(dim):
     return Tensor(np.eye(dim)), Tensor(np.zeros(dim))
+
+
+def level_sizes(n, level_weights):
+    """Vectors per level, level 0 first: the inputs, then one per window."""
+    return [n] + [weights.shape[0] for weights in level_weights]
 
 
 def hier_oracle(vectors: np.ndarray, proj_w: np.ndarray, proj_b: np.ndarray,
@@ -64,13 +64,14 @@ class TestLevelCount:
 
 
 class TestWindowLevel:
-    """One attention level, read from the trace of a one-level collapse."""
+    """One attention level, read from the weights of a one-level collapse."""
 
     def test_equal_vectors_share_weight(self):
         v = np.array([0.4, 1.2, 0.0, 2.0])
         w, b = identity_projection(4)
-        out, trace = hier_attend(Tensor(np.tile(v, (3, 1))), w, b, width=3)
-        np.testing.assert_allclose(trace.levels[1].window_weights,
+        out, level_weights = hier_attend(Tensor(np.tile(v, (3, 1))), w, b,
+                                         width=3)
+        np.testing.assert_allclose(level_weights[0],
                                    np.full((1, 3, 4), 1 / 3), atol=1e-12)
         # weighted sum reassembles v, then the division by window size
         np.testing.assert_allclose(out.data, [v / 3], atol=1e-12)
@@ -78,8 +79,8 @@ class TestWindowLevel:
     def test_log_spaced_first_coordinate(self):
         w, b = identity_projection(2)
         rows = Tensor([[np.log(2.0), 0.0], [np.log(4.0), 0.0]])
-        _, trace = hier_attend(rows, w, b, width=2)
-        np.testing.assert_allclose(trace.levels[1].window_weights[0, :, 0],
+        _, level_weights = hier_attend(rows, w, b, width=2)
+        np.testing.assert_allclose(level_weights[0][0, :, 0],
                                    [1 / 3, 2 / 3], atol=1e-12)
 
 
@@ -87,29 +88,28 @@ class TestHierAttend:
     def test_single_vector_base_case(self):
         v = np.array([1.0, -2.0, 0.5])
         w, b = identity_projection(3)
-        out, trace = hier_attend(Tensor([v]), w, b, width=3)
+        out, level_weights = hier_attend(Tensor([v]), w, b, width=3)
         np.testing.assert_allclose(out.data, [[1.0, 0.0, 0.5]])
-        assert trace.attention_levels == 0
-        assert trace.level_sizes() == [1]
+        assert level_weights == []
 
     def test_five_vectors_width_three_level_sizes(self):
         rng = np.random.default_rng(0)
         w, b = identity_projection(4)
         vectors = Tensor(rng.uniform(-1, 1, size=(5, 4)))
-        _, trace = hier_attend(vectors, w, b, width=3)
-        assert trace.level_sizes() == [5, 3, 1]
-        assert trace.attention_levels == level_count(5, 3) == 2
+        _, level_weights = hier_attend(vectors, w, b, width=3)
+        assert level_sizes(5, level_weights) == [5, 3, 1]
+        assert len(level_weights) == level_count(5, 3) == 2
 
     def test_four_vectors_truncated_final_window(self):
         rng = np.random.default_rng(1)
         w_np = rng.uniform(-0.5, 0.5, size=(3, 3))
         b_np = rng.uniform(-0.1, 0.1, size=3)
         raw = rng.uniform(-1, 1, size=(4, 3))
-        out, trace = hier_attend(Tensor(raw), Tensor(w_np), Tensor(b_np),
-                                 width=3)
-        assert trace.level_sizes() == [4, 2, 1]
+        out, level_weights = hier_attend(Tensor(raw), Tensor(w_np),
+                                         Tensor(b_np), width=3)
+        assert level_sizes(4, level_weights) == [4, 2, 1]
         # the final level attends one truncated 2-wide window
-        assert trace.levels[2].window_weights.shape == (1, 2, 3)
+        assert level_weights[1].shape == (1, 2, 3)
         np.testing.assert_allclose(
             out.data, hier_oracle(raw, w_np, b_np, 3), atol=1e-12)
 
@@ -141,9 +141,9 @@ class TestHierAttend:
             for width in (2, 3, 4, 5):
                 w, b = identity_projection(2)
                 vectors = Tensor(rng.uniform(-1, 1, size=(n, 2)))
-                _, trace = hier_attend(vectors, w, b, width=width)
-                assert trace.attention_levels == level_count(n, width)
-                sizes = trace.level_sizes()
+                _, level_weights = hier_attend(vectors, w, b, width=width)
+                assert len(level_weights) == level_count(n, width)
+                sizes = level_sizes(n, level_weights)
                 for level, size in enumerate(sizes):
                     assert size == max(1, n - level * (width - 1))
 
@@ -151,9 +151,9 @@ class TestHierAttend:
         rng = np.random.default_rng(5)
         w, b = identity_projection(3)
         vectors = Tensor(rng.uniform(-2, 2, size=(9, 3)))
-        _, trace = hier_attend(vectors, w, b, width=3)
-        for record in trace.levels[1:]:
-            for window_weights in record.window_weights:
+        _, level_weights = hier_attend(vectors, w, b, width=3)
+        for weights in level_weights:
+            for window_weights in weights:
                 total = window_weights.sum(axis=0)
                 np.testing.assert_allclose(total, np.ones(3), atol=1e-9)
                 for wt in window_weights:
@@ -164,9 +164,8 @@ class TestHierAttend:
         for n in (2, 3, 4):
             w, b = identity_projection(2)
             vectors = Tensor(rng.uniform(-1, 1, size=(n, 2)))
-            _, trace = hier_attend(vectors, w, b, width=5)
-            assert trace.attention_levels == 1
-            assert trace.level_sizes() == [n, 1]
+            _, level_weights = hier_attend(vectors, w, b, width=5)
+            assert level_sizes(n, level_weights) == [n, 1]
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -193,6 +192,6 @@ class TestHierAttend:
         proj_w, proj_b = init_projection(128, rng)
         vectors = Tensor(rng.normal(size=(105, 128)), requires_grad=True)
         with Tape() as tape:
-            _, trace = hier_attend(vectors, proj_w, proj_b, width=3)
-        assert trace.attention_levels == level_count(105, 3) == 52
-        assert len(tape) <= 10 * trace.attention_levels + 2
+            _, level_weights = hier_attend(vectors, proj_w, proj_b, width=3)
+        assert len(level_weights) == level_count(105, 3) == 52
+        assert len(tape) <= 10 * len(level_weights) + 2

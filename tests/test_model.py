@@ -1,5 +1,6 @@
 """Model assembly: config rules, forward contracts, variants, checkpoints."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -276,14 +277,16 @@ class TestForwardDialog:
         cfg = toy_config()
         pred = forward_dialog(cfg, init_parameters(cfg, np.random.default_rng(1)),
                               dialog, toy_table(cfg.d_text_in))
-        assert pred.dialog_trace is not None
-        assert len(pred.dialog_trace.rows) == 3
+        rows = {"audio": 3, "text": 3, "cross": 3}
+        assert {key: w.shape[0] for key, w in
+                pred.dialog_trace.weights.items()} == rows
 
         hier_audio = toy_config(audio_repr="hier", d_audio=MFCC_COLUMNS)
         pred = forward_dialog(
             hier_audio, init_parameters(hier_audio, np.random.default_rng(1)),
             dialog, toy_table(hier_audio.d_text_in))
-        assert len(pred.dialog_trace.rows) == 3
+        assert {key: w.shape[0] for key, w in
+                pred.dialog_trace.weights.items()} == rows
 
         plain = toy_config(text_repr="mean", use_context_attn=False,
                            use_filter=False)
@@ -404,6 +407,41 @@ class TestParameterEconomy:
         assert parameter_count(cfg) - parameter_count(single) == head_scalars
 
 
+# Checkpoint layouts at default_rng(0): the ordered parameter names and the
+# SHA-256 of the file save_checkpoint writes. A change to the draw or the
+# registration order of any parameter changes one of them.
+CHECKPOINT_LAYOUTS = {
+    "full": (
+        toy_config,
+        ["text_attn.proj_w", "text_attn.proj_b", "lstm_text.w_i",
+         "lstm_text.u_i", "lstm_text.b_i", "lstm_text.w_f", "lstm_text.u_f",
+         "lstm_text.b_f", "lstm_text.w_g", "lstm_text.u_g", "lstm_text.b_g",
+         "lstm_text.w_o", "lstm_text.u_o", "lstm_text.b_o", "acoustic.kernels",
+         "acoustic.bias", "lstm_audio.w_i", "lstm_audio.u_i", "lstm_audio.b_i",
+         "lstm_audio.w_f", "lstm_audio.u_f", "lstm_audio.b_f",
+         "lstm_audio.w_g", "lstm_audio.u_g", "lstm_audio.b_g",
+         "lstm_audio.w_o", "lstm_audio.u_o", "lstm_audio.b_o",
+         "filter_audio.gate_w", "filter_audio.gate_b", "filter_text.gate_w",
+         "filter_text.gate_b", "head_sarcasm.w1", "head_sarcasm.b1",
+         "head_sarcasm.w2", "head_sarcasm.b2", "head_humor.w1",
+         "head_humor.b1", "head_humor.w2", "head_humor.b2"],
+        "fba245f46ee873f21cabeb6cf38e4dfc1fb9251071c67c9320c694554386ad80",
+    ),
+    "audio-hier": (
+        lambda: build_variant("LSTM(H-ATN^A)+C-ATN^D", d_hidden=3,
+                              head_hidden=2, attn_width_dialog=2),
+        ["audio_attn.proj_w", "audio_attn.proj_b", "lstm_audio.w_i",
+         "lstm_audio.u_i", "lstm_audio.b_i", "lstm_audio.w_f",
+         "lstm_audio.u_f", "lstm_audio.b_f", "lstm_audio.w_g",
+         "lstm_audio.u_g", "lstm_audio.b_g", "lstm_audio.w_o",
+         "lstm_audio.u_o", "lstm_audio.b_o", "head_sarcasm.w1",
+         "head_sarcasm.b1", "head_sarcasm.w2", "head_sarcasm.b2",
+         "head_humor.w1", "head_humor.b1", "head_humor.w2", "head_humor.b2"],
+        "1b715f31c8d500436c59a8ac1e4b75761e4d7867470e061fd23a5868523345e5",
+    ),
+}
+
+
 def rewrite_checkpoint_header(src, dst, edit):
     """Copy a checkpoint with ``edit(header)`` applied to its JSON header.
 
@@ -434,6 +472,16 @@ class TestCheckpoint:
         again = tmp_path / "again.ckpt"
         save_checkpoint(loaded, again, loaded_cfg)
         assert path.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize("layout", sorted(CHECKPOINT_LAYOUTS))
+    def test_layout_is_pinned(self, tmp_path, layout):
+        make_config, names, digest = CHECKPOINT_LAYOUTS[layout]
+        cfg = make_config()
+        params = init_parameters(cfg, np.random.default_rng(0))
+        assert params.names() == names
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path, cfg)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_loaded_values_are_f32_rounded_originals(self, tmp_path):
         cfg, params, path = self._setup(tmp_path)

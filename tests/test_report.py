@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from banter.context_attention import contextualize_dialog
+from banter.context_attention import DialogAttentionTrace, contextualize_dialog
 from banter.metrics import ConfusionMatrix, compute_metrics
 from banter.model import ModelConfig
 from banter.report import export_heatmap, heatmap_document, render_report
@@ -41,6 +41,16 @@ class TestHeatmapDocument:
         assert last["target_i"] == 10
         assert last["window"] == [6, 7, 8, 9, 10]
 
+    def test_windows_clip_at_dialog_start(self):
+        rows = heatmap_document(random_trace(3, 5, seed=9), "d8")["rows"]
+        assert rows[0]["window"] == [1]
+        assert rows[2]["window"] == [1, 2, 3]
+
+    def test_width_one_is_self_only(self):
+        rows = heatmap_document(random_trace(4, 1, seed=10), "d9")["rows"]
+        assert rows[3]["window"] == [4]
+        assert rows[3]["weights"]["text"] == [1.0]
+
     def test_rows_are_banded(self):
         width = 3
         doc = heatmap_document(random_trace(8, width, seed=4), "d3")
@@ -69,10 +79,8 @@ class TestHeatmapDocument:
             assert len(row["weights"]["text"]) >= 1
 
     def test_empty_trace_rejected(self):
-        trace = random_trace(1, 2)
-        trace.rows = []
         with pytest.raises(ValueError, match="non-empty"):
-            heatmap_document(trace, "d6")
+            heatmap_document(DialogAttentionTrace(width=2, weights={}), "d6")
 
     def test_export_writes_parseable_json(self, tmp_path):
         path = tmp_path / "heatmap.json"

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from banter import gradcheck, hier_attention, optim, tensor as T
+from banter import hier_attention, tensor as T
 from banter.gradcheck import grad_check
 from banter.hier_attention import hier_attend, init_projection
 from banter.optim import AdamState, adam_step, clip_gradients
