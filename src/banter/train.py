@@ -1,9 +1,13 @@
 """Mini-batch training with Adam, validation early stopping, seeded runs.
 
 A batch is a set of dialogs; the batch loss is the mean over its utterances
-of the per-utterance cross-entropy, with active tasks summed. All
-randomness (parameter init, batch order, dropout) flows from the single
-seed, so a run is a pure function of (corpus, configs, seed).
+of the per-utterance cross-entropy, with active tasks summed. Each dialog
+runs forward and backward on its own tape, on its loss divided by the
+batch's utterance count, and the parameters sum the dialogs' gradients;
+clipping and Adam then run once per batch. So a step holds one dialog's
+activations at a time. All randomness (parameter init, batch order,
+dropout) flows from the single seed, so a run is a pure function of
+(corpus, configs, seed).
 """
 
 from __future__ import annotations
@@ -155,18 +159,6 @@ def dialog_loss(prediction: DialogPrediction, dialog: Dialog,
     return total
 
 
-def _batch_loss(config: ModelConfig, params: ParameterSet,
-                batch: list[Dialog], embeddings, training: bool,
-                rng) -> Tensor:
-    total = None
-    for dialog in batch:
-        prediction = forward_dialog(config, params, dialog, embeddings,
-                                    training=training, rng=rng)
-        term = dialog_loss(prediction, dialog, config.tasks)
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / sum(len(d.utterances) for d in batch))
-
-
 def train(model_config: ModelConfig, train_dialogs: list[Dialog],
           val_dialogs: list[Dialog], train_config: TrainConfig,
           embeddings: EmbeddingTable | None = None,
@@ -188,6 +180,11 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
     params = (initial_params if initial_params is not None
               else init_parameters(model_config, rng))
     named = params.as_dict()
+    # from here on, adam_step leaves every gradient zeroed; a parameter no
+    # dialog reaches (hier_attend on one-row inputs never uses its
+    # projection) keeps that zero, and a stale gradient is not summed in
+    for tensor in named.values():
+        tensor.zero_grad()
     adam = AdamState(lr=train_config.lr)
     history = TrainHistory(tasks=model_config.tasks)
     # epoch 1 always improves on -inf, so the first epoch sets the snapshot
@@ -203,30 +200,29 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
         for start in range(0, len(order), train_config.batch_size):
             batch = [train_dialogs[k]
                      for k in order[start:start + train_config.batch_size]]
+            ordinal = start // train_config.batch_size + 1
+            where = f"epoch {epoch}, batch {ordinal}"
+            batch_utts = sum(len(d.utterances) for d in batch)
+            for dialog in batch:
+                try:
+                    with Tape():
+                        prediction = forward_dialog(
+                            model_config, params, dialog, embeddings,
+                            training=True, rng=rng)
+                        loss = dialog_loss(prediction, dialog,
+                                           model_config.tasks)
+                        backward(scale(loss, 1.0 / batch_utts))
+                except NumericError as exc:
+                    raise NumericError(f"non-finite value in {where}, dialog "
+                                       f"{dialog.dialog_id}: {exc}") from None
+                loss_sum += float(loss.data)
             try:
-                with Tape():
-                    loss = _batch_loss(model_config, params, batch,
-                                       embeddings, training=True, rng=rng)
-                    value = float(loss.data)
-                    if not np.isfinite(value):
-                        raise NumericError("loss is not finite")
-                    backward(loss)
-                # adam_step leaves every gradient zeroed; give a parameter
-                # the first batch did not reach (hier_attend on one-row
-                # inputs never uses its projection) that state too
-                for tensor in named.values():
-                    if tensor.grad is None:
-                        tensor.zero_grad()
                 clip_gradients(named, train_config.grad_clip)
                 adam_step(adam, named)
             except NumericError as exc:
-                ordinal = start // train_config.batch_size + 1
                 ids = ", ".join(d.dialog_id for d in batch)
-                raise NumericError(
-                    f"non-finite loss in epoch {epoch}, batch {ordinal} "
-                    f"(dialogs {ids}): {exc}") from None
-            batch_utts = sum(len(d.utterances) for d in batch)
-            loss_sum += value * batch_utts
+                raise NumericError(f"non-finite gradient in {where}, dialogs "
+                                   f"{ids}: {exc}") from None
             utterances += batch_utts
 
         try:

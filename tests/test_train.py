@@ -6,16 +6,22 @@ import numpy as np
 import pytest
 
 from synthdata import marker_corpus
+from banter import train as train_module
 from banter.data import load_corpus, load_embeddings
 from banter.metrics import compute_metrics
-from banter.model import ModelConfig, build_variant, init_parameters
+from banter.model import (
+    ModelConfig,
+    build_variant,
+    forward_dialog,
+    init_parameters,
+)
 from banter.optim import AdamState, adam_step, clip_gradients
-from banter.tensor import NumericError, Tape, backward
+from banter.tensor import NumericError, Tape, active_tape, add, backward, scale
 from banter.train import (
     EpochRecord,
     TrainConfig,
     TrainHistory,
-    _batch_loss,
+    dialog_loss,
     evaluate_split,
     macro_f1,
     train,
@@ -30,6 +36,32 @@ def marker_data(tmp_path_factory):
                                           utterances_per_dialog=4,
                                           emb_dim=12, seed=0)
     return load_corpus(corpus_path), load_embeddings(emb_path)
+
+
+def mean_loss(cfg, params, dialogs, table, grad=False) -> float:
+    """The batch loss ``train`` reports: the per-utterance mean over
+    ``dialogs``. With ``grad``, each dialog runs backward on its own tape,
+    on its loss scaled by ``1 / utterances``, as a training step does."""
+    utterances = sum(len(d.utterances) for d in dialogs)
+    total = 0.0
+    for dialog in dialogs:
+        with Tape():
+            pred = forward_dialog(cfg, params, dialog, table, training=False)
+            loss = scale(dialog_loss(pred, dialog, cfg.tasks),
+                         1.0 / utterances)
+            if grad:
+                backward(loss)
+        total += float(loss.data)
+    return total
+
+
+def three_full_dialogs():
+    cfg = build_variant("full", task_mode="joint", d_text_in=6, d_hidden=5,
+                        d_audio=4, head_hidden=4, dropout=0.0)
+    dialogs = [toy_dialog(n_utts=n, seed=30 + n) for n in (3, 4, 2)]
+    for k, dialog in enumerate(dialogs):
+        dialog.dialog_id = f"d{k + 1}"
+    return cfg, dialogs, toy_table(cfg.d_text_in)
 
 
 def tiny_text_config(**kw):
@@ -214,8 +246,31 @@ class TestTraining:
         params["head_sarcasm.w1"].data[0, 0] = np.nan
         tc = TrainConfig(lr=1e-3, batch_size=4, max_epochs=1, patience=1,
                          seed=0)
-        with pytest.raises(NumericError, match="epoch 1, batch 1"):
+        with pytest.raises(NumericError, match="epoch 1, batch 1") as err:
             train(cfg, dialogs, dialogs, tc, table, initial_params=params)
+        named = [d.dialog_id for d in dialogs
+                 if f"dialog {d.dialog_id}:" in str(err.value)]
+        assert len(named) == 1
+
+    def test_non_finite_gradient_names_the_whole_batch(self, marker_data,
+                                                       monkeypatch):
+        dialogs, table = marker_data
+        cfg = tiny_text_config()
+
+        def poison(named, max_norm):
+            named["head_sarcasm.w1"].grad[0, 0] = np.nan
+            return clip_gradients(named, max_norm)
+
+        monkeypatch.setattr(train_module, "clip_gradients", poison)
+        tc = TrainConfig(lr=1e-3, batch_size=4, max_epochs=1, patience=1,
+                         seed=0)
+        with pytest.raises(NumericError, match="non-finite gradient in "
+                           "epoch 1, batch 1, dialogs ") as err:
+            train(cfg, dialogs, dialogs, tc, table)
+        ids = str(err.value).split("dialogs ", 1)[1].split(":", 1)[0]
+        named = ids.split(", ")
+        assert len(set(named)) == 4
+        assert set(named) <= {d.dialog_id for d in dialogs}
 
     def test_single_step_descends_in_19_of_20_trials(self):
         cfg = toy_config(dropout=0.0)
@@ -227,19 +282,106 @@ class TestTraining:
             dialogs[1].dialog_id = "d2"
             params = init_parameters(cfg, np.random.default_rng(trial))
             named = params.as_dict()
-            before = float(_batch_loss(cfg, params, dialogs, table,
-                                       training=False, rng=None).data)
+            before = mean_loss(cfg, params, dialogs, table)
             adam = AdamState(lr=1e-4)
-            with Tape():
-                loss = _batch_loss(cfg, params, dialogs, table,
-                                   training=False, rng=None)
-                backward(loss)
+            mean_loss(cfg, params, dialogs, table, grad=True)
             clip_gradients(named, 5.0)
             adam_step(adam, named)
-            after = float(_batch_loss(cfg, params, dialogs, table,
-                                      training=False, rng=None).data)
+            after = mean_loss(cfg, params, dialogs, table)
             descents += after < before
         assert descents >= 19
+
+    def test_dialog_gradients_sum_to_the_batch_gradient(self, monkeypatch):
+        cfg, dialogs, table = three_full_dialogs()
+        params = init_parameters(cfg, np.random.default_rng(3))
+        utterances = sum(len(d.utterances) for d in dialogs)
+        # the reference: every dialog on one tape, one backward on the mean
+        reference = train_module._snapshot(params)
+        summed = train_module._snapshot(params)
+        with Tape():
+            total = None
+            for dialog in dialogs:
+                pred = forward_dialog(cfg, reference, dialog, table)
+                term = dialog_loss(pred, dialog, cfg.tasks)
+                total = term if total is None else add(total, term)
+            backward(scale(total, 1.0 / utterances))
+
+        seen = {}
+        order = []
+
+        def capture(named, max_norm):
+            seen.update((name, p.grad.copy()) for name, p in named.items())
+            return 0.0
+
+        def forward_spy(config, params, dialog, *args, **kwargs):
+            order.append(dialog)
+            return forward_dialog(config, params, dialog, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "clip_gradients", capture)
+        monkeypatch.setattr(train_module, "forward_dialog", forward_spy)
+        tc = TrainConfig(lr=1e-3, batch_size=3, max_epochs=1, patience=1)
+        train(cfg, dialogs, dialogs, tc, table, initial_params=params)
+        assert seen.keys() == dict(reference.items()).keys()
+        # and bit for bit the sum of each dialog's own backward pass, added
+        # in the order train() ran them
+        mean_loss(cfg, summed, order[:len(dialogs)], table, grad=True)
+        for name, tensor in reference.items():
+            largest = np.abs(tensor.grad).max()
+            assert largest > 0.0, name
+            np.testing.assert_allclose(seen[name], tensor.grad, rtol=0.0,
+                                       atol=1e-12 * largest, err_msg=name)
+            np.testing.assert_array_equal(seen[name], summed[name].grad,
+                                          err_msg=name)
+
+    def test_each_backward_sees_one_dialog(self, monkeypatch):
+        cfg, dialogs, table = three_full_dialogs()
+        # tape length of each dialog's loss on a tape of its own
+        params = init_parameters(cfg, np.random.default_rng(3))
+        alone = {}
+        for dialog in dialogs:
+            with Tape() as tape:
+                pred = forward_dialog(cfg, params, dialog, table)
+                scale(dialog_loss(pred, dialog, cfg.tasks), 0.5)
+            alone[dialog.dialog_id] = len(tape)
+
+        forwarded = {}
+        calls = []
+
+        def forward_spy(config, params, dialog, *args, **kwargs):
+            forwarded.setdefault(id(active_tape()), []).append(
+                dialog.dialog_id)
+            return forward_dialog(config, params, dialog, *args, **kwargs)
+
+        def backward_spy(loss):
+            tape = active_tape()
+            calls.append((forwarded.pop(id(tape)), len(tape)))
+            backward(loss)
+
+        monkeypatch.setattr(train_module, "forward_dialog", forward_spy)
+        monkeypatch.setattr(train_module, "backward", backward_spy)
+        tc = TrainConfig(lr=1e-3, batch_size=3, max_epochs=2, patience=2)
+        train(cfg, dialogs, dialogs, tc, table, initial_params=params)
+        assert len(calls) == 2 * len(dialogs)
+        for ids, length in calls:
+            assert len(ids) == 1
+            assert length == alone[ids[0]]
+
+    def test_stale_gradients_do_not_leak(self, marker_data):
+        dialogs, table = marker_data
+        cfg = tiny_text_config()
+        tc = TrainConfig(lr=1e-2, batch_size=4, max_epochs=2, patience=2,
+                         seed=6)
+        clean = init_parameters(cfg, np.random.default_rng(9))
+        stale = train_module._snapshot(clean)
+        for tensor in stale.as_dict().values():
+            tensor.grad = np.full_like(tensor.data, 100.0)
+        best_a, hist_a = train(cfg, dialogs, dialogs, tc, table,
+                               initial_params=clean)
+        best_b, hist_b = train(cfg, dialogs, dialogs, tc, table,
+                               initial_params=stale)
+        assert hist_a.rows() == hist_b.rows()
+        for name, tensor in best_a.items():
+            np.testing.assert_array_equal(tensor.data, best_b[name].data)
 
     def test_overfits_marker_corpus(self, marker_data):
         dialogs, table = marker_data
