@@ -195,6 +195,9 @@ def cmd_train(args) -> int:
     })
     if not settings["corpus"]:
         raise CliError(EXIT_CONFIG, "config key 'corpus' is required to train")
+    if not 0.0 <= settings["threshold"] <= 1.0:
+        raise CliError(EXIT_CONFIG, f"config key 'threshold' must be in "
+                                    f"[0, 1], got {settings['threshold']}")
     config = _model_config(settings)
     dialogs = load_corpus(settings["corpus"])
     table = _embeddings_for(config, settings["embeddings"],

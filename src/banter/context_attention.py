@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, concat, window_attend
+from .tensor import Tensor, concat, window_attend
 
 
 @dataclass
@@ -45,10 +45,6 @@ def contextualize_dialog(
     """
     if h_audio is None and h_text is None:
         raise ValueError("contextualize_dialog needs at least one modality")
-    if h_audio is not None and h_text is not None \
-            and h_audio.shape != h_text.shape:
-        raise ShapeError(f"modality shape mismatch: "
-                         f"{h_audio.shape} vs {h_text.shape}")
     outputs: dict[str, Tensor] = {}
     weights: dict[str, np.ndarray] = {}
     for key, blocks in (("audio", [h_audio]), ("text", [h_text]),

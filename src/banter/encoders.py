@@ -82,13 +82,9 @@ def acoustic_encode(kernels: Tensor, bias: Tensor,
 
     Zero-padded width-3 convolution over time, ReLU, global mean pool.
     """
-    coefficients = kernels.shape[2]
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != coefficients:
-        raise ShapeError(
-            f"acoustic_encode: frames must be F x {coefficients}, "
-            f"got shape {frames.shape}")
-    if frames.shape[0] < 1:
-        raise ShapeError("acoustic_encode: empty frame matrix")
+    if frames.size == 0:
+        # conv1d_same checks ranks and channels; a mean over no frames is NaN
+        raise ShapeError(f"acoustic_encode: empty frame matrix {frames.shape}")
     convolved = conv1d_same(Tensor(frames), kernels, bias)
     return mean_rows(relu(convolved))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, affine_rowwise, mul, sigmoid, tanh
+from .tensor import Tensor, affine_rowwise, mul, sigmoid, tanh
 
 
 def filter_modality(h_mod: Tensor, h_cross: Tensor, gate_w: Tensor,
@@ -18,18 +18,6 @@ def filter_modality(h_mod: Tensor, h_cross: Tensor, gate_w: Tensor,
     tanh(h_mod) through. The gate is computed row at a time
     (``affine_rowwise``), so a row's bits do not depend on the row count.
     """
-    if h_mod.data.ndim != 2 or h_cross.data.ndim != 2 \
-            or h_mod.shape[0] != h_cross.shape[0]:
-        raise ShapeError(f"filter needs (n, m) and (n, c) matrices with the "
-                         f"same rows, got {h_mod.shape} and {h_cross.shape}")
-    if gate_w.data.ndim != 2:
-        raise ShapeError(f"gate weights must be a matrix, got {gate_w.shape}")
-    if gate_w.shape != (h_mod.shape[1], h_cross.shape[1]):
-        raise ShapeError(
-            f"gate shape {gate_w.shape} cannot map {h_cross.shape} "
-            f"to {h_mod.shape}")
-    if gate_b.shape != (h_mod.shape[1],):
-        raise ShapeError(f"gate bias shape {gate_b.shape} vs {h_mod.shape}")
     gate = sigmoid(affine_rowwise(h_cross, gate_w, gate_b))
     return mul(tanh(h_mod), gate)
 

@@ -260,8 +260,6 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
     """
     if config.uses_text and embeddings is None:
         raise ValueError("text modality requires an embedding table")
-    if training and config.dropout > 0.0 and rng is None:
-        raise ValueError("training-mode forward needs an rng for dropout")
     if config.uses_audio:
         for utt in dialog.utterances:
             if utt.acoustic is None:
@@ -332,45 +330,32 @@ def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
     return DialogPrediction(scores=scores, dialog_trace=dialog_trace)
 
 
-# Ablation grid: audio-only, text-only, and bimodal rows, plus the "full"
-# alias for the complete model. Lookup ignores spaces around the + signs.
-_VARIANT_ROWS: dict[str, dict] = {
-    "LSTM(A)": dict(modality="audio", audio_repr="conv",
-                    use_context_attn=False, use_filter=False),
-    "LSTM(H-ATN^A)": dict(modality="audio", audio_repr="hier",
-                          use_context_attn=False, use_filter=False),
-    "LSTM(A)+C-ATN^D": dict(modality="audio", audio_repr="conv",
-                            use_context_attn=True, use_filter=False),
-    "LSTM(H-ATN^A)+C-ATN^D": dict(modality="audio", audio_repr="hier",
-                                  use_context_attn=True, use_filter=False),
-    "LSTM(T_avg)": dict(modality="text", text_repr="mean",
-                        use_context_attn=False, use_filter=False),
-    "LSTM(H-ATN^U)": dict(modality="text", text_repr="hier",
-                          use_context_attn=False, use_filter=False),
-    "LSTM(H-ATN^U)+C-ATN^D": dict(modality="text", text_repr="hier",
-                                  use_context_attn=True, use_filter=False),
-    "LSTM(A)+LSTM(T_avg)": dict(modality="both", text_repr="mean",
-                                audio_repr="conv", use_context_attn=False,
-                                use_filter=False),
-    "LSTM(A)+LSTM(H-ATN^U)": dict(modality="both", text_repr="hier",
-                                  audio_repr="conv", use_context_attn=False,
-                                  use_filter=False),
-    "LSTM(A)+LSTM(H-ATN^U)+C-ATN^D": dict(modality="both", text_repr="hier",
-                                          audio_repr="conv",
-                                          use_context_attn=True,
-                                          use_filter=False),
-    "LSTM(A)+LSTM(H-ATN^U)+C-ATN^D+Filter": dict(modality="both",
-                                                 text_repr="hier",
-                                                 audio_repr="conv",
-                                                 use_context_attn=True,
-                                                 use_filter=True),
+# Each part of a variant name: the modality it reads (None for a submodule
+# that adds to whatever is read) and the one switch it sets. Parts join with
+# "+" in this order; a name that reads a modality pins its encoder.
+_PARTS: dict[str, tuple[str | None, str, object]] = {
+    "LSTM(A)": ("audio", "audio_repr", "conv"),
+    "LSTM(H-ATN^A)": ("audio", "audio_repr", "hier"),
+    "LSTM(T_avg)": ("text", "text_repr", "mean"),
+    "LSTM(H-ATN^U)": ("text", "text_repr", "hier"),
+    "C-ATN^D": (None, "use_context_attn", True),
+    "Filter": (None, "use_filter", True),
 }
 
-FULL_VARIANT = "LSTM(A)+LSTM(H-ATN^U)+C-ATN^D+Filter"
+# Ablation grid: audio-only, text-only, and bimodal rows; "full" is an alias
+# for the last. Lookup ignores spaces around the + signs.
+_VARIANTS = (
+    "LSTM(A)", "LSTM(H-ATN^A)", "LSTM(A)+C-ATN^D", "LSTM(H-ATN^A)+C-ATN^D",
+    "LSTM(T_avg)", "LSTM(H-ATN^U)", "LSTM(H-ATN^U)+C-ATN^D",
+    "LSTM(A)+LSTM(T_avg)", "LSTM(A)+LSTM(H-ATN^U)",
+    "LSTM(A)+LSTM(H-ATN^U)+C-ATN^D", "LSTM(A)+LSTM(H-ATN^U)+C-ATN^D+Filter",
+)
+
+FULL_VARIANT = _VARIANTS[-1]
 
 
 def variant_names() -> list[str]:
-    return list(_VARIANT_ROWS)
+    return list(_VARIANTS)
 
 
 def build_variant(row_name: str, task_mode: str = "joint",
@@ -383,10 +368,16 @@ def build_variant(row_name: str, task_mode: str = "joint",
     key = row_name.replace(" ", "")
     if key.lower() == "full":
         key = FULL_VARIANT
-    row = _VARIANT_ROWS.get(key)
-    if row is None:
-        known = ", ".join(list(_VARIANT_ROWS) + ["full"])
+    if key not in _VARIANTS:
+        known = ", ".join(_VARIANTS + ("full",))
         raise ConfigError(f"unknown variant {row_name!r}; known: {known}")
+    row = {"use_context_attn": False, "use_filter": False}
+    read = set()
+    for modality, switch, value in map(_PARTS.get, key.split("+")):
+        row[switch] = value
+        read.add(modality)
+    read.discard(None)
+    row["modality"] = "both" if len(read) == 2 else read.pop()
     clash = set(overrides) & set(row)
     if clash:
         raise ConfigError(f"variant {key!r} already fixes {sorted(clash)}")
@@ -395,18 +386,10 @@ def build_variant(row_name: str, task_mode: str = "joint",
 
 def variant_label(config: ModelConfig) -> str:
     """The ablation-row name describing a configuration's switches."""
-    parts = []
-    if config.uses_audio:
-        parts.append("LSTM(A)" if config.audio_repr == "conv"
-                     else "LSTM(H-ATN^A)")
-    if config.uses_text:
-        parts.append("LSTM(T_avg)" if config.text_repr == "mean"
-                     else "LSTM(H-ATN^U)")
-    if config.use_context_attn:
-        parts.append("C-ATN^D")
-    if config.use_filter:
-        parts.append("Filter")
-    return "+".join(parts)
+    return "+".join(
+        part for part, (modality, switch, value) in _PARTS.items()
+        if getattr(config, switch) == value
+        and (modality is None or getattr(config, f"uses_{modality}")))
 
 
 def save_checkpoint(params: ParameterSet, path, config: ModelConfig) -> None:

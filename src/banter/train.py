@@ -45,8 +45,9 @@ class TrainConfig:
     grad_clip: float = 5.0
 
     def __post_init__(self):
-        if self.lr < 0.0:
-            raise ValueError(f"lr must be non-negative, got {self.lr}")
+        if not 0.0 <= self.lr < float("inf"):
+            raise ValueError(f"lr must be finite and non-negative, "
+                             f"got {self.lr}")
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, "
@@ -54,7 +55,7 @@ class TrainConfig:
         if self.patience > self.max_epochs:
             raise ValueError(f"patience {self.patience} exceeds "
                              f"max_epochs {self.max_epochs}")
-        if self.grad_clip <= 0.0:
+        if not self.grad_clip > 0.0:  # NaN would switch clipping off
             raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
 
 
@@ -173,8 +174,6 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
     """
     if len(train_dialogs) == 0 or len(val_dialogs) == 0:
         raise ValueError("train needs non-empty train and validation splits")
-    if model_config.uses_text and embeddings is None:
-        raise ValueError("text modality requires an embedding table")
 
     rng = np.random.default_rng(train_config.seed)
     params = (initial_params if initial_params is not None

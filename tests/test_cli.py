@@ -1,7 +1,9 @@
 """End-to-end tests for the command line front end."""
 
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,6 @@ import pytest
 import banter
 import banter.__main__
 from banter import cli
-from banter import tensor as tensor_mod
 from banter.cli import (
     CONFIG_KEYS,
     CliError,
@@ -23,6 +24,7 @@ from banter.cli import (
 )
 from banter.data import load_corpus, load_embeddings, split_train_val
 from banter.model import (
+    ModelConfig,
     build_variant,
     forward_dialog,
     init_parameters,
@@ -37,7 +39,6 @@ from synthdata import (
     write_embeddings,
 )
 from test_model import rewrite_checkpoint_header
-from test_verify import broken_tanh
 
 # small dims keep every training run in this file around a second
 SMALL_KEYS = {
@@ -84,6 +85,30 @@ class TestConfigFile:
         assert settings["lr"] == 1e-3
         assert settings["variant"] == "full"
         assert settings["attn_width_dialog"] == 5
+
+    def test_defaults_match_the_config_classes(self):
+        # a key named after a ModelConfig or TrainConfig field sets it, so
+        # it has that field's default and type
+        fields = {f.name: f for cls in (ModelConfig, TrainConfig)
+                  for f in dataclasses.fields(cls)}
+        shared = [key for key in CONFIG_KEYS if key in fields]
+        assert {"task_mode", "dropout", "lr", "seed", "grad_clip"} \
+            <= set(shared)
+        for key in shared:
+            converter, default, _ = CONFIG_KEYS[key]
+            assert (converter.__name__, default) \
+                == (fields[key].type, fields[key].default), key
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md"
+                  ).read_text(encoding="utf-8")
+        table = readme.split("### Run file keys", 1)[1].split("\n### ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", table, re.M)
+        assert [key for key, _ in rows] == list(CONFIG_KEYS)
+        for key, cell in rows:
+            converter, default, _ = CONFIG_KEYS[key]
+            shown = None if cell == "(none)" else converter(cell.strip("`"))
+            assert shown == default, key
 
     def test_file_values_are_typed(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -312,6 +337,26 @@ class TestTrainCommand:
         assert err.startswith("error: non-finite value in validation after "
                               "epoch 1: ")
 
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", "nan"), ("threshold", "7"), ("threshold", "-0.1"),
+        ("grad_clip", "nan"), ("lr", "nan"), ("lr", "inf")])
+    def test_setting_that_breaks_a_run_is_a_config_error(
+            self, workspace, tmp_path, capsys, key, value):
+        _, corpus, emb = workspace
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", corpus, emb, out_dir=out,
+                           **{key: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert not out.exists()
+
+    def test_threshold_is_checked_before_loading(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg", tmp_path / "missing.jsonl",
+                           threshold="1.5")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "'threshold'" in capsys.readouterr().err
+
     def test_same_seed_runs_are_byte_identical(self, workspace, tmp_path):
         tmp, corpus, emb = workspace
         cfg = write_config(tmp_path / "run.cfg", corpus, emb)
@@ -530,7 +575,11 @@ class TestInspectCommand:
 
 
 class TestVerifyCommand:
-    def test_pristine_build_passes_with_named_listing(self, capsys):
+    """The command prints the session's shared verify runs (conftest.py)."""
+
+    def test_pristine_build_passes_with_named_listing(self, monkeypatch,
+                                                      capsys, pristine):
+        monkeypatch.setattr(cli, "run_checks", lambda: pristine[0])
         assert main(["verify"]) == 0
         printed = capsys.readouterr().out
         for name in ("gradients.elementwise", "gradients.model",
@@ -539,8 +588,8 @@ class TestVerifyCommand:
         assert "all passed" in printed
 
     def test_injected_gradient_bug_exits_5_naming_the_op(self, monkeypatch,
-                                                         capsys):
-        monkeypatch.setattr(tensor_mod, "tanh", broken_tanh)
+                                                         capsys, mutated):
+        monkeypatch.setattr(cli, "run_checks", lambda: list(mutated.values()))
         assert main(["verify"]) == 5
         printed = capsys.readouterr().out
         assert "FAIL  gradients.elementwise" in printed

@@ -121,13 +121,17 @@ class TestAttendedCross:
         want = softmax_group(np.concatenate([h_a[2:], h_t[2:]]))
         np.testing.assert_allclose(weights[3], want, atol=1e-15)
 
+    # window_attend's own shape checks reject what the layer passes on
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"\(1, 4\) vs \(1, 3\)"):
             contextualize_dialog(Tensor(np.zeros((1, 3))),
                                  Tensor(np.zeros((1, 4))), 5)
+        with pytest.raises(ShapeError, match=r"non-empty \(n, d\)"):
+            contextualize_dialog(Tensor(np.zeros(3)),
+                                 Tensor(np.zeros((1, 3))), 5)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"\(3, 3\) vs \(2, 3\)"):
             contextualize_dialog(Tensor(np.zeros((2, 3))),
                                  Tensor(np.zeros((3, 3))), 5)
 

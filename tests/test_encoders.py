@@ -213,9 +213,12 @@ class TestAcousticEncode:
         assert out.shape == (1, 128)
 
     def test_wrong_column_count_rejected(self):
+        # conv1d_same rejects bad ranks and widths; an empty matrix is
+        # rejected before the mean over its rows
         kernels, bias = init_acoustic(4, 128, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            acoustic_encode(kernels, bias, np.zeros((3, 64)))
+        for shape in [(3, 64), (128,), (), (0, 128)]:
+            with pytest.raises(ShapeError):
+                acoustic_encode(kernels, bias, np.zeros(shape))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(10)

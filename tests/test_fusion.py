@@ -76,15 +76,18 @@ class TestFilterModality:
         assert np.all(magnitudes[1] <= magnitudes[2] + 1e-15)
 
     def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            filter_modality(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 6))),
-                            Tensor(np.zeros((5, 6))), Tensor(np.zeros(5)))
-        with pytest.raises(ShapeError):
-            filter_modality(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 6))),
-                            Tensor(np.zeros((4, 6))), Tensor(np.zeros(3)))
-        with pytest.raises(ShapeError):
-            filter_modality(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 6))),
-                            Tensor(np.zeros((4, 6))), Tensor(np.zeros(4)))
+        # the filter's ops (affine_rowwise, mul) reject every bad shape
+        for shapes in [
+            ((1, 4), (1, 6), (5, 6), (5,)),  # gate output width
+            ((1, 4), (1, 6), (4, 6), (3,)),  # gate bias length
+            ((2, 4), (3, 6), (4, 6), (4,)),  # row counts
+            ((4,), (1, 6), (4, 6), (4,)),    # 1-D h_mod
+            ((1, 4), (6,), (4, 6), (4,)),    # 1-D h_cross
+            ((1, 4), (1, 6), (24,), (4,)),   # 1-D gate_w
+            ((1, 4), (1, 6), (4, 5), (4,)),  # gate input width
+        ]:
+            with pytest.raises(ShapeError):
+                filter_modality(*(Tensor(np.zeros(shape)) for shape in shapes))
 
     def test_rows_match_per_vector_gate_bit_for_bit(self):
         # the per-utterance form this layer replaced: one matrix-vector

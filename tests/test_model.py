@@ -201,6 +201,13 @@ class TestForwardDialog:
         for task in cfg.tasks:
             assert probs_as_floats(a, task) == probs_as_floats(b, task)
 
+    def test_training_dropout_needs_an_rng(self):
+        cfg = toy_config(dropout=0.4)
+        params = init_parameters(cfg, np.random.default_rng(7))
+        with pytest.raises(ValueError, match="needs an rng"):
+            forward_dialog(cfg, params, toy_dialog(seed=6),
+                           toy_table(cfg.d_text_in), training=True, rng=None)
+
     def test_training_dropout_reproducible_and_active(self):
         cfg = toy_config(dropout=0.4)
         dialog = toy_dialog(seed=6)
@@ -373,6 +380,24 @@ class TestVariants:
         for name in variant_names():
             cfg = build_variant(name, task_mode="sarcasm")
             assert variant_label(cfg) == name
+
+    @pytest.mark.parametrize("switches, label", [
+        (dict(text_repr="mean", use_filter=False),
+         "LSTM(A)+LSTM(T_avg)+C-ATN^D"),
+        (dict(modality="text", text_repr="mean", use_filter=False),
+         "LSTM(T_avg)+C-ATN^D"),
+        # a modality the config does not read leaves its encoder out
+        (dict(modality="audio", text_repr="mean", audio_repr="hier",
+              use_filter=False), "LSTM(H-ATN^A)+C-ATN^D"),
+        (dict(modality="text", audio_repr="hier", use_context_attn=False,
+              use_filter=False), "LSTM(H-ATN^U)"),
+    ])
+    def test_label_of_a_config_that_is_not_a_row(self, switches, label):
+        cfg = ModelConfig(**switches)
+        assert variant_label(cfg) == label
+        if label not in variant_names():
+            with pytest.raises(ConfigError, match="unknown variant"):
+                build_variant(label)
 
     def test_task_and_dim_overrides(self):
         cfg = build_variant("full", task_mode="humor", d_hidden=8)

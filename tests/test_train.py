@@ -85,6 +85,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=-1e-3)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+
+    def test_grad_clip_must_be_above_zero(self):
+        # NaN fails every comparison, so it would switch clipping off
+        with pytest.raises(ValueError, match="grad_clip"):
+            TrainConfig(grad_clip=float("nan"))
+        assert TrainConfig(grad_clip=float("inf")).grad_clip == float("inf")
+
     def test_patience_capped_by_max_epochs(self):
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(patience=11, max_epochs=10)

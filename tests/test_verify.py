@@ -1,41 +1,10 @@
-"""Tests for the built-in verification suite, including a mutation fixture."""
+"""Tests for the built-in verification suite, including a mutation fixture.
 
-import time
+The ``pristine`` and ``mutated`` runs are session fixtures in conftest.py.
+"""
 
-import numpy as np
-import pytest
-
-from banter import tensor as tensor_mod
 from banter import verify
 from banter.verify import CHECKS, run_checks
-
-
-def broken_tanh(a):
-    # correct forward, wrong derivative: the mutation the suite must catch
-    y = np.tanh(a.data)
-    out = tensor_mod.Tensor(y)
-
-    def bwd(gs):
-        return (gs[0] * (1.0 - 0.35 * y * y),)
-
-    tensor_mod._finish("tanh", [out], [a], bwd)
-    return out
-
-
-@pytest.fixture(scope="module")
-def pristine():
-    """One timed full run shared by every test that needs a clean suite."""
-    start = time.monotonic()
-    results = run_checks()
-    return results, time.monotonic() - start
-
-
-@pytest.fixture(scope="module")
-def mutated():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tensor_mod, "tanh", broken_tanh)
-        results = run_checks()
-    return {r.name: r for r in results}
 
 
 class TestPristineSuite:
