@@ -1,8 +1,4 @@
-"""Entry for ``python -m banter``; same as the ``banter`` console script.
-
-``banter.cli`` is imported first, before anything that loads numpy, so its
-MSHC_THREADS cap is in the environment before BLAS sizes its thread pools.
-"""
+"""Entry for ``python -m banter``; same as the ``banter`` console script."""
 
 from banter.cli import console_main
 

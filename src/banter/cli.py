@@ -4,31 +4,12 @@ Exit codes: 0 success, 2 configuration problem, 3 data problem, 4 numeric
 failure during optimization, 5 verification failure. ``main`` maps the
 library's exceptions to them; a subcommand converts one itself only where
 the same exception class means another problem there.
-
-The MSHC_THREADS environment variable caps BLAS parallelism. The cap must
-land before numpy initializes its thread pools, so it is applied at import
-time here; it is fully effective when entering through the ``banter``
-console script or ``python -m banter``, both of which import this module
-before anything loads numpy.
 """
 
 from __future__ import annotations
 
-import os
-
-
-def _cap_threads_from_env() -> None:
-    value = os.environ.get("MSHC_THREADS", "").strip()
-    if not value.isdigit() or int(value) < 1:
-        return  # malformed values get a proper exit code in main()
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, value)
-
-
-_cap_threads_from_env()
-
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -151,18 +132,15 @@ def resolve_settings(config_path, overrides: dict) -> dict:
     return settings
 
 
+def _fields_of(cls, settings: dict) -> dict:
+    """The settings named after the fields of the dataclass ``cls``."""
+    return {f.name: settings[f.name] for f in dataclasses.fields(cls)
+            if f.name in settings}
+
+
 def _model_config(settings: dict) -> ModelConfig:
-    return build_variant(
-        settings["variant"],
-        task_mode=settings["task_mode"],
-        d_text_in=settings["d_text_in"],
-        d_hidden=settings["d_hidden"],
-        d_audio=settings["d_audio"],
-        attn_width_tokens=settings["attn_width_tokens"],
-        attn_width_dialog=settings["attn_width_dialog"],
-        dropout=settings["dropout"],
-        head_hidden=settings["head_hidden"],
-    )
+    return build_variant(settings["variant"],
+                         **_fields_of(ModelConfig, settings))
 
 
 def _embeddings_for(config: ModelConfig, path_str, *, source: str,
@@ -186,6 +164,13 @@ def _embeddings_for(config: ModelConfig, path_str, *, source: str,
     return table
 
 
+def _print_metrics(prefix: str, metrics: dict) -> None:
+    for task, m in metrics.items():
+        print(f"  {prefix}{task}: precision={m.precision:.4f} "
+              f"recall={m.recall:.4f} f1={m.f1:.4f} "
+              f"accuracy={m.accuracy:.4f}")
+
+
 def cmd_train(args) -> int:
     settings = resolve_settings(args.config, {
         "task_mode": args.task,
@@ -195,29 +180,21 @@ def cmd_train(args) -> int:
     })
     if not settings["corpus"]:
         raise CliError(EXIT_CONFIG, "config key 'corpus' is required to train")
-    if not 0.0 <= settings["threshold"] <= 1.0:
-        raise CliError(EXIT_CONFIG, f"config key 'threshold' must be in "
-                                    f"[0, 1], got {settings['threshold']}")
     config = _model_config(settings)
+    train_config = TrainConfig(**_fields_of(TrainConfig, settings))
     dialogs = load_corpus(settings["corpus"])
     table = _embeddings_for(config, settings["embeddings"],
                             source="config key 'embeddings'",
                             mismatch_exit=EXIT_CONFIG)
     try:
         train_dialogs, val_dialogs = split_train_val(
-            dialogs, settings["val_fraction"], settings["seed"])
+            dialogs, settings["val_fraction"], train_config.seed)
     except CorpusError:
         # a data error (see main), though it subclasses ValueError
         raise
     except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
-    try:
-        train_config = TrainConfig(
-            lr=settings["lr"], batch_size=settings["batch_size"],
-            max_epochs=settings["max_epochs"], patience=settings["patience"],
-            seed=settings["seed"], grad_clip=settings["grad_clip"])
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
+        raise CliError(EXIT_CONFIG,
+                       f"config key 'val_fraction': {exc}") from None
     best, history = train(config, train_dialogs, val_dialogs, train_config,
                           table)
 
@@ -229,7 +206,7 @@ def cmd_train(args) -> int:
     # of the saved file agrees with this report at the threshold
     saved, _ = load_checkpoint(checkpoint_path)
     matrices, metrics = evaluate_split(config, saved, val_dialogs, table,
-                                       threshold=settings["threshold"])
+                                       threshold=train_config.threshold)
     history_path = out_dir / "history.csv"
     history.to_csv(history_path)
     report_path = out_dir / "report.txt"
@@ -237,11 +214,7 @@ def cmd_train(args) -> int:
 
     print(f"trained {variant_label(config)} for {len(history)} epochs "
           f"({len(train_dialogs)} train / {len(val_dialogs)} val dialogs)")
-    for task in config.tasks:
-        m = metrics[task]
-        print(f"  val {task}: precision={m.precision:.4f} "
-              f"recall={m.recall:.4f} f1={m.f1:.4f} "
-              f"accuracy={m.accuracy:.4f}")
+    _print_metrics("val ", metrics)
     for artifact in (checkpoint_path, history_path, report_path,
                      report_path.with_suffix(".json")):
         print(f"  wrote {artifact}")
@@ -259,10 +232,16 @@ def _evaluation_document(config, matrices, metrics, n_dialogs):
     }
 
 
-def cmd_eval(args) -> int:
+def _load_for_scoring(args):
+    """(params, config, dialogs, table), as eval and inspect read them."""
     params, config = load_checkpoint(args.checkpoint)
     dialogs = load_corpus(args.data)
     table = _embeddings_for(config, args.embeddings, source="--embeddings")
+    return params, config, dialogs, table
+
+
+def cmd_eval(args) -> int:
+    params, config, dialogs, table = _load_for_scoring(args)
     matrices, metrics = evaluate_split(config, params, dialogs, table,
                                        threshold=EVAL_THRESHOLD)
 
@@ -276,10 +255,7 @@ def cmd_eval(args) -> int:
     render_report([], matrices, metrics, config, report_path)
 
     print(f"evaluated {variant_label(config)} on {len(dialogs)} dialogs")
-    for task in config.tasks:
-        m = metrics[task]
-        print(f"  {task}: precision={m.precision:.4f} recall={m.recall:.4f} "
-              f"f1={m.f1:.4f} accuracy={m.accuracy:.4f}")
+    _print_metrics("", metrics)
     for artifact in (metrics_path, report_path,
                      report_path.with_suffix(".json")):
         print(f"  wrote {artifact}")
@@ -287,9 +263,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    params, config = load_checkpoint(args.checkpoint)
-    dialogs = load_corpus(args.data)
-    table = _embeddings_for(config, args.embeddings, source="--embeddings")
+    params, config, dialogs, table = _load_for_scoring(args)
     by_id = {d.dialog_id: d for d in dialogs}
     if args.dialog_id not in by_id:
         known = ", ".join(sorted(by_id)[:8])
@@ -407,12 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("MSHC_THREADS")
-    if threads is not None and (not threads.strip().isdigit()
-                                or int(threads) < 1):
-        print(f"error: MSHC_THREADS must be a positive integer, "
-              f"got {threads!r}", file=sys.stderr)
-        return EXIT_CONFIG
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -50,7 +50,7 @@ META_KEY = "__meta__"
 
 
 class ConfigError(ValueError):
-    """Invalid model configuration or unknown variant name."""
+    """Invalid model or training setting, or unknown variant name."""
 
 
 class ModalityError(ValueError):

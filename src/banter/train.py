@@ -21,6 +21,7 @@ import numpy as np
 from .data import Dialog, EmbeddingTable
 from .metrics import ConfusionMatrix, Metrics, compute_metrics, confusion
 from .model import (
+    ConfigError,
     DialogPrediction,
     ModelConfig,
     ParameterSet,
@@ -35,7 +36,7 @@ CSV_METRIC_COLUMNS = ("precision", "recall", "f1", "accuracy")
 
 @dataclass
 class TrainConfig:
-    """Optimization knobs; lr=0 is legal (a no-op run for testing)."""
+    """Optimization knobs and decision cutoff; lr=0 is legal (a no-op run)."""
 
     lr: float = 1e-3
     batch_size: int = 32
@@ -43,20 +44,27 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     grad_clip: float = 5.0
+    threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.lr < float("inf"):
-            raise ValueError(f"lr must be finite and non-negative, "
-                             f"got {self.lr}")
+            raise ConfigError(f"'lr' must be finite and non-negative, "
+                              f"got {self.lr}")
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, "
-                                 f"got {getattr(self, name)}")
+                raise ConfigError(f"'{name}' must be positive, "
+                                  f"got {getattr(self, name)}")
         if self.patience > self.max_epochs:
-            raise ValueError(f"patience {self.patience} exceeds "
-                             f"max_epochs {self.max_epochs}")
+            raise ConfigError(f"'patience' {self.patience} exceeds "
+                              f"'max_epochs' {self.max_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"'seed' must be non-negative, got {self.seed}")
         if not self.grad_clip > 0.0:  # NaN would switch clipping off
-            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
+            raise ConfigError(f"'grad_clip' must be positive, "
+                              f"got {self.grad_clip}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"'threshold' must be in [0, 1], "
+                              f"got {self.threshold}")
 
 
 @dataclass
@@ -167,10 +175,10 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
           ) -> tuple[ParameterSet, TrainHistory]:
     """Optimize on the train split; keep the best validation-F1 parameters.
 
-    The monitored score is the validation F1 of the positive class, macro
-    averaged when both tasks are active. Training stops early once the
-    score fails to improve for ``patience`` consecutive epochs. Returns the
-    best parameter snapshot and the full epoch history.
+    The monitored score is the validation F1 of the positive class at
+    ``train_config.threshold``, macro averaged over active tasks. Training
+    stops early once it fails to improve for ``patience`` consecutive
+    epochs. Returns the best parameter snapshot and the full epoch history.
     """
     if len(train_dialogs) == 0 or len(val_dialogs) == 0:
         raise ValueError("train needs non-empty train and validation splits")
@@ -226,7 +234,7 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
 
         try:
             _, val_metrics = evaluate_split(model_config, params, val_dialogs,
-                                            embeddings)
+                                            embeddings, train_config.threshold)
         except NumericError as exc:
             raise NumericError(f"non-finite value in validation after epoch "
                                f"{epoch}: {exc}") from None
