@@ -164,6 +164,22 @@ def _embeddings_for(config: ModelConfig, path_str, *, source: str,
     return table
 
 
+def _output_dir(path_str, source: str) -> Path:
+    """The output directory, checked before any work is done.
+
+    The path, or else its nearest existing ancestor, must be a directory;
+    nothing is created here, so a failed run leaves no directory behind.
+    """
+    path = Path(path_str)
+    existing = path
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise CliError(EXIT_CONFIG, f"{source} {str(path)!r}: {existing} is "
+                                    f"not a directory")
+    return path
+
+
 def _print_metrics(prefix: str, metrics: dict) -> None:
     for task, m in metrics.items():
         print(f"  {prefix}{task}: precision={m.precision:.4f} "
@@ -182,6 +198,8 @@ def cmd_train(args) -> int:
         raise CliError(EXIT_CONFIG, "config key 'corpus' is required to train")
     config = _model_config(settings)
     train_config = TrainConfig(**_fields_of(TrainConfig, settings))
+    out_dir = _output_dir(settings["out_dir"], "--out" if args.out
+                          else "config key 'out_dir'")
     dialogs = load_corpus(settings["corpus"])
     table = _embeddings_for(config, settings["embeddings"],
                             source="config key 'embeddings'",
@@ -198,7 +216,6 @@ def cmd_train(args) -> int:
     best, history = train(config, train_dialogs, val_dialogs, train_config,
                           table)
 
-    out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "model.ckpt"
     save_checkpoint(best, checkpoint_path, config)
@@ -233,19 +250,20 @@ def _evaluation_document(config, matrices, metrics, n_dialogs):
 
 
 def _load_for_scoring(args):
-    """(params, config, dialogs, table), as eval and inspect read them."""
+    """(out_dir, params, config, dialogs, table), as eval and inspect read
+    them; ``--out`` is checked first."""
+    out_dir = _output_dir(args.out, "--out")
     params, config = load_checkpoint(args.checkpoint)
     dialogs = load_corpus(args.data)
     table = _embeddings_for(config, args.embeddings, source="--embeddings")
-    return params, config, dialogs, table
+    return out_dir, params, config, dialogs, table
 
 
 def cmd_eval(args) -> int:
-    params, config, dialogs, table = _load_for_scoring(args)
+    out_dir, params, config, dialogs, table = _load_for_scoring(args)
     matrices, metrics = evaluate_split(config, params, dialogs, table,
                                        threshold=EVAL_THRESHOLD)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.json"
     document = _evaluation_document(config, matrices, metrics, len(dialogs))
@@ -263,7 +281,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    params, config, dialogs, table = _load_for_scoring(args)
+    out_dir, params, config, dialogs, table = _load_for_scoring(args)
     by_id = {d.dialog_id: d for d in dialogs}
     if args.dialog_id not in by_id:
         known = ", ".join(sorted(by_id)[:8])
@@ -274,7 +292,6 @@ def cmd_inspect(args) -> int:
     prediction = forward_dialog(config, params, dialog, table,
                                 training=False)
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for k, utt in enumerate(dialog.utterances):

@@ -22,6 +22,8 @@ from .tensor import (
 )
 
 GATE_NAMES = ("i", "f", "g", "o")
+# frames each audio convolution kernel spans
+KERNEL_WIDTH = 3
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -65,12 +67,13 @@ def lstm_encode_dialog(params: Mapping[str, Tensor], prefix: str,
     return lstm_sequence(x, w, u, b)
 
 
-def init_acoustic(channels: int, coefficients: int, rng: np.random.Generator,
-                  width: int = 3) -> tuple[Tensor, Tensor]:
-    """Time convolution kernels (channels, width, coefficients) and bias."""
+def init_acoustic(channels: int, coefficients: int,
+                  rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """Time convolution kernels (channels, KERNEL_WIDTH, coefficients) and
+    bias."""
     kernels = Tensor(
-        glorot_uniform(rng, coefficients * width, channels,
-                       (channels, width, coefficients)),
+        glorot_uniform(rng, coefficients * KERNEL_WIDTH, channels,
+                       (channels, KERNEL_WIDTH, coefficients)),
         requires_grad=True)
     bias = Tensor(np.zeros(channels), requires_grad=True)
     return kernels, bias

@@ -13,6 +13,9 @@ from typing import Callable, Mapping
 
 from .tensor import Tape, Tensor, backward
 
+# Central-difference step and the largest relative error that passes.
+STEP = 1e-5
+TOL = 1e-4
 # Relative errors are guarded below this scale so finite-difference noise on
 # near-zero gradients does not register as failure.
 REL_ERR_FLOOR = 1e-3
@@ -22,8 +25,6 @@ REL_ERR_FLOOR = 1e-3
 class GradCheckReport:
     """Per-parameter worst relative errors from one grad_check run."""
 
-    tol: float
-    step: float
     max_rel_err: dict[str, float] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 
@@ -37,7 +38,7 @@ class GradCheckReport:
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        lines = [f"grad check {status} (tol={self.tol:g}, h={self.step:g})"]
+        lines = [f"grad check {status} (tol={TOL:g}, h={STEP:g})"]
         for name in sorted(self.max_rel_err):
             mark = "ok  " if name not in self.failures else "FAIL"
             lines.append(f"  {mark} {name}: max rel err {self.max_rel_err[name]:.3e}")
@@ -45,9 +46,7 @@ class GradCheckReport:
 
 
 def grad_check(f: Callable[[Mapping[str, Tensor]], Tensor],
-               params: Mapping[str, Tensor],
-               h: float = 1e-5,
-               tol: float = 1e-4) -> GradCheckReport:
+               params: Mapping[str, Tensor]) -> GradCheckReport:
     """Compare tape gradients of ``f(params)`` against central differences.
 
     ``f`` must be deterministic (run dropout in eval mode); this is verified
@@ -74,24 +73,24 @@ def grad_check(f: Callable[[Mapping[str, Tensor]], Tensor],
         for name, p in params.items():
             p.grad = saved[name]
 
-    report = GradCheckReport(tol=tol, step=h)
+    report = GradCheckReport()
     for name, p in params.items():
         flat = p.data.reshape(-1)
         grad_flat = analytic[name].reshape(-1)
         worst = 0.0
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + h
+            flat[i] = original + STEP
             f_plus = float(f(params).item())
-            flat[i] = original - h
+            flat[i] = original - STEP
             f_minus = float(f(params).item())
             flat[i] = original
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * STEP)
             a = grad_flat[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), REL_ERR_FLOOR)
             if rel > worst:
                 worst = rel
         report.max_rel_err[name] = worst
-        if worst > tol:
+        if worst > TOL:
             report.failures.append(name)
     return report

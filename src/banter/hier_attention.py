@@ -26,6 +26,9 @@ from .tensor import (
     sum_axis,
 )
 
+# half-width of the uniform noise added to the identity projection at init
+PROJECTION_NOISE = 0.01
+
 
 def level_count(n: int, width: int) -> int:
     """Attention levels needed to collapse n vectors with stride-1 windows.
@@ -68,9 +71,10 @@ def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
     return current, level_weights
 
 
-def init_projection(dim: int, rng: np.random.Generator,
-                    noise: float = 0.01) -> tuple[Tensor, Tensor]:
+def init_projection(dim: int,
+                    rng: np.random.Generator) -> tuple[Tensor, Tensor]:
     """Near-identity affine map so early training passes vectors through."""
-    w = np.eye(dim) + rng.uniform(-noise, noise, size=(dim, dim))
+    w = np.eye(dim) + rng.uniform(-PROJECTION_NOISE, PROJECTION_NOISE,
+                                  size=(dim, dim))
     return (Tensor(w, requires_grad=True),
             Tensor(np.zeros(dim), requires_grad=True))

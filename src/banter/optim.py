@@ -9,18 +9,20 @@ import numpy as np
 
 from .tensor import NumericError, ShapeError, Tensor
 
+# moment decay rates and the denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """First/second moment buffers plus hyperparameters for Adam.
+    """First/second moment buffers, step count and learning rate for Adam.
 
     Moment buffers are allocated lazily per parameter name on the first step.
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -36,20 +38,20 @@ def adam_step(state: AdamState, params: Mapping[str, Tensor]) -> None:
             raise NumericError(f"adam_step: non-finite gradient on {name!r}")
 
     state.t += 1
-    correct1 = 1.0 - state.beta1 ** state.t
-    correct2 = 1.0 - state.beta2 ** state.t
+    correct1 = 1.0 - BETA1 ** state.t
+    correct2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
         m, v = state.moments[name]
         g = p.grad
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / correct1
         v_hat = v / correct2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
         p.zero_grad()
 
 

@@ -24,30 +24,9 @@ from synthdata import marker_corpus
 
 from banter import verify
 from banter.cli import main as cli_main
-from banter.data import (
-    MFCC_COLUMNS,
-    Dialog,
-    EmbeddingTable,
-    UtteranceRecord,
-    load_corpus,
-    load_embeddings,
-    split_train_val,
-)
-from banter.gradcheck import grad_check
-from banter.model import (
-    ModelConfig,
-    build_variant,
-    forward_dialog,
-    init_parameters,
-    parameter_count,
-)
-from banter.train import (
-    TrainConfig,
-    dialog_loss,
-    evaluate_split,
-    macro_f1,
-    train,
-)
+from banter.data import load_corpus, load_embeddings, split_train_val
+from banter.model import ModelConfig, build_variant, parameter_count
+from banter.train import TrainConfig, evaluate_split, macro_f1, train
 
 
 def _timed_verify_check(check, seconds=None):
@@ -74,47 +53,9 @@ def criterion_1():
     return _timed_verify_check(verify.check_metric_arithmetic)
 
 
-def _grad_check_fixture():
-    config = ModelConfig(modality="both", text_repr="hier", audio_repr="conv",
-                         use_context_attn=True, use_filter=True,
-                         task_mode="joint", d_text_in=6, d_hidden=5,
-                         d_audio=4, attn_width_tokens=3, attn_width_dialog=2,
-                         dropout=0.0, head_hidden=4)
-    rng = np.random.default_rng(0)
-    table = EmbeddingTable(config.d_text_in)
-    vocab = ["arre", "yaar", "kya", "baat", "hai", "bhai"]
-    for token in vocab:
-        table.add(token, rng.normal(0.0, 0.5, size=config.d_text_in))
-    utterances = []
-    for k in range(3):
-        tokens = [vocab[int(t)] for t in rng.integers(0, len(vocab), size=4)]
-        frames = rng.normal(0.0, 0.8, size=(int(rng.integers(2, 5)),
-                                            MFCC_COLUMNS))
-        utterances.append(UtteranceRecord(
-            uid=f"u{k}", speaker=f"s{k % 2}", tokens=tokens, acoustic=frames,
-            sarcasm=k % 2, humor=(k + 1) % 2))
-    dialog = Dialog(dialog_id="gate", utterances=utterances)
-    params = init_parameters(config, rng)
-    return config, params, dialog, table
-
-
 def criterion_2():
     """Finite differences confirm every gradient of the full model."""
-    start = time.monotonic()
-    config, params, dialog, table = _grad_check_fixture()
-
-    def f(_):
-        prediction = forward_dialog(config, params, dialog, table,
-                                    training=False)
-        return dialog_loss(prediction, dialog, config.tasks)
-
-    report = grad_check(f, params.as_dict(), h=1e-5, tol=1e-4)
-    elapsed = time.monotonic() - start
-    ok = report.passed and report.worst < 1e-4 and elapsed < 60.0
-    detail = (f"max rel err {report.worst:.2e} over "
-              f"{len(params.as_dict())} parameter groups "
-              f"({params.total_scalars} scalars) in {elapsed:.1f}s")
-    return ok, detail
+    return _timed_verify_check(verify.check_model_gradients, 60.0)
 
 
 def criterion_3():
@@ -144,7 +85,8 @@ def _probe_margin(dialogs, table, coord, task):
 
 
 def criterion_6():
-    """The full model memorizes the separable marker corpus quickly."""
+    """The full model memorizes the separable marker corpus within 80
+    epochs."""
     start = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path, emb_path = marker_corpus(
@@ -162,33 +104,41 @@ def criterion_6():
                            dropout=0.1)
     train_config = TrainConfig(lr=3e-3, batch_size=8, max_epochs=200,
                                patience=40, seed=1)
-    best, history = train(config, dialogs, dialogs, train_config, table)
+    _, history = train(config, dialogs, dialogs, train_config, table)
     scores = [macro_f1(record.val_metrics) for record in history.records]
     best_score = max(scores)
     hit = next((record.epoch for record, score
                 in zip(history.records, scores) if score >= 0.99), None)
     elapsed = time.monotonic() - start
-    ok = best_score >= 0.99 and hit is not None and elapsed < 120.0
+    ok = hit is not None and hit <= 80 and elapsed < 120.0
     detail = (f"probe margins {sarcasm_margin:.3f}/{humor_margin:.3f}, "
               f"train macro F1 {best_score:.3f}"
-              + (f" from epoch {hit}" if hit else "")
+              + (f" from epoch {hit} (bound 80)" if hit else "")
               + f", {len(history)} epochs in {elapsed:.1f}s")
     return ok, detail
 
 
+# the default dimensions, and the small ones the unit tests build
+ECONOMY_DIMS = ({}, dict(d_text_in=6, d_hidden=5, d_audio=4, head_hidden=4,
+                         attn_width_dialog=2))
+
+
 def criterion_7():
     """One joint trunk costs exactly one extra head, not a second model."""
-    joint = parameter_count(ModelConfig(task_mode="joint"))
-    sarcasm = parameter_count(ModelConfig(task_mode="sarcasm"))
-    humor = parameter_count(ModelConfig(task_mode="humor"))
-    config = ModelConfig(task_mode="joint")
-    head = (config.head_hidden * config.trunk_dim + 2 * config.head_hidden
-            + 1)
-    ok = joint < sarcasm + humor and joint - sarcasm == head \
-        and sarcasm == humor
-    detail = (f"joint {joint} < {sarcasm + humor} = sarcasm + humor; "
-              f"joint - single = {joint - sarcasm} = one head ({head})")
-    return ok, detail
+    ok, parts = True, []
+    for dims in ECONOMY_DIMS:
+        joint, sarcasm, humor = (
+            parameter_count(ModelConfig(task_mode=mode, **dims))
+            for mode in ("joint", "sarcasm", "humor"))
+        config = ModelConfig(**dims)
+        head = (config.head_hidden * config.trunk_dim
+                + 2 * config.head_hidden + 1)
+        ok = ok and joint < sarcasm + humor and joint - sarcasm == head \
+            and sarcasm == humor
+        parts.append(f"joint {joint} < {sarcasm + humor} = sarcasm + humor; "
+                     f"joint - single = {joint - sarcasm} = one head "
+                     f"({head})")
+    return ok, " / ".join(parts)
 
 
 def criterion_8():

@@ -410,18 +410,22 @@ class TestTrainCommand:
         assert len(recalls) == 2 * int(SMALL_KEYS["max_epochs"])
         assert set(recalls) == {1.0}
 
-    def test_same_seed_runs_are_byte_identical(self, workspace, tmp_path):
-        tmp, corpus, emb = workspace
-        cfg = write_config(tmp_path / "run.cfg", corpus, emb)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["train", "--config", str(cfg), "--seed", "7",
-                     "--out", str(a)]) == 0
-        assert main(["train", "--config", str(cfg), "--seed", "7",
-                     "--out", str(b)]) == 0
-        assert (a / "history.csv").read_bytes() \
-            == (b / "history.csv").read_bytes()
-        assert (a / "model.ckpt").read_bytes() \
-            == (b / "model.ckpt").read_bytes()
+    @pytest.mark.parametrize("by_flag", [False, True])
+    def test_out_dir_that_is_a_file_is_checked_before_loading(
+            self, tmp_path, capsys, by_flag):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n", encoding="utf-8")
+        extra = {} if by_flag else {"out_dir": taken}
+        cfg = write_config(tmp_path / "run.cfg", tmp_path / "missing.jsonl",
+                           **extra)
+        argv = ["train", "--config", str(cfg)]
+        if by_flag:
+            argv += ["--out", str(taken)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a directory" in err
+        assert ("--out" if by_flag else "'out_dir'") in err
+        assert taken.read_text(encoding="utf-8") == "a file\n"
 
 
 class TestEvalCommand:
@@ -576,6 +580,21 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 3
 
+    @pytest.mark.parametrize("checkpoint", ["trained", "missing"])
+    def test_out_that_is_a_file_is_checked_before_loading(
+            self, workspace, trained, tmp_path, capsys, checkpoint):
+        _, corpus, emb = workspace
+        ckpt = (trained / "model.ckpt" if checkpoint == "trained"
+                else tmp_path / "missing.ckpt")
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n", encoding="utf-8")
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(corpus),
+                     "--embeddings", str(emb), "--out", str(taken)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--out" in err and "not a directory" in err
+
 
 class TestInspectCommand:
     def test_writes_predictions_and_heatmap(self, workspace, trained,
@@ -625,6 +644,22 @@ class TestInspectCommand:
         assert (out / "utterances.json").is_file()
         assert not (out / "heatmap.json").exists()
         assert "no attention heatmap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("checkpoint", ["trained", "missing"])
+    def test_out_below_a_file_is_checked_before_loading(
+            self, workspace, trained, tmp_path, capsys, checkpoint):
+        _, corpus, emb = workspace
+        ckpt = (trained / "model.ckpt" if checkpoint == "trained"
+                else tmp_path / "missing.ckpt")
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n", encoding="utf-8")
+        code = main(["inspect", "--checkpoint", str(ckpt), "--data",
+                     str(corpus), "--embeddings", str(emb), "--dialog-id",
+                     "d3", "--out", str(taken / "sub")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--out" in err and f"{taken} is not a directory" in err
 
 
 class TestVerifyCommand:

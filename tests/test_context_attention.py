@@ -256,5 +256,5 @@ class TestContextualizeDialog:
                 total = add(total, sum_all(mul(out, m)))
             return total
 
-        report = grad_check(f, params, tol=1e-4)
+        report = grad_check(f, params)
         assert report.passed, report.summary()

@@ -158,5 +158,5 @@ class TestFuseRepresentation:
             return sum_all(sigmoid(affine_rowwise(fused, p["head_w"],
                                                   p["head_b"])))
 
-        report = grad_check(f, params, tol=1e-4)
+        report = grad_check(f, params)
         assert report.passed, report.summary()

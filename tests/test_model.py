@@ -326,19 +326,6 @@ class TestForwardDialog:
         np.testing.assert_array_equal(both["head_sarcasm.b2"].grad,
                                       only_sarcasm["head_sarcasm.b2"].grad)
 
-    def test_full_model_gradients_match_finite_differences(self):
-        cfg = toy_config()
-        dialog = toy_dialog(n_utts=3, seed=13)
-        table = toy_table(cfg.d_text_in, seed=14)
-        params = init_parameters(cfg, np.random.default_rng(15))
-
-        def f(_):
-            pred = forward_dialog(cfg, params, dialog, table, training=False)
-            return dialog_loss(pred, dialog, cfg.tasks)
-
-        report = grad_check(f, params.as_dict(), h=1e-5, tol=1e-4)
-        assert report.passed, report.summary()
-
     def test_mean_text_variant_gradients(self):
         cfg = toy_config(modality="text", text_repr="mean",
                          use_context_attn=False, use_filter=False,
@@ -351,7 +338,7 @@ class TestForwardDialog:
             pred = forward_dialog(cfg, params, dialog, table, training=False)
             return dialog_loss(pred, dialog, cfg.tasks)
 
-        report = grad_check(f, params.as_dict(), h=1e-5, tol=1e-4)
+        report = grad_check(f, params.as_dict())
         assert report.passed, report.summary()
 
 
@@ -407,29 +394,6 @@ class TestVariants:
     def test_pinned_switch_cannot_be_overridden(self):
         with pytest.raises(ConfigError, match="fixes"):
             build_variant("full", modality="text")
-
-
-class TestParameterEconomy:
-    def test_joint_cheaper_than_two_single_models(self):
-        for dims in ({}, dict(d_text_in=6, d_hidden=5, d_audio=4,
-                              head_hidden=4, attn_width_dialog=2)):
-            joint = parameter_count(toy_config(task_mode="joint", **dims)
-                                    if dims else ModelConfig())
-            sarcasm = parameter_count(
-                toy_config(task_mode="sarcasm", **dims)
-                if dims else ModelConfig(task_mode="sarcasm"))
-            humor = parameter_count(
-                toy_config(task_mode="humor", **dims)
-                if dims else ModelConfig(task_mode="humor"))
-            assert joint < sarcasm + humor
-            assert sarcasm == humor
-
-    def test_joint_minus_single_is_exactly_one_head(self):
-        cfg = toy_config()
-        single = toy_config(task_mode="sarcasm")
-        hh, trunk = cfg.head_hidden, cfg.trunk_dim
-        head_scalars = hh * trunk + hh + hh + 1
-        assert parameter_count(cfg) - parameter_count(single) == head_scalars
 
 
 # Checkpoint layouts at default_rng(0): the ordered parameter names and the

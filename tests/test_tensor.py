@@ -576,7 +576,7 @@ class TestGradCheck:
             z = affine_rows(x, p["w"], p["b"])
             return bce_loss(sigmoid(sum_all(z)), 1)
 
-        report = grad_check(f, params, tol=1e-4)
+        report = grad_check(f, params)
         assert report.passed, report.summary()
 
     def test_broken_adjoint_is_named(self):
@@ -681,7 +681,7 @@ class TestGradientProperty:
     def test_all_ops_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         for name, (params, f) in op_scenarios(rng).items():
-            report = grad_check(f, params, tol=1e-4)
+            report = grad_check(f, params)
             assert report.passed, f"{name}: {report.summary()}"
 
 

@@ -206,20 +206,6 @@ class TestEvaluateSplit:
 
 
 class TestTraining:
-    def test_same_seed_runs_are_identical(self, marker_data):
-        dialogs, table = marker_data
-        cfg = tiny_text_config(dropout=0.3)
-        tc = TrainConfig(lr=1e-3, batch_size=3, max_epochs=3, patience=3,
-                         seed=11)
-        best_a, hist_a = train(cfg, dialogs, dialogs, tc, table)
-        best_b, hist_b = train(cfg, dialogs, dialogs, tc, table)
-        losses_a = [r.train_loss for r in hist_a.records]
-        losses_b = [r.train_loss for r in hist_b.records]
-        assert losses_a == losses_b
-        assert hist_a.rows() == hist_b.rows()
-        for name, tensor in best_a.items():
-            np.testing.assert_array_equal(tensor.data, best_b[name].data)
-
     def test_zero_lr_leaves_parameters_at_init(self, marker_data):
         dialogs, table = marker_data
         cfg = tiny_text_config()
@@ -393,18 +379,6 @@ class TestTraining:
         assert hist_a.rows() == hist_b.rows()
         for name, tensor in best_a.items():
             np.testing.assert_array_equal(tensor.data, best_b[name].data)
-
-    def test_overfits_marker_corpus(self, marker_data):
-        dialogs, table = marker_data
-        cfg = build_variant("full", task_mode="joint", d_text_in=12,
-                            d_hidden=16, d_audio=16, head_hidden=16,
-                            dropout=0.1)
-        tc = TrainConfig(lr=3e-3, batch_size=8, max_epochs=80, patience=80,
-                         seed=1)
-        best, history = train(cfg, dialogs, dialogs, tc, table)
-        _, metrics = evaluate_split(cfg, best, dialogs, table)
-        assert macro_f1(metrics) >= 0.99
-        assert len(history) <= 80
 
     def test_text_config_requires_embeddings(self, marker_data):
         dialogs, _ = marker_data

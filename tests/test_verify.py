@@ -26,6 +26,11 @@ class TestPristineSuite:
                               "roundtrip", "determinism"}
             assert rest
 
+    def test_model_fixture_outruns_the_dialog_window(self):
+        # so gradients.model covers the window sliding past utterance 1
+        config, _, dialog, _ = verify._tiny_model_fixture()
+        assert len(dialog.utterances) > config.attn_width_dialog
+
     def test_suite_finishes_inside_a_minute(self, pristine):
         _, seconds = pristine
         assert seconds < 60.0
