@@ -94,6 +94,30 @@ def _parse_label(raw, field: str, where: str) -> int:
     return int(raw)
 
 
+def _read_sidecar(sidecar: Path) -> list[list[float]]:
+    """Rows of a CSV frame file. A bad byte, a non-numeric cell or a row
+    whose width differs from the first row's is named by its line."""
+    # split as csv's universal newlines would; csv reads the decoded lines,
+    # so quoted cells still load
+    lines = sidecar.read_bytes().splitlines(keepends=True)
+    reader = csv.reader(decode_line(raw, sidecar, lineno)
+                        for lineno, raw in enumerate(lines, start=1))
+    rows: list[list[float]] = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise CorpusError(f"{sidecar}:{reader.line_num}: {exc}") from None
+        if rows and len(values) != len(rows[0]):
+            raise CorpusError(
+                f"{sidecar}:{reader.line_num}: row has {len(values)} "
+                f"values, the first row has {len(rows[0])}")
+        rows.append(values)
+    return rows
+
+
 def _load_frames(raw_mfcc, mfcc_path, base_dir: Path, where: str) -> np.ndarray | None:
     if raw_mfcc is not None and mfcc_path is not None:
         raise CorpusError(f"{where}: both inline mfcc and mfcc_path given")
@@ -109,15 +133,11 @@ def _load_frames(raw_mfcc, mfcc_path, base_dir: Path, where: str) -> np.ndarray 
         sidecar = base_dir / mfcc_path
         if not sidecar.is_file():
             raise CorpusError(f"{where}: mfcc sidecar not found: {sidecar}")
-        with open(sidecar, newline="", encoding="utf-8") as fh:
-            try:
-                rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
-            except ValueError as exc:
-                raise CorpusError(f"{where}: bad value in {sidecar}: {exc}") from None
+        try:
+            rows = _read_sidecar(sidecar)
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
         _require(len(rows) > 0, f"{where}: empty mfcc sidecar {sidecar}")
-        widths = {len(r) for r in rows}
-        _require(len(widths) == 1,
-                 f"{where}: ragged rows in {sidecar} (widths {sorted(widths)})")
         frames = np.asarray(rows, dtype=np.float64)
     else:
         return None
@@ -199,12 +219,72 @@ def load_corpus(path) -> list[Dialog]:
     return dialogs
 
 
+# Rows handed to one numpy text parse. Larger blocks parse barely faster
+# and hold more text and parser memory at once.
+EMBEDDING_BLOCK_ROWS = 64
+
+
+def _parse_floats(lines: list[str]) -> np.ndarray:
+    """Space-separated decimal, exponent, nan or inf numbers, one row a line."""
+    return np.loadtxt(lines, delimiter=" ", comments=None, dtype=np.float64,
+                      ndmin=2)
+
+
+def _parse_vector_row(lineno: int, token: str, values: str, dim: int,
+                      path) -> np.ndarray:
+    """One row's (1, dim) values, checked in the order errors are named."""
+    count = len(values.split(" ")) if values else 0
+    if count != dim:
+        raise CorpusError(f"{path}:{lineno}: token {token!r} has {count} "
+                          f"values, header declared {dim}")
+    try:
+        vec = _parse_floats([values])
+    except ValueError:
+        raise CorpusError(f"{path}:{lineno}: non-numeric value") from None
+    if not np.isfinite(vec).all():
+        raise CorpusError(f"{path}:{lineno}: token {token!r} has a "
+                          f"non-finite value")
+    return vec
+
+
+def _parse_vector_block(rows: list[tuple[int, str, str]], dim: int,
+                        path) -> np.ndarray:
+    """Values of pending (line, token, values) rows, in one numpy parse.
+
+    A block that fails it, has the wrong shape or holds a non-finite value
+    is parsed again row by row, which raises on its first bad row.
+    """
+    values = [row[2] for row in rows]
+    # numpy skips an empty line rather than failing it
+    if all(values):
+        try:
+            block = _parse_floats(values)
+        except ValueError:
+            pass
+        else:
+            if block.shape == (len(rows), dim) and np.isfinite(block).all():
+                return block
+    return np.vstack([_parse_vector_row(*row, dim, path) for row in rows])
+
+
+def _add_vector_rows(table: EmbeddingTable, rows: list[tuple[int, str, str]],
+                     path) -> None:
+    if rows:
+        block = _parse_vector_block(rows, table.dimension, path)
+        # Each row gets its own array, as a row-by-row parse gave, and the
+        # block is freed at once. Rows kept as views of their blocks changed
+        # the heap's layout: peak memory rose with 64-row blocks, and later
+        # training slowed with 16-row ones.
+        for (_, token, _), vec in zip(rows, block):
+            table.add(token, vec.copy())
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Read a "<count> <dim>" headed text vector table.
 
-    Duplicate tokens keep their first occurrence. Rows whose float count
-    disagrees with the header, or that hold a NaN or Inf, are rejected
-    naming the row.
+    Duplicate tokens keep their first occurrence. Rows whose value count
+    disagrees with the header, or that hold a non-numeric value, a NaN or an
+    Inf, are rejected naming the row.
     """
     path = Path(path)
     if not path.is_file():
@@ -221,26 +301,25 @@ def load_embeddings(path) -> EmbeddingTable:
             raise CorpusError(f"{path}:1: dimension must be positive, got {dim}")
         table = EmbeddingTable(dim)
         rows = 0
+        pending: list[tuple[int, str, str]] = []
         for lineno, raw in enumerate(fh, start=2):
-            line = decode_line(raw, path, lineno)
-            if not line.strip():
-                continue
-            # fastText .vec rows may end in a space before the newline
-            parts = line.rstrip().split(" ")
-            token, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise CorpusError(
-                    f"{path}:{lineno}: token {token!r} has {len(values)} values, "
-                    f"header declared {dim}")
             try:
-                vec = np.array([float(v) for v in values])
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: non-numeric value") from None
-            if not np.isfinite(vec).all():
-                raise CorpusError(f"{path}:{lineno}: token {token!r} has a "
-                                  f"non-finite value")
-            table.add(token, vec)
+                line = decode_line(raw, path, lineno)
+            except CorpusError:
+                # a bad row above the bad byte is the first fault
+                _add_vector_rows(table, pending, path)
+                raise
+            # fastText .vec rows may end in a space before the newline
+            line = line.rstrip()
+            if not line:
+                continue
+            token, _, values = line.partition(" ")
+            pending.append((lineno, token, values))
             rows += 1
+            if len(pending) == EMBEDDING_BLOCK_ROWS:
+                _add_vector_rows(table, pending, path)
+                pending = []
+        _add_vector_rows(table, pending, path)
     if rows != count:
         raise CorpusError(
             f"{path}: header declared {count} vectors, file has {rows} rows")

@@ -173,10 +173,6 @@ class ParameterSet:
     def as_dict(self) -> dict[str, Tensor]:
         return dict(self._tensors)
 
-    @property
-    def total_scalars(self) -> int:
-        return sum(t.size for t in self._tensors.values())
-
 
 def init_parameters(config: ModelConfig,
                     rng: np.random.Generator) -> ParameterSet:
@@ -219,11 +215,6 @@ def init_parameters(config: ModelConfig,
         params.register(f"head_{task}.b2",
                         Tensor(np.zeros(1), requires_grad=True))
     return params
-
-
-def parameter_count(config: ModelConfig) -> int:
-    """Exact trainable-scalar total for a configuration."""
-    return init_parameters(config, np.random.default_rng(0)).total_scalars
 
 
 @dataclass
@@ -352,10 +343,6 @@ _VARIANTS = (
 )
 
 FULL_VARIANT = _VARIANTS[-1]
-
-
-def variant_names() -> list[str]:
-    return list(_VARIANTS)
 
 
 def build_variant(row_name: str, task_mode: str = "joint",

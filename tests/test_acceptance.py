@@ -25,7 +25,7 @@ from synthdata import marker_corpus
 from banter import verify
 from banter.cli import main as cli_main
 from banter.data import load_corpus, load_embeddings, split_train_val
-from banter.model import ModelConfig, build_variant, parameter_count
+from banter.model import ModelConfig, build_variant, init_parameters
 from banter.train import TrainConfig, evaluate_split, macro_f1, train
 
 
@@ -121,6 +121,12 @@ def criterion_6():
 # the default dimensions, and the small ones the unit tests build
 ECONOMY_DIMS = ({}, dict(d_text_in=6, d_hidden=5, d_audio=4, head_hidden=4,
                          attn_width_dialog=2))
+
+
+def parameter_count(config):
+    """Exact trainable-scalar total for a configuration."""
+    params = init_parameters(config, np.random.default_rng(0))
+    return sum(tensor.size for _, tensor in params.items())
 
 
 def criterion_7():

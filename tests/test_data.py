@@ -7,6 +7,7 @@ import pytest
 
 import synthdata
 from banter.data import (
+    EMBEDDING_BLOCK_ROWS,
     CorpusError,
     EmbeddingTable,
     embed_utterance,
@@ -128,6 +129,38 @@ class TestLoadCorpus:
         path = synthdata.write_corpus(tmp_path / "lost.jsonl", [dialog])
         with pytest.raises(CorpusError, match="nowhere.csv"):
             load_corpus(path)
+
+    def test_quoted_sidecar_cells_load(self, tmp_path):
+        frames = np.arange(2 * 128, dtype=float).reshape(2, 128)
+        (tmp_path / "u0.csv").write_text("\r\n".join(
+            ",".join(f'"{v}"' for v in row) for row in frames) + "\r\n")
+        dialog = {"dialog_id": "d0", "utterances": [
+            {"id": "u0", "speaker": "a", "tokens": ["x"], "sarcasm": 0,
+             "humor": 0, "mfcc_path": "u0.csv"},
+        ]}
+        path = synthdata.write_corpus(tmp_path / "quoted.jsonl", [dialog])
+        np.testing.assert_array_equal(
+            load_corpus(path)[0].utterances[0].acoustic, frames)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        (b"0.5," * 127 + b"\xff", "not UTF-8 text (byte 0xff at column 509)"),
+        (b"0.5," * 127 + b"x", "could not convert string to float: 'x'"),
+        (b"0.5," * 126 + b"0.5", "row has 127 values, the first row has 128"),
+    ], ids=["bad byte", "non-numeric", "short row"])
+    def test_bad_sidecar_row_is_named_by_its_line(self, tmp_path, bad_row,
+                                                  message):
+        good = b",".join([b"0.25"] * 128)
+        sidecar = tmp_path / "u0.csv"
+        sidecar.write_bytes(b"\n".join([good, good, bad_row, good]) + b"\n")
+        dialog = {"dialog_id": "d0", "utterances": [
+            {"id": "u0", "speaker": "a", "tokens": ["x"], "sarcasm": 0,
+             "humor": 0, "mfcc_path": "u0.csv"},
+        ]}
+        path = synthdata.write_corpus(tmp_path / "bad.jsonl", [dialog])
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert str(err.value) == (f"dialog 'd0', utterance 'u0': "
+                                  f"{sidecar}:3: {message}")
 
     @pytest.mark.parametrize("mfcc_path", [5, "", ["u0.csv"]])
     def test_sidecar_path_must_be_a_string(self, tmp_path, mfcc_path):
@@ -282,6 +315,118 @@ class TestEmbeddings:
         path = self.write_table(tmp_path, ["3", "kya 1 2"])
         with pytest.raises(CorpusError, match="header"):
             load_embeddings(path)
+
+
+BLOCK = EMBEDDING_BLOCK_ROWS
+# a table of two full blocks and a partial third
+TABLE_ROWS = 2 * BLOCK + 5
+
+FAULTS = {
+    "short": ("1 2", "token {token!r} has 2 values, header declared 3"),
+    "non-numeric": ("1 x 3", "non-numeric value"),
+    "non-finite": ("1 nan 3", "token {token!r} has a non-finite value"),
+}
+
+
+def write_blocks_table(tmp_path, faults=(), bad_byte_row=None):
+    """A 3-wide table of TABLE_ROWS rows; row k sits on line k + 2.
+
+    ``faults`` maps row indices to FAULTS keys; ``bad_byte_row`` gets a
+    0xff byte in its token.
+    """
+    faults = dict(faults)
+    lines = [f"{TABLE_ROWS} 3".encode()]
+    for k in range(TABLE_ROWS):
+        values = FAULTS[faults[k]][0] if k in faults else f"{k} 0.5 -2e-3"
+        token = b"w\xff" if k == bad_byte_row else f"w{k}".encode()
+        lines.append(token + b" " + values.encode())
+    path = tmp_path / "blocks.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
+
+def fault_message(path, row, fault):
+    return f"{path}:{row + 2}: " + FAULTS[fault][1].format(token=f"w{row}")
+
+
+class TestEmbeddingBlocks:
+    """Rows are parsed a block at a time; every check still names its row."""
+
+    def test_seeded_table_matches_float_on_every_field(self, tmp_path):
+        rng = np.random.default_rng(16)
+        forms = (repr, "{:.5f}".format, "{:e}".format, "{:.3E}".format,
+                 lambda v: str(int(v * 10)), lambda v: f"+{abs(v):.2f}",
+                 lambda v: "-0", lambda v: f".{int(abs(v) * 1e4)}",
+                 lambda v: f"{v:.17g}")
+        rows = {}
+        for k in range(2 * BLOCK + 17):
+            rows[f"t{k}"] = [forms[int(rng.integers(len(forms)))](v)
+                             for v in rng.normal(0.0, 3.0, size=7).tolist()]
+        path = tmp_path / "seeded.vec"
+        path.write_text(f"{len(rows)} 7\n" + "".join(
+            f"{token} {' '.join(fields)} \n"
+            for token, fields in rows.items()), encoding="utf-8")
+        table = load_embeddings(path)
+        assert len(table) == len(rows)
+        for token, fields in rows.items():
+            expected = np.array([float(field) for field in fields])
+            assert table.lookup(token).tobytes() == expected.tobytes(), token
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("row", [0, BLOCK - 1, BLOCK, TABLE_ROWS - 1],
+                             ids=["first", "block end", "next block",
+                                  "last"])
+    def test_bad_row_is_named_by_its_line(self, tmp_path, row, fault):
+        path = write_blocks_table(tmp_path, {row: fault})
+        with pytest.raises(CorpusError) as err:
+            load_embeddings(path)
+        assert str(err.value) == fault_message(path, row, fault)
+
+    @pytest.mark.parametrize("first, second", [
+        ((3, "non-finite"), (5, "short")),
+        ((3, "short"), (4, "non-numeric")),
+        ((2, "non-numeric"), (BLOCK - 1, "non-finite")),
+        ((BLOCK - 1, "non-finite"), (BLOCK, "short")),
+        ((5, "non-finite"), (BLOCK + 3, "non-numeric")),
+    ], ids=["non-finite before short", "short before non-numeric",
+            "same block", "adjacent blocks", "two blocks"])
+    def test_first_of_two_bad_rows_is_named(self, tmp_path, first, second):
+        path = write_blocks_table(tmp_path, dict([first, second]))
+        with pytest.raises(CorpusError) as err:
+            load_embeddings(path)
+        assert str(err.value) == fault_message(path, *first)
+
+    def test_bad_row_before_a_bad_byte_in_its_block_is_named(self, tmp_path):
+        path = write_blocks_table(tmp_path, {3: "non-finite"},
+                                  bad_byte_row=6)
+        with pytest.raises(CorpusError) as err:
+            load_embeddings(path)
+        assert str(err.value) == fault_message(path, 3, "non-finite")
+
+    def test_bad_byte_after_clean_rows_is_named(self, tmp_path):
+        path = write_blocks_table(tmp_path, bad_byte_row=BLOCK + 1)
+        with pytest.raises(CorpusError) as err:
+            load_embeddings(path)
+        assert str(err.value) == (f"{path}:{BLOCK + 3}: not UTF-8 text "
+                                  f"(byte 0xff at column 2)")
+
+    @pytest.mark.filterwarnings("error")
+    def test_token_without_values_is_short_not_skipped(self, tmp_path):
+        path = tmp_path / "bare.vec"
+        path.write_text("1 3\nkya \n", encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_embeddings(path)
+        assert str(err.value) == (f"{path}:2: token 'kya' has 0 values, "
+                                  f"header declared 3")
+
+    @pytest.mark.parametrize("value", ["1_0", "\uff11"])
+    def test_python_only_number_syntax_is_non_numeric(self, tmp_path, value):
+        # float() reads these; the table's number syntax does not
+        path = tmp_path / "syntax.vec"
+        path.write_text(f"2 2\nkya 1 2\nbaat 3 {value}\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}:3: non-numeric value"
 
 
 class TestEmbedUtterance:

@@ -59,9 +59,12 @@ class TestInjectedBug:
         def explode():
             raise RuntimeError("wired to fail")
 
-        monkeypatch.setattr(verify, "CHECKS",
-                            (("gradients.model", explode),) + CHECKS[6:])
+        ran = []
+        monkeypatch.setattr(verify, "CHECKS", (
+            ("gradients.model", explode),
+            ("oracle.metrics", lambda: ran.append("oracle.metrics"))))
         results = run_checks()
         assert not results[0].passed
         assert "wired to fail" in results[0].detail
         assert all(r.passed for r in results[1:])
+        assert ran == ["oracle.metrics"]
