@@ -64,11 +64,13 @@ CONFIG_KEYS = {
     "patience": (int, 10, "epochs without val F1 gain before stopping"),
     "seed": (int, 0, "seed for init, batching, dropout, and the split"),
     "grad_clip": (float, 5.0, "global gradient norm ceiling"),
-    "threshold": (float, 0.5, "probability cutoff for positive calls"),
+    "threshold": (float, ModelConfig.threshold,
+                  "probability cutoff for positive calls"),
     "val_fraction": (float, 0.1, "dialogs held out for validation"),
 }
 
-EVAL_THRESHOLD = 0.5
+# the default cutoff, for callers that score outside a saved model
+EVAL_THRESHOLD = ModelConfig.threshold
 
 
 class CliError(Exception):
@@ -223,7 +225,7 @@ def cmd_train(args) -> int:
     # of the saved file agrees with this report at the threshold
     saved, _ = load_checkpoint(checkpoint_path)
     matrices, metrics = evaluate_split(config, saved, val_dialogs, table,
-                                       threshold=train_config.threshold)
+                                       threshold=config.threshold)
     history_path = out_dir / "history.csv"
     history.to_csv(history_path)
     report_path = out_dir / "report.txt"
@@ -241,7 +243,7 @@ def cmd_train(args) -> int:
 def _evaluation_document(config, matrices, metrics, n_dialogs):
     return {
         "variant": variant_label(config),
-        "threshold": EVAL_THRESHOLD,
+        "threshold": config.threshold,
         "dialogs": n_dialogs,
         "tasks": {task: {"confusion": matrices[task].as_dict(),
                          "metrics": metrics[task].as_dict()}
@@ -262,7 +264,7 @@ def _load_for_scoring(args):
 def cmd_eval(args) -> int:
     out_dir, params, config, dialogs, table = _load_for_scoring(args)
     matrices, metrics = evaluate_split(config, params, dialogs, table,
-                                       threshold=EVAL_THRESHOLD)
+                                       threshold=config.threshold)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.json"
@@ -299,7 +301,7 @@ def cmd_inspect(args) -> int:
         for task in config.tasks:
             probability = float(prediction.scores[task].data[k, 0])
             labels[task] = {"actual": getattr(utt, task),
-                            "predicted": int(probability >= EVAL_THRESHOLD),
+                            "predicted": int(probability >= config.threshold),
                             "probability": probability}
         rows.append({"uid": utt.uid, "speaker": utt.speaker,
                      "text": " ".join(utt.tokens), "labels": labels})

@@ -95,26 +95,31 @@ def _parse_label(raw, field: str, where: str) -> int:
 
 
 def _read_sidecar(sidecar: Path) -> list[list[float]]:
-    """Rows of a CSV frame file. A bad byte, a non-numeric cell or a row
-    whose width differs from the first row's is named by its line."""
+    """Rows of a CSV frame file. A bad byte, a cell csv cannot read, a
+    non-numeric cell or a row whose width differs from the first row's is
+    named by its line."""
     # split as csv's universal newlines would; csv reads the decoded lines,
     # so quoted cells still load
     lines = sidecar.read_bytes().splitlines(keepends=True)
     reader = csv.reader(decode_line(raw, sidecar, lineno)
                         for lineno, raw in enumerate(lines, start=1))
     rows: list[list[float]] = []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise CorpusError(f"{sidecar}:{reader.line_num}: {exc}") from None
-        if rows and len(values) != len(rows[0]):
-            raise CorpusError(
-                f"{sidecar}:{reader.line_num}: row has {len(values)} "
-                f"values, the first row has {len(rows[0])}")
-        rows.append(values)
+    try:
+        for row in reader:
+            if not row:
+                continue
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError as exc:
+                raise CorpusError(f"{sidecar}:{reader.line_num}: "
+                                  f"{exc}") from None
+            if rows and len(values) != len(rows[0]):
+                raise CorpusError(
+                    f"{sidecar}:{reader.line_num}: row has {len(values)} "
+                    f"values, the first row has {len(rows[0])}")
+            rows.append(values)
+    except csv.Error as exc:  # e.g. a cell over csv's field size limit
+        raise CorpusError(f"{sidecar}:{reader.line_num}: {exc}") from None
     return rows
 
 

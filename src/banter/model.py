@@ -63,7 +63,13 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture switches and dimensions; validated on construction."""
+    """Architecture switches, dimensions and the decision cutoff; validated
+    on construction.
+
+    ``threshold`` is the probability at or above which an utterance is
+    called positive. It is saved with the checkpoint, so ``train``'s epoch
+    choice and report, ``eval`` and ``inspect`` all call labels at it.
+    """
 
     modality: str = "both"
     text_repr: str = "hier"
@@ -78,6 +84,7 @@ class ModelConfig:
     attn_width_dialog: int = 5
     dropout: float = 0.4
     head_hidden: int = 128
+    threshold: float = 0.5
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -108,6 +115,9 @@ class ModelConfig:
                               f"got {self.attn_width_dialog}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"'threshold' must be in [0, 1], "
+                              f"got {self.threshold}")
         if self.uses_audio and self.audio_repr == "hier" \
                 and self.d_audio != MFCC_COLUMNS:
             # hierarchical frame attention preserves the frame width

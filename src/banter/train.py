@@ -36,7 +36,7 @@ CSV_METRIC_COLUMNS = ("precision", "recall", "f1", "accuracy")
 
 @dataclass
 class TrainConfig:
-    """Optimization knobs and decision cutoff; lr=0 is legal (a no-op run)."""
+    """Optimization knobs; lr=0 is legal (a no-op run)."""
 
     lr: float = 1e-3
     batch_size: int = 32
@@ -44,7 +44,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     grad_clip: float = 5.0
-    threshold: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.lr < float("inf"):
@@ -62,9 +61,6 @@ class TrainConfig:
         if not self.grad_clip > 0.0:  # NaN would switch clipping off
             raise ConfigError(f"'grad_clip' must be positive, "
                               f"got {self.grad_clip}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"'threshold' must be in [0, 1], "
-                              f"got {self.threshold}")
 
 
 @dataclass
@@ -126,8 +122,8 @@ def macro_f1(metrics: dict[str, Metrics]) -> float:
 
 def evaluate_split(config: ModelConfig, params: ParameterSet,
                    dialogs: list[Dialog],
-                   embeddings: EmbeddingTable | None = None,
-                   threshold: float = 0.5,
+                   embeddings: EmbeddingTable | None = None, *,
+                   threshold: float,
                    ) -> tuple[dict[str, ConfusionMatrix], dict[str, Metrics]]:
     """Threshold per-utterance probabilities and score every active task."""
     if len(dialogs) == 0:
@@ -176,7 +172,7 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
     """Optimize on the train split; keep the best validation-F1 parameters.
 
     The monitored score is the validation F1 of the positive class at
-    ``train_config.threshold``, macro averaged over active tasks. Training
+    ``model_config.threshold``, macro averaged over active tasks. Training
     stops early once it fails to improve for ``patience`` consecutive
     epochs. Returns the best parameter snapshot and the full epoch history.
     """
@@ -233,8 +229,9 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
             utterances += batch_utts
 
         try:
-            _, val_metrics = evaluate_split(model_config, params, val_dialogs,
-                                            embeddings, train_config.threshold)
+            _, val_metrics = evaluate_split(
+                model_config, params, val_dialogs, embeddings,
+                threshold=model_config.threshold)
         except NumericError as exc:
             raise NumericError(f"non-finite value in validation after epoch "
                                f"{epoch}: {exc}") from None

@@ -14,7 +14,7 @@ the tests) is caught here and named in the failure listing.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -423,12 +423,19 @@ def check_metric_arithmetic() -> None:
         n = int(rng.integers(1, 40))
         preds = rng.integers(0, 2, size=n).tolist()
         labels = rng.integers(0, 2, size=n).tolist()
+        # recount from the pairs themselves, not from confusion()'s matrix
+        pairs = list(zip(preds, labels))
+        counts = {key: pairs.count(pair) for key, pair in (
+            ("tp", (1, 1)), ("fn", (0, 1)), ("fp", (1, 0)), ("tn", (0, 0)))}
         m = confusion(preds, labels)
+        if m.as_dict() != counts:
+            raise AssertionError(f"confusion counts {m.as_dict()}, "
+                                 f"recount {counts}")
+        tp, fn, fp = counts["tp"], counts["fn"], counts["fp"]
         got = compute_metrics(m)
-        precision = m.tp / (m.tp + m.fp) if m.tp + m.fp else 0.0
-        recall = m.tp / (m.tp + m.fn) if m.tp + m.fn else 0.0
-        f1 = (2 * m.tp / (2 * m.tp + m.fp + m.fn)
-              if 2 * m.tp + m.fp + m.fn else 0.0)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0
         if abs(got.precision - precision) > 1e-12 \
                 or abs(got.recall - recall) > 1e-12 \
                 or abs(got.f1 - f1) > 1e-12:
@@ -436,14 +443,23 @@ def check_metric_arithmetic() -> None:
 
 
 def check_checkpoint_roundtrip() -> None:
+    """The loaded config equals the saved one, and save/load/save is
+    byte-identical. The dimensions and threshold are off their defaults,
+    so one of them lost on save cannot reload as its default unnoticed."""
     config = ModelConfig(d_text_in=5, d_hidden=4, d_audio=3, head_hidden=3,
-                         attn_width_dialog=2, dropout=0.0)
+                         attn_width_dialog=2, dropout=0.0, threshold=0.75)
     params = init_parameters(config, np.random.default_rng(10))
     with tempfile.TemporaryDirectory() as tmp:
         first = Path(tmp) / "a.ckpt"
         second = Path(tmp) / "b.ckpt"
         save_checkpoint(params, first, config)
         loaded, loaded_config = load_checkpoint(first)
+        saved, reloaded = asdict(config), asdict(loaded_config)
+        changed = [f"{key}: saved {value!r}, loaded {reloaded[key]!r}"
+                   for key, value in saved.items() if value != reloaded[key]]
+        if changed:
+            raise AssertionError("loaded config differs: "
+                                 + "; ".join(changed))
         save_checkpoint(loaded, second, loaded_config)
         if first.read_bytes() != second.read_bytes():
             raise AssertionError("save/load/save is not byte-identical")

@@ -204,7 +204,8 @@ def criterion_9():
                            d_text_in=table.dimension)
     best, _ = train(config, train_dialogs, val_dialogs, TrainConfig(seed=0),
                     table)
-    _, metrics = evaluate_split(config, best, test, table)
+    _, metrics = evaluate_split(config, best, test, table,
+                                threshold=config.threshold)
     parts = []
     ok = True
     for task in config.tasks:

@@ -79,6 +79,25 @@ def trained(workspace):
     return out
 
 
+@pytest.fixture(scope="module")
+def strict_run(workspace):
+    """A run trained at threshold 0.9, and a corpus file holding exactly its
+    validation dialogs: (out_dir, validation corpus, validation ids)."""
+    tmp, corpus, emb = workspace
+    out = tmp / "strict"
+    cfg = write_config(tmp / "strict.cfg", corpus, emb, out_dir=out, seed=7,
+                       threshold=0.9)
+    assert main(["train", "--config", str(cfg)]) == 0
+    _, val_dialogs = split_train_val(load_corpus(corpus),
+                                     float(SMALL_KEYS["val_fraction"]), 7)
+    val_ids = [d.dialog_id for d in val_dialogs]
+    records = [json.loads(line)
+               for line in corpus.read_text(encoding="utf-8").splitlines()]
+    val_corpus = write_corpus(tmp / "strict_val.jsonl",
+                              [r for r in records if r["dialog_id"] in val_ids])
+    return out, val_corpus, val_ids
+
+
 class TestConfigFile:
     def test_every_key_has_a_default(self):
         settings = resolve_settings(None, {})
@@ -445,6 +464,23 @@ class TestEvalCommand:
         assert (out / "report.txt").is_file()
         assert (out / "report.json").is_file()
 
+    def test_eval_of_the_validation_split_repeats_the_train_report(
+            self, workspace, strict_run, tmp_path):
+        # the checkpoint carries the run's threshold, so eval calls labels
+        # at 0.9 as train did, not at 0.5
+        _, _, emb = workspace
+        run, val_corpus, _ = strict_run
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(run / "model.ckpt"),
+                     "--data", str(val_corpus), "--embeddings", str(emb),
+                     "--out", str(out)]) == 0
+        document = json.loads((out / "metrics.json").read_text())
+        assert document["threshold"] == 0.9
+        reported = json.loads((run / "report.json").read_text())["tasks"]
+        assert {task: block["confusion"]
+                for task, block in document["tasks"].items()} \
+            == {task: block["confusion"] for task, block in reported.items()}
+
     def test_audio_checkpoint_on_text_corpus_is_a_data_error(
             self, tmp_path, capsys):
         config = build_variant("LSTM(A)", task_mode="sarcasm", d_hidden=6,
@@ -534,9 +570,12 @@ class TestEvalCommand:
         (lambda h: h["head_sarcasm.b2"].update(shape=None),
          "'head_sarcasm.b2'"),
         (lambda h: h["__meta__"].update(d_hidden="4"), "'d_hidden'"),
+        (lambda h: h["__meta__"].update(threshold=1.5), "'threshold'"),
+        (lambda h: h["__meta__"].update(threshold="0.5"), "'threshold'"),
         (lambda h: [h], "not a JSON object"),
     ], ids=["no offset", "string offset", "entry not an object",
-            "null shape", "string config field", "list header"])
+            "null shape", "string config field", "threshold out of range",
+            "string threshold", "list header"])
     def test_malformed_header_is_a_data_error(self, workspace, trained,
                                               tmp_path, capsys, edit, named):
         bad = rewrite_checkpoint_header(trained / "model.ckpt",
@@ -619,6 +658,22 @@ class TestInspectCommand:
         assert len(heatmap["rows"]) == 4
         printed = capsys.readouterr().out
         assert "gold=" in printed and "pred=" in printed
+
+    def test_predictions_use_the_saved_threshold(self, workspace, strict_run,
+                                                 tmp_path):
+        _, _, emb = workspace
+        run, val_corpus, val_ids = strict_run
+        out = tmp_path / "inspect"
+        assert main(["inspect", "--checkpoint", str(run / "model.ckpt"),
+                     "--data", str(val_corpus), "--embeddings", str(emb),
+                     "--dialog-id", val_ids[0], "--out", str(out)]) == 0
+        document = json.loads((out / "utterances.json").read_text())
+        calls = [entry for row in document["utterances"]
+                 for entry in row["labels"].values()]
+        assert all(entry["predicted"] == int(entry["probability"] >= 0.9)
+                   for entry in calls)
+        # a cutoff of 0.5 would call at least one of these differently
+        assert any(0.5 <= entry["probability"] < 0.9 for entry in calls)
 
     def test_unknown_dialog_id_is_a_data_error(self, workspace, trained,
                                                tmp_path, capsys):

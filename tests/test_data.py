@@ -146,7 +146,9 @@ class TestLoadCorpus:
         (b"0.5," * 127 + b"\xff", "not UTF-8 text (byte 0xff at column 509)"),
         (b"0.5," * 127 + b"x", "could not convert string to float: 'x'"),
         (b"0.5," * 126 + b"0.5", "row has 127 values, the first row has 128"),
-    ], ids=["bad byte", "non-numeric", "short row"])
+        (b'"' + b"1" * 140_000 + b'"',
+         "field larger than field limit (131072)"),
+    ], ids=["bad byte", "non-numeric", "short row", "oversized cell"])
     def test_bad_sidecar_row_is_named_by_its_line(self, tmp_path, bad_row,
                                                   message):
         good = b",".join([b"0.25"] * 128)

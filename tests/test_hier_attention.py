@@ -175,3 +175,41 @@ class TestHierAttend:
             _, level_weights = hier_attend(vectors, proj_w, proj_b, width=3)
         assert len(level_weights) == level_count(105, 3) == 52
         assert len(tape) <= 10 * len(level_weights) + 2
+
+
+
+class TestRowOrder:
+    """A window's softmax-weighted sum ignores the order of its rows,
+    windows slide with stride 1 and each level shares one projection, so
+    reversing the input leaves the final row unchanged; other orders
+    change it."""
+
+    @staticmethod
+    def random_setting(n, d):
+        """(final_row, vectors, rng): ``final_row`` runs ``hier_attend``
+        under one random projection."""
+        rng = np.random.default_rng(n)
+        proj_w = Tensor(rng.normal(0.0, d ** -0.5, size=(d, d)))
+        proj_b = Tensor(np.zeros(d))
+
+        def final_row(rows):
+            return hier_attend(Tensor(rows), proj_w, proj_b,
+                               width=3)[0].data[0]
+
+        return final_row, rng.normal(size=(n, d)), rng
+
+    @pytest.mark.parametrize("n, d", [(5, 300), (15, 300), (200, 128)])
+    def test_reversal_keeps_the_final_row(self, n, d):
+        final_row, vectors, _ = self.random_setting(n, d)
+        forward, reverse = final_row(vectors), final_row(vectors[::-1])
+        assert np.linalg.norm(reverse - forward) \
+            <= 1e-12 * np.linalg.norm(forward)
+
+    @pytest.mark.parametrize("n", [5, 15])
+    def test_a_shuffle_changes_the_final_row(self, n):
+        final_row, vectors, rng = self.random_setting(n, 300)
+        order = rng.permutation(n).tolist()
+        assert order not in (sorted(order), sorted(order)[::-1])
+        forward, shuffled = final_row(vectors), final_row(vectors[order])
+        assert np.linalg.norm(shuffled - forward) \
+            > 0.05 * np.linalg.norm(forward)

@@ -416,7 +416,7 @@ CHECKPOINT_LAYOUTS = {
          "filter_text.gate_b", "head_sarcasm.w1", "head_sarcasm.b1",
          "head_sarcasm.w2", "head_sarcasm.b2", "head_humor.w1",
          "head_humor.b1", "head_humor.w2", "head_humor.b2"],
-        "fba245f46ee873f21cabeb6cf38e4dfc1fb9251071c67c9320c694554386ad80",
+        "63bca46106c5241a4a1849d1b06000b0ce0091e971e16636a24d5bf3e7241c17",
     ),
     "audio-hier": (
         lambda: build_variant("LSTM(H-ATN^A)+C-ATN^D", d_hidden=3,
@@ -428,7 +428,7 @@ CHECKPOINT_LAYOUTS = {
          "lstm_audio.u_o", "lstm_audio.b_o", "head_sarcasm.w1",
          "head_sarcasm.b1", "head_sarcasm.w2", "head_sarcasm.b2",
          "head_humor.w1", "head_humor.b1", "head_humor.w2", "head_humor.b2"],
-        "1b715f31c8d500436c59a8ac1e4b75761e4d7867470e061fd23a5868523345e5",
+        "059e5f0adcd80358c4f5bf697602e4ecd0e448c6413173a816b418f352f69dfd",
     ),
 }
 
@@ -486,6 +486,21 @@ class TestCheckpoint:
         cfg, _, path = self._setup(tmp_path)
         _, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
+
+    def test_header_without_threshold_loads_the_default(self, tmp_path):
+        # checkpoints saved before the config held the cutoff lack the field
+        cfg = toy_config(threshold=0.8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_parameters(cfg, np.random.default_rng(20)),
+                        path, cfg)
+
+        def drop_threshold(header):
+            del header["__meta__"]["threshold"]
+
+        old = rewrite_checkpoint_header(path, tmp_path / "old.ckpt",
+                                        drop_threshold)
+        _, loaded_cfg = load_checkpoint(old)
+        assert loaded_cfg == toy_config(threshold=0.5)
 
     def test_forward_identical_after_round_trip(self, tmp_path):
         cfg, params, path = self._setup(tmp_path)

@@ -189,7 +189,8 @@ class TestEvaluateSplit:
                 for utt, prob in zip(dialog.utterances,
                                      pred.scores[task].data[:, 0]):
                     setattr(utt, task, 1 if float(prob) >= 0.5 else 0)
-        matrices, metrics = evaluate_split(cfg, params, dialogs, table)
+        matrices, metrics = evaluate_split(cfg, params, dialogs, table,
+                                           threshold=cfg.threshold)
         for task in cfg.tasks:
             # the fixture must stay mixed for F1=1.0 to be meaningful
             assert matrices[task].tp >= 1
@@ -202,7 +203,7 @@ class TestEvaluateSplit:
         cfg = tiny_text_config()
         with pytest.raises(ValueError, match="at least one"):
             evaluate_split(cfg, init_parameters(cfg, np.random.default_rng(0)),
-                           [], table)
+                           [], table, threshold=cfg.threshold)
 
 
 class TestTraining:
