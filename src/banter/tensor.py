@@ -8,6 +8,7 @@ accumulate gradients in exact reverse execution order.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable, NamedTuple, Sequence
 
@@ -22,15 +23,21 @@ class NumericError(ArithmeticError):
     """A forward operation produced a NaN or Inf value."""
 
 
+# serial numbers for Tensor.key: unlike id(), never reused once a tensor is
+# freed
+_SERIAL = itertools.count()
+
+
 class Tensor:
     """A dense array of float64 values with an optional gradient buffer.
 
     ``data`` is always a C-contiguous float64 ndarray. ``grad`` starts as
     ``None`` and is allocated on first accumulation; it always matches
-    ``data`` in shape. Scalars are shape-() tensors.
+    ``data`` in shape. Scalars are shape-() tensors. ``key`` is a serial
+    number no other tensor of the process gets; the tape names tensors by it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         # asarray with order="C" keeps 0-d shapes; ascontiguousarray would
@@ -41,6 +48,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self.key = next(_SERIAL)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,13 +77,27 @@ class Tensor:
 
 
 class _Node:
-    """One executed op: its outputs, parents, and adjoint rule."""
+    """One executed op: its name, what ``backward`` needs of its outputs and
+    parents, and its adjoint rule.
 
-    __slots__ = ("outputs", "parents", "backward_fn")
+    A node holds no op output, so an activation lives only as long as some
+    rule keeps its array. ``leaves`` is aligned with the parents: the parent
+    itself where it is a leaf of the tape (no node of the tape made it) that
+    needs a gradient, else ``None``.
+    """
 
-    def __init__(self, outputs, parents, backward_fn):
-        self.outputs = outputs
-        self.parents = parents
+    __slots__ = ("op", "out_keys", "out_shapes", "parent_keys",
+                 "parent_shapes", "parent_needs", "leaves", "backward_fn")
+
+    def __init__(self, op, out_keys, out_shapes, parent_keys, parent_shapes,
+                 parent_needs, leaves, backward_fn):
+        self.op = op
+        self.out_keys = out_keys
+        self.out_shapes = out_shapes
+        self.parent_keys = parent_keys
+        self.parent_shapes = parent_shapes
+        self.parent_needs = parent_needs
+        self.leaves = leaves
         self.backward_fn = backward_fn
 
 
@@ -88,11 +110,15 @@ class Tape:
             loss = ...
             backward(loss)
 
-    Discarding a tape never touches parameter values.
+    A tape keeps what its nodes' rules read, not the op outputs, so a
+    forward pass holds the sum of the arrays its rules saved. Discarding a
+    tape never touches parameter values.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        # keys of the tensors this tape's nodes made
+        self._made: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -122,14 +148,27 @@ def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
             backward_fn: Callable) -> None:
     """Register the node on the active tape when any parent needs gradients.
 
-    Output finiteness is already enforced by the Tensor constructor.
+    ``backward_fn`` must close over the arrays, shapes and flags it reads,
+    never over a Tensor, so that the tape keeps no activation that no rule
+    reads. Output finiteness is already enforced by the Tensor constructor.
     """
-    if any(p.requires_grad for p in parents):
-        for o in outputs:
-            o.requires_grad = True
-        tape = active_tape()
-        if tape is not None:
-            tape._nodes.append(_Node(tuple(outputs), tuple(parents), backward_fn))
+    needs = tuple([p.requires_grad for p in parents])
+    if True not in needs:
+        return
+    for o in outputs:
+        o.requires_grad = True
+    tape = active_tape()
+    if tape is None:
+        return
+    made = tape._made
+    parent_keys = tuple([p.key for p in parents])
+    leaves = tuple([p if need and key not in made else None
+                    for p, need, key in zip(parents, needs, parent_keys)])
+    out_keys = tuple([o.key for o in outputs])
+    made.update(out_keys)
+    tape._nodes.append(_Node(op, out_keys, tuple([o.shape for o in outputs]),
+                             parent_keys, tuple([p.shape for p in parents]),
+                             needs, leaves, backward_fn))
 
 
 class _Outer(NamedTuple):
@@ -163,8 +202,9 @@ def backward(loss: Tensor) -> None:
     ``None``, so their adjoints are freed as soon as their node has run.
     Outer-product terms (``_Outer``) a tensor receives are kept in reverse
     execution order and summed as one product just before the tensor's own
-    node runs, or, for a leaf, after the last node. Repeated calls without
-    zeroing gradients accumulate.
+    node runs, or, for a leaf, after the last node. A rule's adjoint whose
+    shape is not its parent's raises ``ShapeError`` naming the op. Repeated
+    calls without zeroing gradients accumulate.
     """
     tape = active_tape()
     if tape is None:
@@ -172,33 +212,40 @@ def backward(loss: Tensor) -> None:
     if loss.shape != ():
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
 
-    adjoints: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    adjoints: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=np.float64)}
     outers: dict[int, list[_Outer]] = {}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    holders: dict[int, Tensor] = {loss.key: loss}
     # adjoint buffers allocated here, and so safe to update in place
     owned: dict[int, np.ndarray] = {}
 
     for node in reversed(tape._nodes):
         out_grads = []
         any_grad = False
-        for out in node.outputs:
-            g = _take_adjoint(id(out), adjoints, outers)
-            holders.pop(id(out), None)
-            owned.pop(id(out), None)
+        for key, shape in zip(node.out_keys, node.out_shapes):
+            g = _take_adjoint(key, adjoints, outers)
+            holders.pop(key, None)
+            owned.pop(key, None)
             if g is not None:
                 any_grad = True
                 out_grads.append(g)
             else:
-                out_grads.append(np.zeros_like(out.data))
+                out_grads.append(np.zeros(shape))
         if not any_grad:
             continue
         parent_grads = node.backward_fn(out_grads)
-        for parent, pg in zip(node.parents, parent_grads):
-            if pg is None or not parent.requires_grad:
+        for key, shape, need, leaf, pg in zip(
+                node.parent_keys, node.parent_shapes, node.parent_needs,
+                node.leaves, parent_grads):
+            if pg is None or not need:
                 continue
-            key = id(parent)
-            holders[key] = parent
-            if isinstance(pg, _Outer):
+            outer = isinstance(pg, _Outer)
+            got = (pg.rows.shape[1], pg.cols.shape[1]) if outer else pg.shape
+            if got != shape:
+                raise ShapeError(f"backward of {node.op}: adjoint of shape "
+                                 f"{got} for a parent of shape {shape}")
+            if leaf is not None:
+                holders[key] = leaf
+            if outer:
                 outers.setdefault(key, []).append(pg)
             elif key in owned:
                 owned[key] += pg
@@ -234,10 +281,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape("mul", a, b)
-    out = Tensor(a.data * b.data)
+    a_data, b_data = a.data, b.data
+    out = Tensor(a_data * b_data)
 
     def bwd(gs):
-        return gs[0] * b.data, gs[0] * a.data
+        return gs[0] * b_data, gs[0] * a_data
 
     _finish("mul", [out], [a, b], bwd)
     return out
@@ -288,7 +336,8 @@ def unstack(a: Tensor) -> list[Tensor]:
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.sum(a.data))
-    _finish("sum_all", [out], [a], lambda gs: (np.full_like(a.data, gs[0]),))
+    shape = a.shape
+    _finish("sum_all", [out], [a], lambda gs: (np.full(shape, gs[0]),))
     return out
 
 
@@ -312,9 +361,10 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
         raise ShapeError(f"sum_axis: no axis {axis} in shape {a.shape}")
     axis %= a.data.ndim
     out = Tensor(a.data.sum(axis=axis))
+    shape = a.shape
 
     def bwd(gs):
-        return (np.broadcast_to(np.expand_dims(gs[0], axis), a.shape),)
+        return (np.broadcast_to(np.expand_dims(gs[0], axis), shape),)
 
     _finish("sum_axis", [out], [a], bwd)
     return out
@@ -338,7 +388,8 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product) -> Tensor:
     if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise ShapeError(f"{op}: {x.shape} rows through {w.shape} "
                          f"+ {b.shape}")
-    out = Tensor(product(x.data, w.data) + b.data)
+    x_data, w_data, x_needs = x.data, w.data, x.requires_grad
+    out = Tensor(product(x_data, w_data) + b.data)
     rows = x.shape[0]
     d, k = w.shape
     # stacking copies both factors; it pays only while they are smaller
@@ -347,8 +398,8 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product) -> Tensor:
 
     def bwd(gs):
         g = gs[0]
-        dx = g @ w.data if x.requires_grad else None
-        dw = _Outer(g, x.data) if stack else g.T @ x.data
+        dx = g @ w_data if x_needs else None
+        dw = _Outer(g, x_data) if stack else g.T @ x_data
         return dx, dw, g.sum(axis=0)
 
     _finish(op, [out], [x, w, b], bwd)
@@ -381,9 +432,12 @@ def affine_rowwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
+    # the mask is formed only for a node that will be recorded
+    recorded = a.requires_grad and active_tape() is not None
+    mask = a.data > 0.0 if recorded else None
 
     def bwd(gs):
-        return (gs[0] * (a.data > 0.0),)
+        return (gs[0] * mask,)
 
     _finish("relu", [out], [a], bwd)
     return out
@@ -464,13 +518,14 @@ def window_attend(blocks: Sequence[Tensor],
     pooled = (weights * slots).sum(axis=0)
     inv_count = 1.0 / (k * np.minimum(np.arange(1, n + 1), width))[:, None]
     out = Tensor(pooled * inv_count)
+    padded_shape = padded.shape
 
     def bwd(gs):
         # d pooled / d slot_j = w_j * (1 + slot_j - pooled), per coordinate
         g = gs[0] * inv_count
         d_slots = (weights * (1.0 + slots - pooled) * g).reshape(k, width,
                                                                  n, d)
-        d_padded = np.zeros_like(padded)
+        d_padded = np.zeros(padded_shape)
         for j in range(width):
             d_padded[:, j:j + n] += d_slots[:, j]
         return tuple(d_padded[:, lead:])
@@ -508,10 +563,11 @@ def sliding_windows(a: Tensor, size: int) -> Tensor:
         raise ShapeError(f"sliding_windows: window of {size} over {n} rows")
     m = n - size + 1
     out = Tensor(a.data[np.arange(m)[:, None] + np.arange(size)])
+    shape = a.shape
 
     def bwd(gs):
         g = gs[0]
-        dx = np.zeros_like(a.data)
+        dx = np.zeros(shape)
         for k in range(size):
             dx[k:k + m] += g[:, k]
         return (dx,)
@@ -556,11 +612,12 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
         if u[k].shape != (hd, hd) or b[k].shape != (hd,):
             raise ShapeError(f"lstm_sequence: recurrence {u[k].shape} or "
                              f"bias {b[k].shape} does not fit width {hd}")
+    x_data, x_needs = x.data, x.requires_grad
     w_all = np.concatenate([t.data for t in w])
     u_all = np.concatenate([t.data for t in u])
     b_all = np.concatenate([t.data for t in b])
     n = x.shape[0]
-    projected = _rowwise_product(x.data, w_all)
+    projected = _rowwise_product(x_data, w_all)
     # per step: sigmoid(z_i), sigmoid(z_f), tanh(z_g), sigmoid(z_o)
     acts = np.empty((n, 4 * hd))
     cells = np.empty((n, hd))
@@ -601,8 +658,8 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
             d_z[t] *= factors[t]
             dc_next = dc * f[t]
             dh_next = d_z[t] @ u_all
-        dx = d_z @ w_all if x.requires_grad else None
-        dw = d_z.T @ x.data
+        dx = d_z @ w_all if x_needs else None
+        dw = d_z.T @ x_data
         du = d_z[1:].T @ hiddens[:-1]
         db = d_z.sum(axis=0)
         gates = [slice(k * hd, (k + 1) * hd) for k in range(4)]
@@ -661,21 +718,22 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     pad = width // 2
     padded = np.zeros((frames + width - 1, c_in))
     padded[pad:pad + frames] = x.data
+    k_data, x_needs = kernels.data, x.requires_grad
     result = np.tile(bias.data, (frames, 1))
     for tap in range(width):
-        result += padded[tap:tap + frames] @ kernels.data[:, tap, :].T
+        result += padded[tap:tap + frames] @ k_data[:, tap, :].T
     out = Tensor(result)
 
     def bwd(gs):
         g = gs[0]
-        d_kernels = np.zeros_like(kernels.data)
+        d_kernels = np.zeros_like(k_data)
         for tap in range(width):
             d_kernels[:, tap, :] = g.T @ padded[tap:tap + frames]
         dx = None
-        if x.requires_grad:
+        if x_needs:
             d_padded = np.zeros_like(padded)
             for tap in range(width):
-                d_padded[tap:tap + frames] += g @ kernels.data[:, tap, :]
+                d_padded[tap:tap + frames] += g @ k_data[:, tap, :]
             dx = d_padded[pad:pad + frames]
         return dx, d_kernels, g.sum(axis=0)
 

@@ -1,6 +1,7 @@
 """Unit and property tests for the tensor kernel, tape, and optimizer."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -554,6 +555,91 @@ class TestBackward:
             again = self.hier_gradients(n, d, seed=4)
             for a, b in zip(first, again):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestTapeRetention:
+    """A tape keeps what backward rules read and nothing more."""
+
+    def test_freed_intermediate_keeps_its_own_adjoint(self):
+        # tanh(x)'s output is freed once mul has read its array, before
+        # sigmoid(x)'s output is made, which may reuse its id()
+        rng = np.random.default_rng(21)
+        c = Tensor(rng.uniform(-1, 1, size=4))
+        k = Tensor(rng.uniform(-1, 1, size=4))
+
+        def f(params):
+            p = sum_all(mul(tanh(params["x"]), c))
+            q = sum_all(mul(sigmoid(params["x"]), k))
+            return add(p, q)
+
+        x = Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
+        report = grad_check(f, {"x": x})
+        assert report.passed, report.summary()
+
+    def test_leaf_made_after_a_free_gets_its_gradient(self):
+        # the leaf may reuse the id() of an op output freed just before, so
+        # by id() the tape would take it for a tensor it made
+        x = Tensor([0.5, -1.5], requires_grad=True)
+        with Tape():
+            p = sum_all(mul(tanh(x), x))
+            y = Tensor([2.0, 3.0], requires_grad=True)
+            backward(add(p, sum_all(mul(y, y))))
+        np.testing.assert_allclose(y.grad, [4.0, 6.0])
+
+    def test_wrongly_shaped_adjoint_names_its_op(self):
+        # the planted rule's (1, 2) adjoint would broadcast over a's (3, 2)
+        # one from sum_all
+        a = Tensor(np.ones((3, 2)), requires_grad=True)
+        with Tape():
+            out = Tensor(2.0 * a.data)
+            T._finish("planted", [out], [a],
+                      lambda gs: (gs[0].sum(axis=0, keepdims=True),))
+            loss = add(sum_all(out), sum_all(a))
+            with pytest.raises(ShapeError, match="backward of planted"):
+                backward(loss)
+        assert a.grad is None
+
+    def test_hier_attend_keeps_at_most_eight_blocks_per_level(self):
+        # the rules read each level's windows and softmax weights (3 blocks
+        # each at width 3), the affine input (1) and the ReLU mask (1/8)
+        n, d = 105, 128
+        rng = np.random.default_rng(22)
+        vectors = Tensor(rng.uniform(-1, 1, size=(n, d)))
+        proj_w, proj_b = init_projection(d, rng)
+        windows = sum(max(1, n - 2 * level) for level in
+                      range(1, hier_attention.level_count(n, 3) + 1))
+        tracemalloc.start()
+        try:
+            with Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                out, level_weights = hier_attend(vectors, proj_w, proj_b)
+                del level_weights
+                held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, d)
+        assert held / (windows * d * 8) <= 8.0
+
+    def test_no_node_keeps_a_tensor_its_tape_made(self):
+        grouped = {op for ops in OP_GROUPS.values() for op in ops}
+        offenders = []
+        for key, (params, f) in op_scenarios(
+                np.random.default_rng(0)).items():
+            if key.split("[")[0] not in grouped:
+                continue
+            with Tape() as tape:
+                f(params)
+            made = {k for node in tape._nodes for k in node.out_keys}
+            for node in tape._nodes:
+                cells = node.backward_fn.__closure__ or ()
+                if any(isinstance(c.cell_contents, Tensor) for c in cells):
+                    offenders.append(f"{key}: {node.op}'s rule closes over "
+                                     f"a Tensor")
+                if any(leaf is not None and leaf.key in made
+                       for leaf in node.leaves):
+                    offenders.append(f"{key}: {node.op} holds a tensor "
+                                     f"of its own tape")
+        assert offenders == [], "\n".join(offenders)
 
 
 class TestGradCheck:

@@ -123,6 +123,54 @@ def save_drops_the_threshold(mp):
         if key != "threshold"})
 
 
+def saved_value_replaced(mp, op, name, wrong):
+    """Plant: ``op``'s backward rule reads ``wrong(saved)`` in place of its
+    saved value ``name``, where ``saved`` maps the names its rule closes
+    over to their values. The forward pass is untouched."""
+    record = tensor._finish
+
+    def finish(op_name, outputs, parents, backward_fn):
+        recorded = tensor.active_tape() is not None and any(
+            p.requires_grad for p in parents)
+        if op_name == op and recorded:
+            names = backward_fn.__code__.co_freevars
+            cells = dict(zip(names, backward_fn.__closure__))
+            saved = {key: cell.cell_contents for key, cell in cells.items()}
+            cells[name].cell_contents = wrong(saved)
+        record(op_name, outputs, parents, backward_fn)
+
+    mp.setattr(tensor, "_finish", finish)
+
+
+def affine_reads_rows_reversed(mp):
+    saved_value_replaced(mp, "affine_rowwise", "x_data",
+                         lambda saved: saved["x_data"][::-1])
+
+
+def mul_reads_a_for_both(mp):
+    saved_value_replaced(mp, "mul", "b_data", lambda saved: saved["a_data"])
+
+
+def window_reads_its_output(mp):
+    # the scaled output in place of the pooled sum it was made from
+    saved_value_replaced(mp, "window_attend", "pooled", lambda saved:
+                         saved["pooled"] * saved["inv_count"])
+
+
+def lstm_reads_tanh_of_cells(mp):
+    saved_value_replaced(mp, "lstm_sequence", "cells",
+                         lambda saved: saved["tanh_cells"])
+
+
+def conv_reads_taps_reversed(mp):
+    saved_value_replaced(mp, "conv1d_same", "k_data",
+                         lambda saved: saved["k_data"][:, ::-1])
+
+
+def relu_keeps_the_complement_mask(mp):
+    saved_value_replaced(mp, "relu", "mask", lambda saved: ~saved["mask"])
+
+
 PLANTED_FAULTS = [
     ("oracle.metrics", swap_false_calls, "confusion counts"),
     ("structure.filter_bounds", filter_without_tanh, "escaped (-1, 1)"),
@@ -132,6 +180,15 @@ PLANTED_FAULTS = [
     ("roundtrip.checkpoint", save_drops_a_parameter, "missing parameter"),
     ("roundtrip.checkpoint", save_drops_the_threshold,
      "threshold: saved 0.75, loaded 0.5"),
+    ("gradients.linear", affine_reads_rows_reversed, "FAIL affine_rowwise.w"),
+    ("gradients.linear", mul_reads_a_for_both, "FAIL sum_axis.a"),
+    ("gradients.softmax", window_reads_its_output,
+     "FAIL window_attend[k=1,n=5].h0"),
+    ("gradients.lstm", lstm_reads_tanh_of_cells,
+     "FAIL lstm_sequence[n=5].w_f"),
+    ("gradients.conv", conv_reads_taps_reversed, "FAIL conv1d_same.x"),
+    ("gradients.model", relu_keeps_the_complement_mask,
+     "FAIL text_attn.proj_w"),
 ]
 
 
