@@ -392,9 +392,10 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product) -> Tensor:
     out = Tensor(product(x_data, w_data) + b.data)
     rows = x.shape[0]
     d, k = w.shape
-    # stacking copies both factors; it pays only while they are smaller
-    # than the product they defer
-    stack = rows * (d + k) < d * k
+    # stacking copies both factors and holds them until the weight's
+    # adjoint is formed; it pays only while the copy costs less than adding
+    # the d x k product, a copied value pricing like four additions
+    stack = 4 * rows * (d + k) < d * k
 
     def bwd(gs):
         g = gs[0]

@@ -870,16 +870,16 @@ class TestConv1dAdjoints:
 
 
 class TestAffineAdjoints:
-    # 1 row of 6 columns through 5 x 6 is a stacked weight term, 9 rows a
+    # 1 row of 9 columns through 9 x 9 is a stacked weight term, 9 rows a
     # dense one
     @pytest.mark.parametrize("rows", [1, 9])
     @pytest.mark.parametrize("op", [affine_rows, affine_rowwise])
     def test_constant_input_gets_no_adjoint(self, op, rows):
         rng = np.random.default_rng(19)
-        x = rng.uniform(-1, 1, size=(rows, 6))
-        w = rng.uniform(-1, 1, size=(5, 6))
-        c = rng.uniform(-1, 1, size=5)
-        mixer = Tensor(rng.uniform(-1, 1, size=(rows, 5)))
+        x = rng.uniform(-1, 1, size=(rows, 9))
+        w = rng.uniform(-1, 1, size=(9, 9))
+        c = rng.uniform(-1, 1, size=9)
+        mixer = Tensor(rng.uniform(-1, 1, size=(rows, 9)))
         adjoints, operands = [], []
         for x_needs_grad in (True, False):
             operands.append((Tensor(x, requires_grad=x_needs_grad),
