@@ -77,27 +77,19 @@ class Tensor:
 
 
 class _Node:
-    """One executed op: its name, what ``backward`` needs of its outputs and
-    parents, and its adjoint rule.
+    """One executed op: its name, its outputs' keys, its parents' keys and
+    its adjoint rule.
 
-    A node holds no op output, so an activation lives only as long as some
-    rule keeps its array. ``leaves`` is aligned with the parents: the parent
-    itself where it is a leaf of the tape (no node of the tape made it) that
-    needs a gradient, else ``None``.
+    A parent that needs no gradient has key ``None``. A node holds no
+    tensor, so an op output lives only as long as some rule keeps its array.
     """
 
-    __slots__ = ("op", "out_keys", "out_shapes", "parent_keys",
-                 "parent_shapes", "parent_needs", "leaves", "backward_fn")
+    __slots__ = ("op", "out_keys", "parent_keys", "backward_fn")
 
-    def __init__(self, op, out_keys, out_shapes, parent_keys, parent_shapes,
-                 parent_needs, leaves, backward_fn):
+    def __init__(self, op, out_keys, parent_keys, backward_fn):
         self.op = op
         self.out_keys = out_keys
-        self.out_shapes = out_shapes
         self.parent_keys = parent_keys
-        self.parent_shapes = parent_shapes
-        self.parent_needs = parent_needs
-        self.leaves = leaves
         self.backward_fn = backward_fn
 
 
@@ -111,14 +103,18 @@ class Tape:
             backward(loss)
 
     A tape keeps what its nodes' rules read, not the op outputs, so a
-    forward pass holds the sum of the arrays its rules saved. Discarding a
-    tape never touches parameter values.
+    forward pass holds the sum of the arrays its rules saved, plus the
+    shapes of the tensors its nodes made and the leaves that need a
+    gradient. Discarding a tape never touches parameter values.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        # keys of the tensors this tape's nodes made
-        self._made: set[int] = set()
+        # the shape of every tensor this tape's nodes made, by key
+        self._shapes: dict[int, tuple[int, ...]] = {}
+        # every leaf that needs a gradient (a parent that no node of this
+        # tape made, such as a parameter or a graph input), by key
+        self._leaves: dict[int, Tensor] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -152,7 +148,7 @@ def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
     never over a Tensor, so that the tape keeps no activation that no rule
     reads. Output finiteness is already enforced by the Tensor constructor.
     """
-    needs = tuple([p.requires_grad for p in parents])
+    needs = [p.requires_grad for p in parents]
     if True not in needs:
         return
     for o in outputs:
@@ -160,15 +156,16 @@ def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
     tape = active_tape()
     if tape is None:
         return
-    made = tape._made
-    parent_keys = tuple([p.key for p in parents])
-    leaves = tuple([p if need and key not in made else None
-                    for p, need, key in zip(parents, needs, parent_keys)])
-    out_keys = tuple([o.key for o in outputs])
-    made.update(out_keys)
-    tape._nodes.append(_Node(op, out_keys, tuple([o.shape for o in outputs]),
-                             parent_keys, tuple([p.shape for p in parents]),
-                             needs, leaves, backward_fn))
+    shapes = tape._shapes
+    parent_keys = tuple([p.key if need else None
+                         for p, need in zip(parents, needs)])
+    for p, key in zip(parents, parent_keys):
+        if key is not None and key not in shapes:
+            tape._leaves[key] = p
+    for o in outputs:
+        shapes[o.key] = o.data.shape
+    tape._nodes.append(_Node(op, tuple([o.key for o in outputs]),
+                             parent_keys, backward_fn))
 
 
 class _Outer(NamedTuple):
@@ -212,39 +209,35 @@ def backward(loss: Tensor) -> None:
     if loss.shape != ():
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
 
+    shapes, leaves = tape._shapes, tape._leaves
     adjoints: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=np.float64)}
     outers: dict[int, list[_Outer]] = {}
-    holders: dict[int, Tensor] = {loss.key: loss}
     # adjoint buffers allocated here, and so safe to update in place
     owned: dict[int, np.ndarray] = {}
 
     for node in reversed(tape._nodes):
         out_grads = []
         any_grad = False
-        for key, shape in zip(node.out_keys, node.out_shapes):
+        for key in node.out_keys:
             g = _take_adjoint(key, adjoints, outers)
-            holders.pop(key, None)
             owned.pop(key, None)
             if g is not None:
                 any_grad = True
                 out_grads.append(g)
             else:
-                out_grads.append(np.zeros(shape))
+                out_grads.append(np.zeros(shapes[key]))
         if not any_grad:
             continue
         parent_grads = node.backward_fn(out_grads)
-        for key, shape, need, leaf, pg in zip(
-                node.parent_keys, node.parent_shapes, node.parent_needs,
-                node.leaves, parent_grads):
-            if pg is None or not need:
+        for key, pg in zip(node.parent_keys, parent_grads):
+            if pg is None or key is None:
                 continue
             outer = isinstance(pg, _Outer)
             got = (pg.rows.shape[1], pg.cols.shape[1]) if outer else pg.shape
+            shape = shapes[key] if key in shapes else leaves[key].data.shape
             if got != shape:
                 raise ShapeError(f"backward of {node.op}: adjoint of shape "
                                  f"{got} for a parent of shape {shape}")
-            if leaf is not None:
-                holders[key] = leaf
             if outer:
                 outers.setdefault(key, []).append(pg)
             elif key in owned:
@@ -258,8 +251,9 @@ def backward(loss: Tensor) -> None:
             else:
                 adjoints[key] = pg
 
-    # whatever is left belongs to leaves (parameters and graph inputs)
-    for key, leaf in holders.items():
+    # whatever is left belongs to leaves, or to a loss no node made
+    for key in [*adjoints, *(k for k in outers if k not in adjoints)]:
+        leaf = leaves.get(key, loss)
         leaf.accumulate_grad(_take_adjoint(key, adjoints, outers))
 
 

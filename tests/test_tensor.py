@@ -620,7 +620,7 @@ class TestTapeRetention:
         assert out.shape == (1, d)
         assert held / (windows * d * 8) <= 8.0
 
-    def test_no_node_keeps_a_tensor_its_tape_made(self):
+    def test_no_rule_keeps_a_tensor(self):
         grouped = {op for ops in OP_GROUPS.values() for op in ops}
         offenders = []
         for key, (params, f) in op_scenarios(
@@ -629,16 +629,15 @@ class TestTapeRetention:
                 continue
             with Tape() as tape:
                 f(params)
-            made = {k for node in tape._nodes for k in node.out_keys}
             for node in tape._nodes:
                 cells = node.backward_fn.__closure__ or ()
                 if any(isinstance(c.cell_contents, Tensor) for c in cells):
                     offenders.append(f"{key}: {node.op}'s rule closes over "
                                      f"a Tensor")
-                if any(leaf is not None and leaf.key in made
-                       for leaf in node.leaves):
-                    offenders.append(f"{key}: {node.op} holds a tensor "
-                                     f"of its own tape")
+            # the tape's only tensors are leaves, none made by its nodes
+            made = {k for node in tape._nodes for k in node.out_keys}
+            if made & set(tape._leaves):
+                offenders.append(f"{key}: the tape holds a tensor it made")
         assert offenders == [], "\n".join(offenders)
 
 
