@@ -252,9 +252,9 @@ def backward(loss: Tensor) -> None:
                 adjoints[key] = pg
 
     # whatever is left belongs to leaves, or to a loss no node made
-    for key in [*adjoints, *(k for k in outers if k not in adjoints)]:
-        leaf = leaves.get(key, loss)
-        leaf.accumulate_grad(_take_adjoint(key, adjoints, outers))
+    for key in dict.fromkeys([*adjoints, *outers]):
+        leaves.get(key, loss).accumulate_grad(
+            _take_adjoint(key, adjoints, outers))
 
 
 # ---------------------------------------------------------------------------
