@@ -208,6 +208,8 @@ def load_corpus(path) -> list[Dialog]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+            except RecursionError:
+                raise CorpusError(f"{path}:{lineno}: JSON nested too deeply") from None
             _require(isinstance(obj, dict), f"{path}:{lineno}: line is not an object")
             dialog_id = obj.get("dialog_id")
             _require(isinstance(dialog_id, str) and dialog_id != "",

@@ -32,10 +32,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return not self.failures
 
-    @property
-    def worst(self) -> float:
-        return max(self.max_rel_err.values(), default=0.0)
-
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         lines = [f"grad check {status} (tol={TOL:g}, h={STEP:g})"]

@@ -33,9 +33,10 @@ from .tensor import (
     affine_rowwise,
     concat,
     dropout,
+    mul,
     relu,
     sigmoid,
-    unstack,
+    sum_axis,
 )
 
 MODALITIES = ("audio", "text", "both")
@@ -168,12 +169,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -243,9 +238,16 @@ class DialogPrediction:
     def probabilities(self) -> dict[str, list[Tensor]]:
         """Per task, each utterance's shape-(1,) score as its own tensor,
         for callers that read one utterance at a time. Built from
-        ``scores`` on every access.
+        ``scores`` on every access: utterance k's tensor sums ``scores``
+        masked to row k, which is row k exactly, and its adjoint reaches
+        row k alone.
         """
-        return {task: unstack(s) for task, s in self.scores.items()}
+        views = {}
+        for task, s in self.scores.items():
+            masks = np.eye(s.shape[0])
+            views[task] = [sum_axis(mul(s, Tensor(masks[:, [k]])), 0)
+                           for k in range(s.shape[0])]
+        return views
 
 
 def forward_dialog(config: ModelConfig, params: ParameterSet, dialog: Dialog,
@@ -443,6 +445,8 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
         header = json.loads(raw[cursor:cursor + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from None
+    except RecursionError:
+        raise CheckpointError(f"{path}: header nested too deeply") from None
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     blob = raw[cursor + head_len:]

@@ -54,10 +54,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -77,18 +73,18 @@ class Tensor:
 
 
 class _Node:
-    """One executed op: its name, its outputs' keys, its parents' keys and
+    """One executed op: its name, its output's key, its parents' keys and
     its adjoint rule.
 
     A parent that needs no gradient has key ``None``. A node holds no
     tensor, so an op output lives only as long as some rule keeps its array.
     """
 
-    __slots__ = ("op", "out_keys", "parent_keys", "backward_fn")
+    __slots__ = ("op", "out_key", "parent_keys", "backward_fn")
 
-    def __init__(self, op, out_keys, parent_keys, backward_fn):
+    def __init__(self, op, out_key, parent_keys, backward_fn):
         self.op = op
-        self.out_keys = out_keys
+        self.out_key = out_key
         self.parent_keys = parent_keys
         self.backward_fn = backward_fn
 
@@ -144,15 +140,18 @@ def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
             backward_fn: Callable) -> None:
     """Register the node on the active tape when any parent needs gradients.
 
+    Every op has exactly one output. It comes as a one-element list, and
+    ``backward_fn`` receives its adjoint as a one-element list, because ops
+    and tests alike call ``_finish(name, [out], parents, rule)``.
     ``backward_fn`` must close over the arrays, shapes and flags it reads,
     never over a Tensor, so that the tape keeps no activation that no rule
     reads. Output finiteness is already enforced by the Tensor constructor.
     """
+    (out,) = outputs
     needs = [p.requires_grad for p in parents]
     if True not in needs:
         return
-    for o in outputs:
-        o.requires_grad = True
+    out.requires_grad = True
     tape = active_tape()
     if tape is None:
         return
@@ -162,10 +161,8 @@ def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
     for p, key in zip(parents, parent_keys):
         if key is not None and key not in shapes:
             tape._leaves[key] = p
-    for o in outputs:
-        shapes[o.key] = o.data.shape
-    tape._nodes.append(_Node(op, tuple([o.key for o in outputs]),
-                             parent_keys, backward_fn))
+    shapes[out.key] = out.data.shape
+    tape._nodes.append(_Node(op, out.key, parent_keys, backward_fn))
 
 
 class _Outer(NamedTuple):
@@ -216,19 +213,11 @@ def backward(loss: Tensor) -> None:
     owned: dict[int, np.ndarray] = {}
 
     for node in reversed(tape._nodes):
-        out_grads = []
-        any_grad = False
-        for key in node.out_keys:
-            g = _take_adjoint(key, adjoints, outers)
-            owned.pop(key, None)
-            if g is not None:
-                any_grad = True
-                out_grads.append(g)
-            else:
-                out_grads.append(np.zeros(shapes[key]))
-        if not any_grad:
+        g = _take_adjoint(node.out_key, adjoints, outers)
+        owned.pop(node.out_key, None)
+        if g is None:
             continue
-        parent_grads = node.backward_fn(out_grads)
+        parent_grads = node.backward_fn([g])
         for key, pg in zip(node.parent_keys, parent_grads):
             if pg is None or key is None:
                 continue
@@ -317,15 +306,6 @@ def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     _finish("concat", [out], list(xs), bwd)
     return out
-
-
-def unstack(a: Tensor) -> list[Tensor]:
-    """The rows of ``a`` as separate tensors."""
-    if a.data.ndim == 0:
-        raise ShapeError("unstack of a scalar")
-    outs = [Tensor(row) for row in a.data]
-    _finish("unstack", outs, [a], lambda gs: (np.stack(gs),))
-    return outs
 
 
 def sum_all(a: Tensor) -> Tensor:

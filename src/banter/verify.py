@@ -110,13 +110,6 @@ def op_scenarios(rng: np.random.Generator) -> dict:
                                   tensor.affine_rowwise(p["x"], p["w"],
                                                         p["c"]))))
 
-    a = Tensor(u(4, 3), requires_grad=True)
-    mixer = Tensor(u(3))
-    # rows 0 and 2 only: the unused rows' adjoints are zeros
-    scen["unstack"] = ({"a": a}, lambda p, m=mixer: tensor.sum_all(
-        tensor.tanh(tensor.add(tensor.mul(tensor.unstack(p["a"])[0], m),
-                               tensor.unstack(p["a"])[2]))))
-
     for n in (1, 2, 5):
         gates = {f"{kind}_{g}": Tensor(u(*shape), requires_grad=True)
                  for g in "ifgo"
@@ -225,7 +218,7 @@ def op_scenarios(rng: np.random.Generator) -> dict:
 OP_GROUPS = {
     "gradients.elementwise": ("add", "mul", "scale", "relu", "tanh",
                               "sigmoid", "dropout", "bce_loss"),
-    "gradients.linear": ("concat", "unstack", "sum_all", "mean_rows",
+    "gradients.linear": ("concat", "sum_all", "mean_rows",
                          "sum_axis", "affine_rows", "affine_rowwise"),
     "gradients.softmax": ("softmax", "sliding_windows", "window_attend"),
     "gradients.lstm": ("lstm_sequence",),

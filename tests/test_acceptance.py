@@ -126,7 +126,7 @@ ECONOMY_DIMS = ({}, dict(d_text_in=6, d_hidden=5, d_audio=4, head_hidden=4,
 def parameter_count(config):
     """Exact trainable-scalar total for a configuration."""
     params = init_parameters(config, np.random.default_rng(0))
-    return sum(tensor.size for _, tensor in params.items())
+    return sum(tensor.data.size for _, tensor in params.items())
 
 
 def criterion_7():

@@ -331,6 +331,20 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert f"{files[kind]}:{len(lines)}: not UTF-8 text" in err
 
+    def test_deeply_nested_corpus_line_is_a_data_error(self, workspace,
+                                                       tmp_path, capsys):
+        _, corpus, emb = workspace
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        depth = 200_000
+        lines.insert(1, '{"dialog_id": "deep", "utterances": '
+                     + "[" * depth + "]" * depth + "}")
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.cfg", bad, emb)
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:2: JSON nested too deeply\n"
+
     def test_non_finite_embedding_is_a_data_error(self, workspace, tmp_path,
                                                   capsys):
         _, corpus, emb = workspace
@@ -583,6 +597,19 @@ class TestEvalCommand:
         code, err = self._eval_error(workspace, bad, tmp_path, capsys)
         assert code == 3
         assert err.count(str(bad)) == 1 and named in err
+
+    def test_deeply_nested_header_is_a_data_error(self, workspace, trained,
+                                                  tmp_path, capsys):
+        raw = (trained / "model.ckpt").read_bytes()
+        depth = 100_000
+        head = b'{"a": ' * depth + b"{}" + b"}" * depth
+        bad = tmp_path / "deep.ckpt"
+        # magic, 8-byte header length, header, then the parameters
+        bad.write_bytes(raw[:6] + len(head).to_bytes(8, "little") + head
+                        + raw[14 + int.from_bytes(raw[6:14], "little"):])
+        code, err = self._eval_error(workspace, bad, tmp_path, capsys)
+        assert code == 3
+        assert err == f"error: {bad}: header nested too deeply\n"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_is_a_data_error(

@@ -23,7 +23,7 @@ from banter.model import (
     save_checkpoint,
     variant_label,
 )
-from banter.tensor import Tape, Tensor, backward
+from banter.tensor import Tape, Tensor, add, backward, bce_loss
 from banter.train import dialog_loss
 
 # the ablation grid's rows, as build_variant names them
@@ -192,6 +192,35 @@ class TestForwardDialog:
             assert [prob.shape for prob in view] == [(1,)] * 4
             assert [float(prob.data[0]) for prob in view] \
                 == probs_as_floats(pred, task)
+
+    def test_per_utterance_view_carries_the_scores_gradients(self):
+        # perfbench's gradient and metric checks read scores through this
+        # view, one bce_loss per utterance
+        cfg = toy_config()
+        dialog = toy_dialog(n_utts=4, seed=2)
+        table = toy_table(cfg.d_text_in)
+        grads = {}
+        for path in ("scores", "view"):
+            params = init_parameters(cfg, np.random.default_rng(5))
+            with Tape():
+                pred = forward_dialog(cfg, params, dialog, table)
+                if path == "scores":
+                    loss = dialog_loss(pred, dialog, cfg.tasks)
+                else:
+                    loss = None
+                    for task in cfg.tasks:
+                        view = pred.probabilities[task]
+                        np.testing.assert_array_equal(
+                            np.concatenate([prob.data for prob in view]),
+                            pred.scores[task].data[:, 0])
+                        for utt, prob in zip(dialog.utterances, view):
+                            term = bce_loss(prob, getattr(utt, task))
+                            loss = term if loss is None else add(loss, term)
+                backward(loss)
+            grads[path] = {name: t.grad for name, t in params.items()}
+        for name, want in grads["scores"].items():
+            np.testing.assert_allclose(grads["view"][name], want, rtol=1e-12,
+                                       err_msg=name)
 
     def test_eval_mode_deterministic(self):
         cfg = toy_config(dropout=0.4)
@@ -539,7 +568,7 @@ class TestCheckpoint:
         header = json.loads(raw[14:14 + head_len].decode("utf-8"))
         header.pop("__meta__")
         total = sum(int(np.prod(entry["shape"])) for entry in header.values())
-        assert total == sum(t.size for _, t in params.items())
+        assert total == sum(t.data.size for _, t in params.items())
         assert len(raw) - 14 - head_len == 4 * total
 
     def test_missing_parameter_named(self, tmp_path):

@@ -34,7 +34,6 @@ from banter.tensor import (
     sum_all,
     sum_axis,
     tanh,
-    unstack,
     window_attend,
 )
 from banter.verify import CHECKS, OP_GROUPS, op_scenarios
@@ -305,15 +304,6 @@ class TestWindowOps:
 
 
 class TestSequenceOps:
-    def test_unstack_gives_the_rows(self):
-        matrix = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        rows = unstack(matrix)
-        assert [row.shape for row in rows] == [(2,)] * 3
-        for got, want in zip(rows, matrix.data):
-            np.testing.assert_array_equal(got.data, want)
-        with pytest.raises(ShapeError):
-            unstack(Tensor(1.0))
-
     def test_affine_rowwise_rows_ignore_the_row_count(self):
         # the widths the model's heads and LSTM projections use
         rng = np.random.default_rng(15)
@@ -635,7 +625,7 @@ class TestTapeRetention:
                     offenders.append(f"{key}: {node.op}'s rule closes over "
                                      f"a Tensor")
             # the tape's only tensors are leaves, none made by its nodes
-            made = {k for node in tape._nodes for k in node.out_keys}
+            made = {node.out_key for node in tape._nodes}
             if made & set(tape._leaves):
                 offenders.append(f"{key}: the tape holds a tensor it made")
         assert offenders == [], "\n".join(offenders)
@@ -647,7 +637,7 @@ class TestGradCheck:
         report = grad_check(lambda p: mul(p["theta"], p["theta"]),
                             {"theta": theta})
         assert report.passed
-        assert report.worst < 1e-6
+        assert max(report.max_rel_err.values()) < 1e-6
 
     def test_composite_loss_passes(self):
         rng = np.random.default_rng(3)

@@ -8,7 +8,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from banter import context_attention, fusion, model, tensor, verify
+from banter import (
+    context_attention,
+    fusion,
+    hier_attention,
+    model,
+    tensor,
+    verify,
+)
 from banter.metrics import ConfusionMatrix, confusion
 from banter.model import ParameterSet, save_checkpoint
 from banter.verify import CHECKS, run_checks
@@ -107,6 +114,23 @@ def window_reads_one_row_ahead(mp):
     mp.setattr(context_attention, "window_attend", peeking)
 
 
+def softmax_over_coordinates(mp):
+    # normalises each window row across d in place of across its rows
+    mp.setattr(hier_attention, "softmax",
+               lambda a, axis: tensor.softmax(a, axis=2))
+
+
+def windows_drop_the_last(mp):
+    def short(a, size):
+        windows = tensor.sliding_windows(a, size)
+        # a level of one window keeps it, so the hierarchy still ends
+        if windows.shape[0] == 1:
+            return windows
+        return tensor.Tensor(windows.data[:-1])
+
+    mp.setattr(hier_attention, "sliding_windows", short)
+
+
 def save_drops_a_parameter(mp):
     def save_all_but_last(params, path, config):
         kept = ParameterSet()
@@ -177,6 +201,8 @@ PLANTED_FAULTS = [
     ("determinism.training", unseeded_dropout, "diverge"),
     ("structure.context_causality", window_reads_one_row_ahead,
      "changed output"),
+    ("structure.hier_levels", softmax_over_coordinates, "weights sum"),
+    ("structure.hier_levels", windows_drop_the_last, "levels, expected"),
     ("roundtrip.checkpoint", save_drops_a_parameter, "missing parameter"),
     ("roundtrip.checkpoint", save_drops_the_threshold,
      "threshold: saved 0.75, loaded 0.5"),
