@@ -33,7 +33,7 @@ from .model import (
     save_checkpoint,
     variant_label,
 )
-from .report import export_heatmap, render_report
+from .report import export_heatmap, render_report, task_results
 from .tensor import NumericError
 from .train import TrainConfig, evaluate_split, train
 from .verify import run_checks
@@ -245,9 +245,7 @@ def _evaluation_document(config, matrices, metrics, n_dialogs):
         "variant": variant_label(config),
         "threshold": config.threshold,
         "dialogs": n_dialogs,
-        "tasks": {task: {"confusion": matrices[task].as_dict(),
-                         "metrics": metrics[task].as_dict()}
-                  for task in config.tasks},
+        "tasks": task_results(matrices, metrics, config.tasks),
     }
 
 

@@ -52,12 +52,6 @@ class EmbeddingTable:
         self.dimension = dimension
         self._vectors: dict[str, np.ndarray] = {}
 
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._vectors
-
     def add(self, token: str, vector: np.ndarray) -> None:
         vec = np.asarray(vector, dtype=np.float64)
         if vec.shape != (self.dimension,):
@@ -90,8 +84,10 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _parse_label(raw, field: str, where: str) -> int:
-    _require(raw in (0, 1), f"{where}: {field} must be 0 or 1, got {raw!r}")
-    return int(raw)
+    # the JSON integers only: true, false, 1.0 and "1" are not labels
+    _require(type(raw) is int and raw in (0, 1),
+             f"{where}: {field} must be 0 or 1, got {raw!r}")
+    return raw
 
 
 def _read_sidecar(sidecar: Path) -> list[list[float]]:
@@ -337,10 +333,9 @@ def embed_utterance(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
     """Stack per-token vectors into an N x d matrix; OOV rows are zero."""
     if len(tokens) == 0:
         raise ValueError("cannot embed an empty token list")
-    matrix = np.zeros((len(tokens), table.dimension))
+    matrix = np.empty((len(tokens), table.dimension))
     for k, token in enumerate(tokens):
-        if token in table:
-            matrix[k] = table.lookup(token)
+        matrix[k] = table.lookup(token)
     return matrix
 
 

@@ -76,6 +76,15 @@ def _history_lines(history_rows: list[dict], tasks: tuple[str, ...]) -> list[str
     return lines
 
 
+def task_results(matrices: dict[str, ConfusionMatrix],
+                 metrics: dict[str, Metrics], tasks) -> dict:
+    """Each task's confusion counts and metrics, as the JSON documents
+    carry them."""
+    return {task: {"confusion": matrices[task].as_dict(),
+                   "metrics": metrics[task].as_dict()}
+            for task in tasks}
+
+
 def render_report(history_rows: list[dict],
                   matrices: dict[str, ConfusionMatrix],
                   metrics: dict[str, Metrics],
@@ -92,11 +101,7 @@ def render_report(history_rows: list[dict],
         "variant": variant,
         "config": asdict(config),
         "history": list(history_rows),
-        "tasks": {
-            task: {"confusion": matrices[task].as_dict(),
-                   "metrics": metrics[task].as_dict()}
-            for task in tasks
-        },
+        "tasks": task_results(matrices, metrics, tasks),
     }
 
     lines = [f"== {variant} ==", ""]

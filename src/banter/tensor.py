@@ -68,9 +68,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
 
 class _Node:
     """One executed op: its name, its output's key, its parents' keys and

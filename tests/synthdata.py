@@ -14,6 +14,29 @@ FILLER_VOCAB = [
 SARCASM_MARKER = "zing"
 HUMOR_MARKER = "haha"
 
+# run-file keys at small dims: a CLI training run on the marker corpus
+# (emb_dim 12) takes around a second
+SMALL_KEYS = {
+    "d_text_in": "12", "d_hidden": "8", "d_audio": "8", "head_hidden": "6",
+    "dropout": "0.1", "lr": "3e-3", "batch_size": "8", "max_epochs": "2",
+    "patience": "2", "seed": "1", "val_fraction": "0.25",
+}
+
+
+def write_config(path, corpus=None, embeddings=None, **extra) -> Path:
+    """A run file holding SMALL_KEYS, with ``extra`` keys added or replaced."""
+    lines = []
+    if corpus is not None:
+        lines.append(f"corpus = {corpus}")
+    if embeddings is not None:
+        lines.append(f"embeddings = {embeddings}")
+    merged = dict(SMALL_KEYS)
+    merged.update({key: str(value) for key, value in extra.items()})
+    lines += [f"{key} = {value}" for key, value in merged.items()]
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
 
 def write_corpus(path, dialogs: list[dict]) -> Path:
     path = Path(path)
@@ -112,3 +135,22 @@ def marker_corpus(dir_path, n_dialogs: int = 8, utterances_per_dialog: int = 4,
     vectors[HUMOR_MARKER] = marker_b
     emb_path = write_embeddings(dir_path / "vectors.txt", vectors, emb_dim)
     return corpus_path, emb_path
+
+
+def sidecar_copy(corpus_path, dir_path) -> Path:
+    """A copy of a corpus in ``dir_path`` whose inline frame matrices are
+    moved to CSV sidecars beside it, one per utterance. Each cell is the
+    shortest text of its float, so the loaded frames are the same bits."""
+    dir_path = Path(dir_path)
+    dir_path.mkdir(parents=True, exist_ok=True)
+    dialogs = [json.loads(line) for line in
+               Path(corpus_path).read_text(encoding="utf-8").splitlines()]
+    for dialog in dialogs:
+        for utt in dialog["utterances"]:
+            name = f"{dialog['dialog_id']}.{utt['id']}.csv"
+            rows = utt.pop("mfcc")
+            (dir_path / name).write_text(
+                "".join(",".join(repr(float(v)) for v in row) + "\n"
+                        for row in rows), encoding="utf-8")
+            utt["mfcc_path"] = name
+    return write_corpus(dir_path / "corpus.jsonl", dialogs)

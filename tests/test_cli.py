@@ -34,32 +34,16 @@ from banter.model import (
 )
 from banter.train import TrainConfig, evaluate_split, train
 from synthdata import (
+    SMALL_KEYS,
     marker_corpus,
     masac_shaped_corpus,
+    sidecar_copy,
+    write_config,
     write_corpus,
     write_embeddings,
 )
 from test_model import rewrite_checkpoint_header
-
-# small dims keep every training run in this file around a second
-SMALL_KEYS = {
-    "d_text_in": "12", "d_hidden": "8", "d_audio": "8", "head_hidden": "6",
-    "dropout": "0.1", "lr": "3e-3", "batch_size": "8", "max_epochs": "2",
-    "patience": "2", "seed": "1", "val_fraction": "0.25",
-}
-
-
-def write_config(path, corpus=None, embeddings=None, **extra):
-    lines = []
-    if corpus is not None:
-        lines.append(f"corpus = {corpus}")
-    if embeddings is not None:
-        lines.append(f"embeddings = {embeddings}")
-    merged = dict(SMALL_KEYS)
-    merged.update({key: str(value) for key, value in extra.items()})
-    lines += [f"{key} = {value}" for key, value in merged.items()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+from test_verify import broken_tanh, run_alone
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +328,51 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err == f"error: {bad}:2: JSON nested too deeply\n"
+
+    def test_sidecar_frames_train_the_same_bits(self, workspace, tmp_path):
+        _, corpus, emb = workspace
+        sidecar = sidecar_copy(corpus, tmp_path / "sidecar")
+        runs = {}
+        for name, source in (("inline", corpus), ("sidecar", sidecar)):
+            runs[name] = tmp_path / name
+            cfg = write_config(tmp_path / f"{name}.cfg", source, emb,
+                               out_dir=runs[name])
+            assert main(["train", "--config", str(cfg), "--seed", "7"]) == 0
+        for artifact in ("model.ckpt", "history.csv", "report.txt",
+                         "report.json"):
+            assert (runs["inline"] / artifact).read_bytes() \
+                == (runs["sidecar"] / artifact).read_bytes(), artifact
+
+    def test_non_numeric_sidecar_cell_is_a_data_error(self, workspace,
+                                                      tmp_path, capsys):
+        _, corpus, emb = workspace
+        sidecar = sidecar_copy(corpus, tmp_path / "sidecar")
+        frames = sidecar.parent / "d0.d0_u0.csv"
+        rows = frames.read_text(encoding="utf-8").splitlines()
+        rows[1] = "x," + rows[1].split(",", 1)[1]
+        frames.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.cfg", sidecar, emb)
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{frames}:2: " in err and "'x'" in err
+
+    @pytest.mark.parametrize("label, shown", [("true", "True"),
+                                              ("1.0", "1.0")])
+    def test_label_of_the_wrong_type_is_a_data_error(self, workspace,
+                                                     tmp_path, capsys, label,
+                                                     shown):
+        _, corpus, emb = workspace
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace('"humor": 0', f'"humor": {label}', 1)
+        bad = tmp_path / "labels.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.cfg", bad, emb)
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: dialog 'd1', utterance ")
+        assert err.endswith(f": humor must be 0 or 1, got {shown}\n")
 
     def test_non_finite_embedding_is_a_data_error(self, workspace, tmp_path,
                                                   capsys):
@@ -745,25 +774,27 @@ class TestInspectCommand:
 
 
 class TestVerifyCommand:
-    """The command prints the session's shared verify runs (conftest.py)."""
+    """The command on the clean build (the session's run, conftest.py), and
+    on one check failing under a planted fault."""
 
-    def test_pristine_build_passes_with_named_listing(self, monkeypatch,
-                                                      capsys, pristine):
-        monkeypatch.setattr(cli, "run_checks", lambda: pristine[0])
-        assert main(["verify"]) == 0
-        printed = capsys.readouterr().out
+    def test_pristine_build_passes_with_named_listing(self, pristine):
+        assert pristine["code"] == 0
+        printed = pristine["listing"]
         for name in ("gradients.elementwise", "gradients.model",
                      "structure.hier_levels", "determinism.training"):
             assert f"ok    {name}" in printed
         assert "all passed" in printed
 
     def test_injected_gradient_bug_exits_5_naming_the_op(self, monkeypatch,
-                                                         capsys, mutated):
-        monkeypatch.setattr(cli, "run_checks", lambda: list(mutated.values()))
+                                                         capsys):
+        broken_tanh(monkeypatch)
+        results = run_alone("gradients.elementwise")
+        monkeypatch.setattr(cli, "run_checks", lambda: results)
         assert main(["verify"]) == 5
         printed = capsys.readouterr().out
         assert "FAIL  gradients.elementwise" in printed
         assert "tanh.x" in printed
+        assert printed.endswith("1 checks, 1 failed: gradients.elementwise\n")
 
 
 class TestConsoleScript:

@@ -82,6 +82,28 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="sarcasm"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field", ["sarcasm", "humor"])
+    @pytest.mark.parametrize("label", [True, False, 1.0, 0.0, "1", None],
+                             ids=["true", "false", "1.0", "0.0", "string",
+                                  "null"])
+    def test_label_must_be_the_integer_0_or_1(self, tmp_path, field, label):
+        utterance = {"id": "u0", "speaker": "a", "tokens": ["x"],
+                     "sarcasm": 0, "humor": 1}
+        utterance[field] = label
+        path = synthdata.write_corpus(
+            tmp_path / "label.jsonl",
+            [{"dialog_id": "d0", "utterances": [utterance]}])
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert str(err.value) == (f"dialog 'd0', utterance 'u0': {field} "
+                                  f"must be 0 or 1, got {label!r}")
+
+    def test_integer_labels_load_as_ints(self, tmp_path):
+        dialog = load_corpus(small_corpus(tmp_path))[0]
+        labels = [(u.sarcasm, u.humor) for u in dialog.utterances]
+        assert labels == [(1, 0), (0, 1), (0, 0)]
+        assert all(type(v) is int for pair in labels for v in pair)
+
     def test_duplicate_dialog_id_rejected(self, tmp_path):
         one = {"dialog_id": "d0", "utterances": [
             {"id": "u0", "speaker": "a", "tokens": ["x"], "sarcasm": 0, "humor": 0},
@@ -264,8 +286,9 @@ class TestEmbeddings:
             "hai 0 0 1 0.5",
         ])
         table = load_embeddings(path)
-        assert len(table) == 3
         assert table.dimension == 4
+        np.testing.assert_allclose(table.lookup("kya"), [1, 0, 0, 0])
+        np.testing.assert_allclose(table.lookup("baat"), [0, 1, 0, 0])
         np.testing.assert_allclose(table.lookup("hai"), [0, 0, 1, 0.5])
 
     def test_oov_lookup_is_zero(self, tmp_path):
@@ -286,8 +309,8 @@ class TestEmbeddings:
         # fastText .vec files end every row with a space
         path = self.write_table(tmp_path, ["2 3", "foo 1 2 3 ", "bar 4 5 6 "])
         table = load_embeddings(path)
-        assert len(table) == 2
         np.testing.assert_allclose(table.lookup("foo"), [1, 2, 3])
+        np.testing.assert_allclose(table.lookup("bar"), [4, 5, 6])
 
     def test_trailing_space_does_not_hide_a_short_row(self, tmp_path):
         path = self.write_table(tmp_path, ["1 3", "foo 1 2 "])
@@ -297,7 +320,6 @@ class TestEmbeddings:
     def test_duplicate_token_keeps_first(self, tmp_path):
         path = self.write_table(tmp_path, ["2 2", "kya 1 2", "kya 3 4"])
         table = load_embeddings(path)
-        assert len(table) == 1
         np.testing.assert_allclose(table.lookup("kya"), [1, 2])
 
     def test_row_count_mismatch_rejected(self, tmp_path):
@@ -369,7 +391,6 @@ class TestEmbeddingBlocks:
             f"{token} {' '.join(fields)} \n"
             for token, fields in rows.items()), encoding="utf-8")
         table = load_embeddings(path)
-        assert len(table) == len(rows)
         for token, fields in rows.items():
             expected = np.array([float(field) for field in fields])
             assert table.lookup(token).tobytes() == expected.tobytes(), token
