@@ -98,12 +98,6 @@ class TestLoadCorpus:
         assert str(err.value) == (f"dialog 'd0', utterance 'u0': {field} "
                                   f"must be 0 or 1, got {label!r}")
 
-    def test_integer_labels_load_as_ints(self, tmp_path):
-        dialog = load_corpus(small_corpus(tmp_path))[0]
-        labels = [(u.sarcasm, u.humor) for u in dialog.utterances]
-        assert labels == [(1, 0), (0, 1), (0, 0)]
-        assert all(type(v) is int for pair in labels for v in pair)
-
     def test_duplicate_dialog_id_rejected(self, tmp_path):
         one = {"dialog_id": "d0", "utterances": [
             {"id": "u0", "speaker": "a", "tokens": ["x"], "sarcasm": 0, "humor": 0},

@@ -3,9 +3,9 @@ top-level class is loaded by name, apart from a short allow-list.
 
 The runs (the traffic) are ``tests/traffic.py``, executed in a fresh
 process under a call hook; ``traffic`` is a session fixture in
-conftest.py. A code object is a module body, a class body,
-a function, method, property, lambda or comprehension. Function-level
-reachability does not see dead branches inside a function that runs.
+conftest.py. A code object is a module or class body, a function, method,
+property, lambda or comprehension. Function-level reachability does not
+see dead branches inside a function that runs.
 """
 
 import dis
@@ -19,8 +19,6 @@ import traffic as traffic_runs
 
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11),
                                 reason="needs code objects' co_qualname")
-
-PACKAGE = traffic_runs.PACKAGE
 
 # Code the traffic never enters, each with its reason. An entry also covers
 # the code nested in it; an anonymous code object is named with its line.
@@ -52,7 +50,7 @@ def src_code() -> dict:
     """Every code object compiled from the package, keyed as the traffic
     reports it, with its display name: (display name, code object)."""
     codes = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(traffic_runs.PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         lines = source.splitlines()
         stack = [compile(source, str(path), "exec")]

@@ -171,9 +171,10 @@ def run_traffic(out_path: str, workdir: str, *names: str) -> None:
             if result is not None:
                 document[name] = result
     sys.settrace(None)
+    # co_qualname is new in Python 3.11, as is the guard that reads it
     document["entered"] = sorted(
         {(Path(code.co_filename).name, code.co_firstlineno,
-          code.co_qualname) for code in entered
+          getattr(code, "co_qualname", code.co_name)) for code in entered
          if Path(code.co_filename).resolve().parent == PACKAGE})
     Path(out_path).write_text(json.dumps(document, indent=0) + "\n",
                               encoding="utf-8")
