@@ -76,7 +76,26 @@ def run_alone(*names):
         return run_checks()
 
 
+@pytest.fixture(scope="module")
+def elementwise_under_broken_tanh():
+    """``gradients.elementwise``'s result, run alone under ``broken_tanh``."""
+    with pytest.MonkeyPatch.context() as mp:
+        broken_tanh(mp)
+        [result] = run_alone("gradients.elementwise")
+    return result
+
+
 class TestInjectedBug:
+    def test_broken_tanh_gradient_is_caught_and_named(
+            self, elementwise_under_broken_tanh):
+        result = elementwise_under_broken_tanh
+        assert result.name == "gradients.elementwise" and not result.passed
+        assert "FAIL tanh.x" in result.detail
+
+    def test_failing_check_reports_relative_error(
+            self, elementwise_under_broken_tanh):
+        assert "tanh.x: max rel err" in elementwise_under_broken_tanh.detail
+
     def test_unrelated_checks_stay_green_under_the_bug(self, monkeypatch):
         # these paths never route through the patched module attribute
         broken_tanh(monkeypatch)
@@ -107,7 +126,9 @@ class TestInjectedBug:
         assert ran == ["oracle.metrics"]
 
 
-# Planted faults, each installed through the monkeypatch it is given.
+# Planted faults for the checks other than gradients.elementwise, whose
+# fault is broken_tanh: each installs its fault through the monkeypatch it
+# is given.
 
 def swap_false_calls(mp):
     def swapped(preds, labels):
@@ -218,7 +239,6 @@ def relu_keeps_the_complement_mask(mp):
 
 
 PLANTED_FAULTS = [
-    ("gradients.elementwise", broken_tanh, "FAIL tanh.x: max rel err"),
     ("oracle.metrics", swap_false_calls, "confusion counts"),
     ("structure.filter_bounds", filter_without_tanh, "escaped (-1, 1)"),
     ("determinism.training", unseeded_dropout, "diverge"),
