@@ -7,8 +7,10 @@ level count for N inputs and width X is ceil((N-1)/(X-1)); the final level
 leaves a single context row. The same operation serves token embeddings
 and audio frame sequences.
 
-Every level is one fixed group of whole-matrix ops on that level's (n, d)
-matrix, however many windows it holds.
+Every level is one fixed group of row passes over that level's (n, d)
+matrix, however many windows it holds: each row is exponentiated once,
+against a per-column shift, and each window's softmax numerator and
+denominator are ``width`` shifted adds of those rows.
 """
 
 from __future__ import annotations
@@ -18,16 +20,20 @@ import numpy as np
 from .tensor import (
     Tensor,
     affine_rows,
+    exp_shifted,
     mul,
     relu,
     scale,
-    sliding_windows,
-    softmax,
-    sum_axis,
+    window_ratio,
+    window_weights,
 )
 
 # half-width of the uniform noise added to the identity projection at init
 PROJECTION_NOISE = 0.01
+# a column whose values spread wider than this within one level gets a
+# shift per row: exp(-spread) from one level-wide shift nears float64's
+# underflow at 745
+SHIFT_SPREAD_LIMIT = 600.0
 
 
 def level_count(n: int, width: int) -> int:
@@ -43,16 +49,31 @@ def level_count(n: int, width: int) -> int:
     return -((n - 1) // -(width - 1))
 
 
+def _level_shift(x: np.ndarray) -> np.ndarray:
+    """The constant a level takes off its (n, d) matrix before exp.
+
+    Each column's maximum, as a (d,) array. If some column spreads wider
+    than ``SHIFT_SPREAD_LIMIT``, an (n, d) array whose wide columns hold
+    their own values, so that ``window_ratio`` rescales each of their
+    windows to its own maximum.
+    """
+    top = x.max(axis=0)
+    wide = top - x.min(axis=0) > SHIFT_SPREAD_LIMIT
+    return np.where(wide, x, top) if wide.any() else top
+
+
 def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
-                width: int = 3) -> tuple[Tensor, list[np.ndarray]]:
+                width: int = 3, weights: bool = False
+                ) -> tuple[Tensor, list[np.ndarray] | None]:
     """Collapse the N rows of an (N, d) matrix to one (1, d) row.
 
     Windows slide with stride 1 and full width while enough vectors remain;
     when fewer than ``width`` are left, a single truncated window finishes
-    the level. Each window's weighted sum is divided by the window's size,
-    so truncated final windows stay a bounded average. Returns the final
-    row and, per attention level in order, the (windows, size, d) softmax
-    weights that built it; a level's window count is its vector count.
+    the level. Each window's softmax-weighted sum is divided by the
+    window's size, so truncated final windows stay a bounded average.
+    Returns the final row and, if ``weights`` is set, per attention level
+    in order, the (windows, size, d) softmax weights that built it (a
+    level's window count is its vector count); otherwise None.
     """
     if vectors.data.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError(f"hier_attend needs an (n, d) matrix with at least "
@@ -60,14 +81,16 @@ def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
     if width < 2:
         raise ValueError(f"window width must be at least 2, got {width}")
     current = relu(vectors)
-    level_weights = []
+    level_weights = [] if weights else None
     while current.shape[0] > 1:
         size = min(width, current.shape[0])
-        windows = sliding_windows(current, size)
-        weights = softmax(windows, axis=1)
-        pooled = scale(sum_axis(mul(weights, windows), axis=1), 1.0 / size)
+        shift = _level_shift(current.data)
+        e = exp_shifted(current, shift)
+        pooled = scale(window_ratio(mul(e, current), e, size, shift),
+                       1.0 / size)
+        if level_weights is not None:
+            level_weights.append(window_weights(e.data, size, shift))
         current = relu(affine_rows(pooled, proj_w, proj_b))
-        level_weights.append(weights.data)
     return current, level_weights
 
 

@@ -506,46 +506,105 @@ def window_attend(blocks: Sequence[Tensor],
     return out, weights.transpose(1, 0, 2)
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    """Softmax along one axis, stabilized by the max along that axis."""
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax: no axis {axis} in shape {a.shape}")
-    exps = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    y = exps / exps.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
+def exp_shifted(a: Tensor, shift: np.ndarray) -> Tensor:
+    """``exp(a - shift)`` for a constant ``shift`` of ``a``'s shape or of
+    its last axis.
 
-    def bwd(gs):
-        g = gs[0]
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    _finish("softmax", [out], [a], bwd)
-    return out
-
-
-def sliding_windows(a: Tensor, size: int) -> Tensor:
-    """Every stride-1 window of ``size`` consecutive rows of an (n, d) matrix.
-
-    Returns (n - size + 1, size, d); window k holds rows k .. k + size - 1.
-    The adjoint scatter-adds each window slot back into its source rows.
+    No gradient flows to ``shift``. A composite whose value does not depend
+    on the shift, as a softmax's does not, still gets its exact gradient.
     """
-    if a.data.ndim != 2:
-        raise ShapeError(f"sliding_windows expects a matrix, got shape {a.shape}")
-    n = a.shape[0]
+    shift = np.asarray(shift, dtype=np.float64)
+    if shift.shape not in (a.shape, a.shape[-1:]):
+        raise ShapeError(f"exp_shifted: shift of shape {shift.shape} for "
+                         f"shape {a.shape}")
+    y = np.subtract(a.data, shift)
+    np.exp(y, out=y)
+    out = Tensor(y)
+    _finish("exp_shifted", [out], [a], lambda gs: (gs[0] * y,))
+    return out
+
+
+def _window_factors(shift: np.ndarray, size: int) -> list[np.ndarray] | None:
+    """Per window offset j, the (m, d) factors exp(shift[k + j] - peak[k]),
+    where peak[k] is the largest shift in window k; None for a (d,) shift,
+    whose factors are all 1."""
+    if shift.ndim == 1:
+        return None
+    m = shift.shape[0] - size + 1
+    peak = shift[:m].copy()
+    for j in range(1, size):
+        np.maximum(peak, shift[j:j + m], out=peak)
+    return [np.exp(shift[j:j + m] - peak) for j in range(size)]
+
+
+def window_ratio(num: Tensor, den: Tensor, size: int,
+                 shift: np.ndarray) -> Tensor:
+    """Ratio of the window sums of two (n, d) matrices, per column.
+
+    Window k holds rows k .. k + size - 1. Row k of the (n - size + 1, d)
+    result is ``sum_j f[k, j] num[k + j] / sum_j f[k, j] den[k + j]``,
+    where ``shift`` is the constant a caller took off before exponentiating
+    (``den = exp(x - shift)``) and f[k, j] = exp(shift[k + j] - peak[k])
+    puts window k's rows back on the scale of its largest shift. A (d,)
+    shift is one scale for every row: every f is 1, so both sums are
+    ``size`` shifted adds, in the backward pass too. An (n, d) shift should
+    be the values themselves, as ``hier_attend`` uses it: an f that
+    underflows then stands for a weight below exp(-745). No gradient flows
+    to ``shift``.
+    """
+    _same_shape("window_ratio", num, den)
+    if num.data.ndim != 2:
+        raise ShapeError(f"window_ratio expects matrices, got shape "
+                         f"{num.shape}")
+    n, d = num.shape
     if not 1 <= size <= n:
-        raise ShapeError(f"sliding_windows: window of {size} over {n} rows")
+        raise ShapeError(f"window_ratio: window of {size} over {n} rows")
+    shift = np.asarray(shift, dtype=np.float64)
+    if shift.shape not in ((d,), (n, d)):
+        raise ShapeError(f"window_ratio: shift of shape {shift.shape} for "
+                         f"shape {num.shape}")
     m = n - size + 1
-    out = Tensor(a.data[np.arange(m)[:, None] + np.arange(size)])
-    shape = a.shape
+    factors = _window_factors(shift, size)
+
+    def weighted(x, j):
+        return x if factors is None else factors[j] * x
+
+    top = weighted(num.data[:m], 0).copy()
+    bottom = weighted(den.data[:m], 0).copy()
+    for j in range(1, size):
+        top += weighted(num.data[j:j + m], j)
+        bottom += weighted(den.data[j:j + m], j)
+    ratio = np.divide(top, bottom, out=top)
+    out = Tensor(ratio)
 
     def bwd(gs):
-        g = gs[0]
-        dx = np.zeros(shape)
-        for k in range(size):
-            dx[k:k + m] += g[:, k]
-        return (dx,)
+        # d ratio[k] / d num[k + j] = f[k, j] / bottom[k], and
+        # d ratio[k] / d den[k + j] = -f[k, j] ratio[k] / bottom[k]
+        a = gs[0] / bottom
+        b = a * ratio
+        d_num = np.zeros((n, d))
+        d_den = np.zeros((n, d))
+        for j in range(size):
+            d_num[j:j + m] += weighted(a, j)
+            d_den[j:j + m] -= weighted(b, j)
+        return d_num, d_den
 
-    _finish("sliding_windows", [out], [a], bwd)
+    _finish("window_ratio", [out], [num, den], bwd)
     return out
+
+
+def window_weights(e: np.ndarray, size: int,
+                   shift: np.ndarray) -> np.ndarray:
+    """The (n - size + 1, size, d) weights ``window_ratio(mul(e, x), e, size,
+    shift)`` gives the rows x[k + j] of window k: f[k, j] e[k + j] over
+    their sum in the window, so a window's weights sum to 1 per column.
+    """
+    m = e.shape[0] - size + 1
+    factors = _window_factors(shift, size)
+    rows = np.stack([e[j:j + m] if factors is None
+                     else factors[j] * e[j:j + m] for j in range(size)],
+                    axis=1)
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],

@@ -149,15 +149,24 @@ def op_scenarios(rng: np.random.Generator) -> dict:
                     tensor.window_attend([p[f"h{b}"] for b in range(k)],
                                          3)[0], m)))
 
-    a = Tensor(u(2, 3, 4), requires_grad=True)
-    mixer = Tensor(u(2, 3, 4))
-    scen["softmax"] = ({"a": a}, lambda p, m=mixer: tensor.sum_all(
-        tensor.mul(tensor.softmax(p["a"], axis=1), m)))
-
+    # the three H-ATN row-pass scenarios draw 76 values in all, so the
+    # scenarios after them keep the draws their planted faults were set on
     a = Tensor(u(5, 2), requires_grad=True)
-    mixer = Tensor(u(3, 3, 2))
-    scen["sliding_windows"] = ({"a": a}, lambda p, m=mixer: tensor.sum_all(
-        tensor.tanh(tensor.mul(tensor.sliding_windows(p["a"], 3), m))))
+    mixer = Tensor(u(5, 2))
+    scen["exp_shifted"] = ({"a": a}, lambda p, m=mixer, s=a.data.max(axis=0):
+                           tensor.sum_all(tensor.mul(
+                               tensor.exp_shifted(p["a"], s), m)))
+
+    # a (d,) shift gives every window row the factor 1; an (n, d) one
+    # rescales each window to its largest shift
+    for n, shift_key in ((4, "(d,)"), (5, "(n,d)")):
+        parts = {"num": Tensor(u(n, 2), requires_grad=True),
+                 "den": Tensor(np.exp(u(n, 2)), requires_grad=True)}
+        shift = np.zeros(2) if shift_key == "(d,)" else 3.0 * u(n, 2)
+        mixer = Tensor(u(n - 2, 2))
+        scen[f"window_ratio[shift={shift_key}]"] = (
+            parts, lambda p, m=mixer, s=shift: tensor.sum_all(tensor.mul(
+                tensor.window_ratio(p["num"], p["den"], 3, s), m)))
 
     a = Tensor(u(8), requires_grad=True)
     mask_seed = int(rng.integers(1 << 30))
@@ -220,7 +229,7 @@ OP_GROUPS = {
                               "sigmoid", "dropout", "bce_loss"),
     "gradients.linear": ("concat", "sum_all", "mean_rows",
                          "sum_axis", "affine_rows", "affine_rowwise"),
-    "gradients.softmax": ("softmax", "sliding_windows", "window_attend"),
+    "gradients.softmax": ("exp_shifted", "window_ratio", "window_attend"),
     "gradients.lstm": ("lstm_sequence",),
     "gradients.conv": ("conv1d_same",),
 }
@@ -296,7 +305,8 @@ def check_hier_structure() -> None:
         proj_w, proj_b = init_projection(dim, rng)
         for n in range(1, 65):
             vectors = Tensor(rng.normal(size=(n, dim)))
-            out, level_weights = hier_attend(vectors, proj_w, proj_b, width)
+            out, level_weights = hier_attend(vectors, proj_w, proj_b, width,
+                                             weights=True)
             expected_levels = level_count(n, width)
             if len(level_weights) != expected_levels:
                 raise AssertionError(

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from banter.gradcheck import grad_check
-from banter.hier_attention import hier_attend, init_projection, level_count
+from banter.hier_attention import (
+    SHIFT_SPREAD_LIMIT,
+    hier_attend,
+    init_projection,
+    level_count,
+)
 from banter.tensor import Tape, Tensor, sum_all
 
 
@@ -70,7 +75,7 @@ class TestWindowLevel:
         v = np.array([0.4, 1.2, 0.0, 2.0])
         w, b = identity_projection(4)
         out, level_weights = hier_attend(Tensor(np.tile(v, (3, 1))), w, b,
-                                         width=3)
+                                         width=3, weights=True)
         np.testing.assert_allclose(level_weights[0],
                                    np.full((1, 3, 4), 1 / 3), atol=1e-12)
         # weighted sum reassembles v, then the division by window size
@@ -79,7 +84,7 @@ class TestWindowLevel:
     def test_log_spaced_first_coordinate(self):
         w, b = identity_projection(2)
         rows = Tensor([[np.log(2.0), 0.0], [np.log(4.0), 0.0]])
-        _, level_weights = hier_attend(rows, w, b, width=2)
+        _, level_weights = hier_attend(rows, w, b, width=2, weights=True)
         np.testing.assert_allclose(level_weights[0][0, :, 0],
                                    [1 / 3, 2 / 3], atol=1e-12)
 
@@ -88,7 +93,8 @@ class TestHierAttend:
     def test_single_vector_base_case(self):
         v = np.array([1.0, -2.0, 0.5])
         w, b = identity_projection(3)
-        out, level_weights = hier_attend(Tensor([v]), w, b, width=3)
+        out, level_weights = hier_attend(Tensor([v]), w, b, width=3,
+                                         weights=True)
         np.testing.assert_allclose(out.data, [[1.0, 0.0, 0.5]])
         assert level_weights == []
 
@@ -96,7 +102,7 @@ class TestHierAttend:
         rng = np.random.default_rng(0)
         w, b = identity_projection(4)
         vectors = Tensor(rng.uniform(-1, 1, size=(5, 4)))
-        _, level_weights = hier_attend(vectors, w, b, width=3)
+        _, level_weights = hier_attend(vectors, w, b, width=3, weights=True)
         assert level_sizes(5, level_weights) == [5, 3, 1]
         assert len(level_weights) == level_count(5, 3) == 2
 
@@ -106,7 +112,7 @@ class TestHierAttend:
         b_np = rng.uniform(-0.1, 0.1, size=3)
         raw = rng.uniform(-1, 1, size=(4, 3))
         out, level_weights = hier_attend(Tensor(raw), Tensor(w_np),
-                                         Tensor(b_np), width=3)
+                                         Tensor(b_np), width=3, weights=True)
         assert level_sizes(4, level_weights) == [4, 2, 1]
         # the final level attends one truncated 2-wide window
         assert level_weights[1].shape == (1, 2, 3)
@@ -139,7 +145,7 @@ class TestHierAttend:
         rng = np.random.default_rng(5)
         w, b = identity_projection(3)
         vectors = Tensor(rng.uniform(-2, 2, size=(9, 3)))
-        _, level_weights = hier_attend(vectors, w, b, width=3)
+        _, level_weights = hier_attend(vectors, w, b, width=3, weights=True)
         for weights in level_weights:
             for window_weights in weights:
                 total = window_weights.sum(axis=0)
@@ -161,6 +167,48 @@ class TestHierAttend:
         report = grad_check(f, params)
         assert report.passed, report.summary()
 
+    def test_weights_only_on_request(self):
+        w, b = identity_projection(2)
+        vectors = Tensor(np.arange(10.0).reshape(5, 2))
+        plain, none = hier_attend(vectors, w, b)
+        asked, level_weights = hier_attend(vectors, w, b, weights=True)
+        assert none is None and len(level_weights) == 2
+        np.testing.assert_array_equal(plain.data, asked.data)
+
+    @pytest.mark.parametrize("n, d", [(15, 300), (105, 128), (200, 128)])
+    def test_matches_oracle_at_paper_dimensions(self, n, d):
+        rng = np.random.default_rng(n + d)
+        proj_w, proj_b = init_projection(d, rng)
+        raw = rng.normal(size=(n, d))
+        out, _ = hier_attend(Tensor(raw), proj_w, proj_b)
+        want = hier_oracle(raw, proj_w.data, proj_b.data, 3)
+        assert np.linalg.norm(out.data - want) \
+            <= 1e-12 * np.linalg.norm(want)
+
+    def test_wide_column_spread_matches_the_oracle(self):
+        # one cell at 1000: exp of the column's other cells against one
+        # shift for the level would underflow to 0, and windows without
+        # that cell would divide 0 by 0
+        rng = np.random.default_rng(9)
+        raw = rng.uniform(-1, 1, size=(24, 8))
+        raw[10, 3] = 1000.0
+        assert 1000.0 - np.maximum(raw[:, 3], 0).min() > 745 \
+            > SHIFT_SPREAD_LIMIT
+        # a positive bias keeps the levels' tiny pre-activations off the
+        # ReLU corner, which finite-difference steps would straddle
+        proj_w, _ = init_projection(8, rng)
+        proj_b = Tensor(np.full(8, 0.1), requires_grad=True)
+        vectors = Tensor(raw, requires_grad=True)
+        out, _ = hier_attend(vectors, proj_w, proj_b)
+        want = hier_oracle(raw, proj_w.data, proj_b.data, 3)
+        assert np.all(np.isfinite(out.data))
+        assert np.linalg.norm(out.data - want) \
+            <= 1e-12 * np.linalg.norm(want)
+        params = {"proj_w": proj_w, "proj_b": proj_b, "vectors": vectors}
+        report = grad_check(lambda p: sum_all(hier_attend(
+            p["vectors"], p["proj_w"], p["proj_b"])[0]), params)
+        assert report.passed, report.summary()
+
     def test_empty_matrix_rejected(self):
         w, b = identity_projection(2)
         with pytest.raises(ValueError):
@@ -172,7 +220,8 @@ class TestHierAttend:
         proj_w, proj_b = init_projection(128, rng)
         vectors = Tensor(rng.normal(size=(105, 128)), requires_grad=True)
         with Tape() as tape:
-            _, level_weights = hier_attend(vectors, proj_w, proj_b, width=3)
+            _, level_weights = hier_attend(vectors, proj_w, proj_b, width=3,
+                                           weights=True)
         assert len(level_weights) == level_count(105, 3) == 52
         assert len(tape) <= 10 * len(level_weights) + 2
 

@@ -24,17 +24,18 @@ from banter.tensor import (
     concat,
     conv1d_same,
     dropout,
+    exp_shifted,
     lstm_sequence,
     mul,
     relu,
     scale,
     sigmoid,
-    sliding_windows,
-    softmax,
     sum_all,
     sum_axis,
     tanh,
     window_attend,
+    window_ratio,
+    window_weights,
 )
 from banter.verify import CHECKS, OP_GROUPS, op_scenarios
 
@@ -247,37 +248,70 @@ class TestGroupSoftmax:
 
 
 class TestWindowOps:
-    def test_sliding_windows_hold_consecutive_rows(self):
+    def test_window_ratio_sums_consecutive_rows(self):
+        # over a denominator of ones, window k is the mean of rows k .. k + 2
         x = Tensor(np.arange(10.0).reshape(5, 2))
-        out = sliding_windows(x, 3)
-        assert out.shape == (3, 3, 2)
+        out = window_ratio(x, Tensor(np.ones((5, 2))), 3, np.zeros(2))
+        assert out.shape == (3, 2)
         for k in range(3):
-            np.testing.assert_array_equal(out.data[k], x.data[k:k + 3])
+            np.testing.assert_allclose(out.data[k],
+                                       x.data[k:k + 3].mean(axis=0))
 
-    def test_sliding_windows_adjoint_counts_window_memberships(self):
+    def test_window_ratio_adjoint_counts_window_memberships(self):
         x = Tensor(np.zeros((5, 2)), requires_grad=True)
         with Tape():
-            backward(sum_all(sliding_windows(x, 3)))
-        np.testing.assert_array_equal(x.grad[:, 0], [1, 2, 3, 2, 1])
+            backward(sum_all(window_ratio(x, Tensor(np.ones((5, 2))), 3,
+                                          np.zeros(2))))
+        np.testing.assert_allclose(x.grad[:, 0], np.array([1, 2, 3, 2, 1]) / 3)
 
-    def test_sliding_windows_bad_size_rejected(self):
+    def test_window_ratio_bad_size_rejected(self):
+        ones = Tensor(np.ones((2, 3)))
         with pytest.raises(ShapeError):
-            sliding_windows(Tensor(np.ones((2, 3))), 3)
+            window_ratio(ones, ones, 3, np.zeros(3))
         with pytest.raises(ShapeError):
-            sliding_windows(Tensor(np.ones(4)), 2)
+            window_ratio(ones, ones, 2, np.zeros(2))
+        with pytest.raises(ShapeError):
+            window_ratio(Tensor(np.ones(4)), Tensor(np.ones(4)), 2,
+                         np.zeros(4))
+        with pytest.raises(ShapeError):
+            exp_shifted(ones, np.zeros(2))
 
-    def test_softmax_matches_group_softmax(self):
+    def test_window_ratio_does_not_depend_on_the_shift(self):
+        # a softmax over each window: a shift per column, each row's own
+        # values, or unrelated values per row all give the same ratio
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-3, 3, size=(6, 3))
+        shifts = [x.max(axis=0), x, rng.uniform(-30, 30, size=(6, 3))]
+        ratios = []
+        for shift in shifts:
+            e = exp_shifted(Tensor(x), shift)
+            ratios.append(window_ratio(mul(e, Tensor(x)), e, 3, shift).data)
+            weights = window_weights(e.data, 3, shift)
+            np.testing.assert_allclose(ratios[-1],
+                                       (weights * x[np.arange(4)[:, None]
+                                                    + np.arange(3)]).sum(1),
+                                       rtol=1e-14)
+        for ratio in ratios[1:]:
+            np.testing.assert_allclose(ratio, ratios[0], rtol=1e-14)
+
+    def test_window_weights_match_group_softmax(self):
         # a full window of window_attend is the same softmax over its rows
         rng = np.random.default_rng(13)
         rows = rng.uniform(-3, 3, size=(4, 3))
-        out = softmax(Tensor(rows[None]), axis=1)
+        shift = rows.max(axis=0)
+        weights = window_weights(exp_shifted(Tensor(rows), shift).data, 4,
+                                 shift)
         _, want = window_attend([Tensor(rows)], 4)
-        np.testing.assert_allclose(out.data[0], want[3], atol=1e-15)
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(weights[0], want[3], atol=1e-15)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_softmax_large_magnitudes_do_not_overflow(self):
-        out = softmax(Tensor([[1000.0, 0.0], [1000.0, 0.0]]), axis=0)
-        np.testing.assert_allclose(out.data, 0.5)
+    def test_shifted_exp_large_magnitudes_do_not_overflow(self):
+        x = np.array([[1000.0, 0.0], [1000.0, 0.0]])
+        shift = x.max(axis=0)
+        e = exp_shifted(Tensor(x), shift)
+        np.testing.assert_allclose(window_weights(e.data, 2, shift), 0.5)
+        np.testing.assert_allclose(
+            window_ratio(mul(e, Tensor(x)), e, 2, shift).data, [[1000.0, 0.0]])
 
     def test_sum_axis_drops_the_axis(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4))
@@ -589,9 +623,11 @@ class TestTapeRetention:
                 backward(loss)
         assert a.grad is None
 
-    def test_hier_attend_keeps_at_most_eight_blocks_per_level(self):
-        # the rules read each level's windows and softmax weights (3 blocks
-        # each at width 3), the affine input (1) and the ReLU mask (1/8)
+    def test_hier_attend_keeps_at_most_six_blocks_per_level(self):
+        # the rules read each level's input and its exponentials (2 blocks;
+        # exp's rule reads the same array as mul's), the window
+        # denominators and ratios (2), the affine input (1) and the ReLU
+        # mask (1/8)
         n, d = 105, 128
         rng = np.random.default_rng(22)
         vectors = Tensor(rng.uniform(-1, 1, size=(n, d)))
@@ -602,13 +638,12 @@ class TestTapeRetention:
         try:
             with Tape():
                 before = tracemalloc.get_traced_memory()[0]
-                out, level_weights = hier_attend(vectors, proj_w, proj_b)
-                del level_weights
+                out, _ = hier_attend(vectors, proj_w, proj_b)
                 held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert out.shape == (1, d)
-        assert held / (windows * d * 8) <= 8.0
+        assert held / (windows * d * 8) <= 6.0
 
     def test_no_rule_keeps_a_tensor(self):
         grouped = {op for ops in OP_GROUPS.values() for op in ops}

@@ -158,20 +158,25 @@ def window_reads_one_row_ahead(mp):
 
 
 def softmax_over_coordinates(mp):
-    # normalises each window row across d in place of across its rows
-    mp.setattr(hier_attention, "softmax",
-               lambda a, axis: tensor.softmax(a, axis=2))
+    # normalises each window row's exponentials across d in place of
+    # across the window's rows
+    def across(e, size, shift):
+        m = e.shape[0] - size + 1
+        rows = np.stack([e[j:j + m] for j in range(size)], axis=1)
+        return rows / rows.sum(axis=2, keepdims=True)
+
+    mp.setattr(hier_attention, "window_weights", across)
 
 
 def windows_drop_the_last(mp):
-    def short(a, size):
-        windows = tensor.sliding_windows(a, size)
+    def short(num, den, size, shift):
+        ratio = tensor.window_ratio(num, den, size, shift)
         # a level of one window keeps it, so the hierarchy still ends
-        if windows.shape[0] == 1:
-            return windows
-        return tensor.Tensor(windows.data[:-1])
+        if ratio.shape[0] == 1:
+            return ratio
+        return tensor.Tensor(ratio.data[:-1])
 
-    mp.setattr(hier_attention, "sliding_windows", short)
+    mp.setattr(hier_attention, "window_ratio", short)
 
 
 def save_drops_a_parameter(mp):
