@@ -119,14 +119,43 @@ def _read_sidecar(sidecar: Path) -> list[list[float]]:
     return rows
 
 
+def _inline_frames(raw_mfcc, where: str) -> np.ndarray:
+    """Inline frame values as float64; every cell must be a JSON number.
+
+    Without a dtype, numpy reports a string, null or object cell in the
+    array's dtype, but turns true and false among numbers into 1 and 0.
+    So only the rows holding a 0 or a 1 are looked at cell by cell.
+    """
+    try:
+        frames = np.asarray(raw_mfcc)
+    except ValueError as exc:
+        raise CorpusError(f"{where}: ragged mfcc ({exc})") from None
+    if frames.dtype.kind not in "iuf":
+        suspects = [raw_mfcc]
+    elif frames.ndim == 2:
+        flagged = ((frames == 0) | (frames == 1)).any(axis=1)
+        suspects = [raw_mfcc[i] for i in np.flatnonzero(flagged)]
+    else:  # the shape check names it
+        suspects = []
+    pending = suspects[::-1]
+    while pending:
+        cell = pending.pop()
+        if isinstance(cell, list):
+            pending.extend(reversed(cell))
+        elif type(cell) not in (int, float):
+            raise CorpusError(f"{where}: mfcc cell {json.dumps(cell)} is "
+                              f"not a number")
+    try:
+        return frames.astype(np.float64, copy=False)
+    except OverflowError:  # an integer beyond float64's range
+        raise CorpusError(f"{where}: mfcc value out of range") from None
+
+
 def _load_frames(raw_mfcc, mfcc_path, base_dir: Path, where: str) -> np.ndarray | None:
     if raw_mfcc is not None and mfcc_path is not None:
         raise CorpusError(f"{where}: both inline mfcc and mfcc_path given")
     if raw_mfcc is not None:
-        try:
-            frames = np.asarray(raw_mfcc, dtype=np.float64)
-        except ValueError as exc:
-            raise CorpusError(f"{where}: ragged or non-numeric mfcc ({exc})") from None
+        frames = _inline_frames(raw_mfcc, where)
     elif mfcc_path is not None:
         _require(isinstance(mfcc_path, str) and mfcc_path != "",
                  f"{where}: mfcc_path must be a non-empty string, "

@@ -19,7 +19,7 @@ import numpy as np
 
 from .tensor import (
     Tensor,
-    affine_rows,
+    affine_relu_rows,
     exp_shifted,
     mul,
     relu,
@@ -56,8 +56,14 @@ def _level_shift(x: np.ndarray) -> np.ndarray:
     than ``SHIFT_SPREAD_LIMIT``, an (n, d) array whose wide columns hold
     their own values, so that ``window_ratio`` rescales each of their
     windows to its own maximum.
+
+    ``x`` must be non-negative, as every level's input is a ReLU output:
+    then no column spreads wider than its maximum, and a level whose
+    largest value is within the limit skips the column minimum.
     """
     top = x.max(axis=0)
+    if top.max() <= SHIFT_SPREAD_LIMIT:
+        return top
     wide = top - x.min(axis=0) > SHIFT_SPREAD_LIMIT
     return np.where(wide, x, top) if wide.any() else top
 
@@ -90,7 +96,7 @@ def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
                        1.0 / size)
         if level_weights is not None:
             level_weights.append(window_weights(e.data, size, shift))
-        current = relu(affine_rows(pooled, proj_w, proj_b))
+        current = affine_relu_rows(pooled, proj_w, proj_b)
     return current, level_weights
 
 

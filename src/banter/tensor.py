@@ -352,7 +352,8 @@ def _rowwise_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], w.T)[:, 0]
 
 
-def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product) -> Tensor:
+def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product,
+            rectify: bool = False) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeError(f"{op}: bad operand ranks {x.shape}, "
                          f"{w.shape}, {b.shape}")
@@ -360,7 +361,17 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product) -> Tensor:
         raise ShapeError(f"{op}: {x.shape} rows through {w.shape} "
                          f"+ {b.shape}")
     x_data, w_data, x_needs = x.data, w.data, x.requires_grad
-    out = Tensor(product(x_data, w_data) + b.data)
+    y = product(x_data, w_data)
+    y += b.data
+    rectified = None
+    if rectify:
+        # the ReLU would turn a -inf into 0
+        if not np.isfinite(y).all():
+            raise NumericError(f"{op}: non-finite value before the ReLU")
+        # the rule reads its mask off the op's own output, an array the
+        # op's consumers usually keep anyway
+        rectified = np.maximum(y, 0.0, out=y)
+    out = Tensor(y)
     rows = x.shape[0]
     d, k = w.shape
     # stacking copies both factors and holds them until the weight's
@@ -369,7 +380,7 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product) -> Tensor:
     stack = 4 * rows * (d + k) < d * k
 
     def bwd(gs):
-        g = gs[0]
+        g = gs[0] if rectified is None else gs[0] * (rectified > 0.0)
         dx = g @ w_data if x_needs else None
         dw = _Outer(g, x_data) if stack else g.T @ x_data
         return dx, dw, g.sum(axis=0)
@@ -378,18 +389,21 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product) -> Tensor:
     return out
 
 
-def affine_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """One affine map applied to every row: (m, k) @ (d, k).T + (d,).
+def affine_relu_rows(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``relu`` of one affine map applied to every row: max((m, k) @ (d,
+    k).T + (d,), 0), as one tape node.
 
     One GEMM, so a row's bits may depend on how many rows there are; fine
     for rows that all belong to one utterance. Rows that are dialog
     positions go through ``affine_rowwise``.
     """
-    return _affine("affine_rows", x, w, b, lambda xd, wd: xd @ wd.T)
+    return _affine("affine_relu_rows", x, w, b, lambda xd, wd: xd @ wd.T,
+                   rectify=True)
 
 
 def affine_rowwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``affine_rows`` computed one row at a time.
+    """One affine map applied to every row, (m, k) @ (d, k).T + (d,),
+    computed one row at a time.
 
     Row i is bit for bit the same however many rows follow it, so a dialog
     prefix scores its positions exactly as the whole dialog does. The
@@ -550,7 +564,8 @@ def window_ratio(num: Tensor, den: Tensor, size: int,
     ``size`` shifted adds, in the backward pass too. An (n, d) shift should
     be the values themselves, as ``hier_attend`` uses it: an f that
     underflows then stands for a weight below exp(-745). No gradient flows
-    to ``shift``.
+    to ``shift``. The rule keeps the result and ``den``'s array, not the
+    denominators, and sums them again in the forward's order.
     """
     _same_shape("window_ratio", num, den)
     if num.data.ndim != 2:
@@ -565,22 +580,30 @@ def window_ratio(num: Tensor, den: Tensor, size: int,
                          f"shape {num.shape}")
     m = n - size + 1
     factors = _window_factors(shift, size)
+    den_data = den.data
 
     def weighted(x, j):
         return x if factors is None else factors[j] * x
 
-    top = weighted(num.data[:m], 0).copy()
-    bottom = weighted(den.data[:m], 0).copy()
-    for j in range(1, size):
-        top += weighted(num.data[j:j + m], j)
-        bottom += weighted(den.data[j:j + m], j)
-    ratio = np.divide(top, bottom, out=top)
+    def window_sums(x):
+        # a fresh buffer from the first two slices' sum, then the rest in
+        # place; the same order in both passes gives the same bits
+        if size == 1:
+            return weighted(x[:m], 0).copy()
+        total = np.add(weighted(x[:m], 0), weighted(x[1:1 + m], 1))
+        for j in range(2, size):
+            total += weighted(x[j:j + m], j)
+        return total
+
+    ratio = window_sums(num.data)
+    np.divide(ratio, window_sums(den_data), out=ratio)
     out = Tensor(ratio)
 
     def bwd(gs):
         # d ratio[k] / d num[k + j] = f[k, j] / bottom[k], and
         # d ratio[k] / d den[k + j] = -f[k, j] ratio[k] / bottom[k]
-        a = gs[0] / bottom
+        a = window_sums(den_data)
+        np.divide(gs[0], a, out=a)
         b = a * ratio
         d_num = np.zeros((n, d))
         d_den = np.zeros((n, d))
@@ -622,7 +645,7 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
     so it sees rows 0..t of ``x`` only. The whole sequence is one tape
     node. The forward pass stacks the four gates and walks the steps in
     numpy; the input projections of all steps are computed up front, but
-    one row at a time (``_rowwise_product``), unlike ``affine_rows``:
+    one row at a time (``_rowwise_product``), unlike ``affine_relu_rows``:
     rows here are dialog positions, and a dialog prefix must give its
     positions the same bits as the whole dialog. The backward pass runs
     backpropagation through time in numpy, then forms each weight gradient

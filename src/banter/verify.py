@@ -55,6 +55,14 @@ def _away_from(x: np.ndarray, points: list, margin: float = 0.05) -> np.ndarray:
     return out
 
 
+def _off_relu_corner(x: np.ndarray, w: np.ndarray, c: np.ndarray
+                     ) -> np.ndarray:
+    """``x`` moved so that each of ``x @ w.T + c``'s values is off the relu
+    corner; ``w`` must have full row rank."""
+    z = x @ w.T + c
+    return x + (_away_from(z, [0.0]) - z) @ np.linalg.pinv(w.T)
+
+
 def op_scenarios(rng: np.random.Generator) -> dict:
     """Named (params, loss_fn) pairs exercising every tape op.
 
@@ -96,11 +104,13 @@ def op_scenarios(rng: np.random.Generator) -> dict:
     scen["sum_axis"] = ({"a": a}, lambda p, m=mixer: tensor.sum_all(
         tensor.tanh(tensor.mul(tensor.sum_axis(p["a"], 1), m))))
 
-    x = Tensor(u(3, 4), requires_grad=True)
-    w = Tensor(u(2, 4), requires_grad=True)
-    c = Tensor(u(2), requires_grad=True)
-    scen["affine_rows"] = ({"x": x, "w": w, "c": c}, lambda p: tensor.sum_all(
-        tensor.tanh(tensor.affine_rows(p["x"], p["w"], p["c"]))))
+    x, w, c = u(3, 4), u(2, 4), u(2)
+    scen["affine_relu_rows"] = (
+        {"x": Tensor(_off_relu_corner(x, w, c), requires_grad=True),
+         "w": Tensor(w, requires_grad=True),
+         "c": Tensor(c, requires_grad=True)},
+        lambda p: tensor.sum_all(tensor.tanh(
+            tensor.affine_relu_rows(p["x"], p["w"], p["c"]))))
 
     x = Tensor(u(3, 4), requires_grad=True)
     w = Tensor(u(2, 4), requires_grad=True)
@@ -189,15 +199,16 @@ def op_scenarios(rng: np.random.Generator) -> dict:
     # level: at 10 x 10 the two 1-row uses hand backward stacked outer
     # terms and the 13-row use a dense product. One 1-row input is a
     # constant, so that use gives no input adjoint.
-    inputs = {"y1": Tensor(u(1, 10), requires_grad=True),
-              "x13": Tensor(u(13, 10), requires_grad=True)}
-    x1 = Tensor(u(1, 10))
-    mixer = Tensor(u(15, 10))
-    scen["affine_rows[shared_w]"] = (
-        {**inputs, "w": Tensor(u(10, 10), requires_grad=True),
-         "c": Tensor(u(10), requires_grad=True)},
+    y1, x13, x1 = u(1, 10), u(13, 10), u(1, 10)
+    mixer, w, c = Tensor(u(15, 10)), u(10, 10), u(10)
+    inputs = {"y1": Tensor(_off_relu_corner(y1, w, c), requires_grad=True),
+              "x13": Tensor(_off_relu_corner(x13, w, c), requires_grad=True)}
+    x1 = Tensor(_off_relu_corner(x1, w, c))
+    scen["affine_relu_rows[shared_w]"] = (
+        {**inputs, "w": Tensor(w, requires_grad=True),
+         "c": Tensor(c, requires_grad=True)},
         lambda p, x1=x1, m=mixer: tensor.sum_all(tensor.mul(tensor.tanh(
-            tensor.concat([tensor.affine_rows(x, p["w"], p["c"])
+            tensor.concat([tensor.affine_relu_rows(x, p["w"], p["c"])
                            for x in (x1, p["y1"], p["x13"])])), m)))
 
     # a weight computed on the tape and used twice: its two stacked terms
@@ -228,7 +239,7 @@ OP_GROUPS = {
     "gradients.elementwise": ("add", "mul", "scale", "relu", "tanh",
                               "sigmoid", "dropout", "bce_loss"),
     "gradients.linear": ("concat", "sum_all", "mean_rows",
-                         "sum_axis", "affine_rows", "affine_rowwise"),
+                         "sum_axis", "affine_relu_rows", "affine_rowwise"),
     "gradients.softmax": ("exp_shifted", "window_ratio", "window_attend"),
     "gradients.lstm": ("lstm_sequence",),
     "gradients.conv": ("conv1d_same",),

@@ -357,6 +357,25 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert f"{frames}:2: " in err and "'x'" in err
 
+    @pytest.mark.parametrize("cell, shown", [("0.5", '"0.5"'),
+                                             (True, "true")])
+    def test_inline_frame_cell_of_the_wrong_type_is_a_data_error(
+            self, workspace, tmp_path, capsys, cell, shown):
+        _, corpus, emb = workspace
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        dialog = json.loads(lines[2])
+        dialog["utterances"][1]["mfcc"][0][3] = cell
+        lines[2] = json.dumps(dialog)
+        bad = tmp_path / "cells.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.cfg", bad, emb,
+                           out_dir=tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: dialog {dialog['dialog_id']!r}, utterance "
+                       f"{dialog['utterances'][1]['id']!r}: mfcc cell "
+                       f"{shown} is not a number\n")
+
     @pytest.mark.parametrize("label, shown", [("true", "True"),
                                               ("1.0", "1.0")])
     def test_label_of_the_wrong_type_is_a_data_error(self, workspace,

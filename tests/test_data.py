@@ -125,6 +125,50 @@ class TestLoadCorpus:
         loaded = load_corpus(path)
         np.testing.assert_allclose(loaded[0].utterances[0].acoustic, frames)
 
+    @pytest.mark.parametrize("cell, shown", [
+        ("0.5", '"0.5"'), (True, "true"), (False, "false"), ({}, "{}")],
+        ids=["string", "true", "false", "object"])
+    def test_inline_frame_cell_must_be_a_number(self, tmp_path, cell, shown):
+        frames = np.linspace(-1, 1, 2 * 128).reshape(2, 128).tolist()
+        frames[1][5] = cell
+        dialog = {"dialog_id": "d0", "utterances": [
+            {"id": "u0", "speaker": "a", "tokens": ["x"], "sarcasm": 0,
+             "humor": 0, "mfcc": frames},
+        ]}
+        path = synthdata.write_corpus(tmp_path / "cells.jsonl", [dialog])
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert str(err.value) == (f"dialog 'd0', utterance 'u0': mfcc cell "
+                                  f"{shown} is not a number")
+
+    def test_inline_frame_integer_beyond_float64_is_a_data_error(
+            self, tmp_path):
+        frames = [[0.5] * 128]
+        frames[0][7] = 10 ** 400
+        dialog = {"dialog_id": "d0", "utterances": [
+            {"id": "u0", "speaker": "a", "tokens": ["x"], "sarcasm": 0,
+             "humor": 0, "mfcc": frames},
+        ]}
+        path = synthdata.write_corpus(tmp_path / "huge.jsonl", [dialog])
+        with pytest.raises(CorpusError, match="utterance 'u0': mfcc value "
+                                              "out of range"):
+            load_corpus(path)
+
+    def test_frames_holding_zeros_and_ones_load(self, tmp_path):
+        # rows holding a 0 or a 1 are checked cell by cell for true and
+        # false, and integers are numbers
+        frames = np.linspace(-1, 1, 3 * 128).reshape(3, 128)
+        frames[0, 4], frames[1, 9], frames[2, :] = 0.0, 2.0, 1.0
+        rows = frames.tolist()
+        rows[1][9] = 2
+        dialog = {"dialog_id": "d0", "utterances": [
+            {"id": "u0", "speaker": "a", "tokens": ["x"],
+             "sarcasm": 0, "humor": 0, "mfcc": rows},
+        ]}
+        path = synthdata.write_corpus(tmp_path / "zeros.jsonl", [dialog])
+        loaded = load_corpus(path)[0].utterances[0].acoustic
+        np.testing.assert_array_equal(loaded, frames)
+
     def test_sidecar_csv_matches_inline(self, tmp_path):
         frames = np.linspace(-1, 1, 3 * 128).reshape(3, 128)
         lines = "\n".join(",".join(repr(float(v)) for v in row) for row in frames)

@@ -6,6 +6,7 @@ import pytest
 from banter.gradcheck import grad_check
 from banter.hier_attention import (
     SHIFT_SPREAD_LIMIT,
+    _level_shift,
     hier_attend,
     init_projection,
     level_count,
@@ -225,6 +226,42 @@ class TestHierAttend:
         assert len(level_weights) == level_count(105, 3) == 52
         assert len(tape) <= 10 * len(level_weights) + 2
 
+
+
+class TestLevelShift:
+    @staticmethod
+    def full_shift(x):
+        """The shift from both column extremes, with no fast path."""
+        top = x.max(axis=0)
+        wide = top - x.min(axis=0) > SHIFT_SPREAD_LIMIT
+        return np.where(wide, x, top) if wide.any() else top
+
+    class NoColumnMinimum(np.ndarray):
+        def min(self, *args, **kwargs):
+            raise AssertionError("the column minimum was taken")
+
+    def test_fast_path_returns_the_full_computation(self):
+        # a non-negative level up to the limit itself, with zeros in the
+        # column that reaches it: a spread of exactly the limit
+        rng = np.random.default_rng(31)
+        x = np.maximum(rng.uniform(-200, 400, size=(30, 6)), 0.0)
+        x[4, 2], x[7, 2] = SHIFT_SPREAD_LIMIT, 0.0
+        got = _level_shift(x.view(self.NoColumnMinimum))
+        np.testing.assert_array_equal(got, self.full_shift(x))
+        assert got.shape == (6,)
+
+    def test_a_level_above_the_limit_takes_the_full_computation(self):
+        rng = np.random.default_rng(32)
+        x = np.maximum(rng.uniform(-1, 1, size=(30, 6)), 0.0)
+        x[4, 2] = 1000.0
+        got = _level_shift(x)
+        np.testing.assert_array_equal(got, self.full_shift(x))
+        assert got.shape == (30, 6)
+        # a level above the limit whose columns all spread less keeps the
+        # (d,) shift
+        narrow = np.maximum(rng.uniform(-1, 1, size=(30, 6)), 0.0) + 700.0
+        np.testing.assert_array_equal(_level_shift(narrow),
+                                      narrow.max(axis=0))
 
 
 class TestRowOrder:

@@ -17,7 +17,7 @@ from banter.tensor import (
     Tape,
     Tensor,
     add,
-    affine_rows,
+    affine_relu_rows,
     affine_rowwise,
     backward,
     bce_loss,
@@ -321,14 +321,26 @@ class TestWindowOps:
         with pytest.raises(ShapeError):
             sum_axis(x, 3)
 
-    def test_affine_rows_matches_per_row_matvec(self):
+    def test_affine_relu_rows_is_the_rectified_product_bit_for_bit(self):
         rng = np.random.default_rng(14)
-        x, w, b = (rng.uniform(-1, 1, size=s) for s in ((4, 3), (2, 3), 2))
-        out = affine_rows(Tensor(x), Tensor(w), Tensor(b))
-        for i in range(4):
-            np.testing.assert_allclose(out.data[i], w @ x[i] + b, atol=1e-14)
+        x, w, b = (rng.uniform(-1, 1, size=s) for s in ((9, 5), (6, 5), 6))
+        want = np.maximum(x @ w.T + b, 0.0)
+        assert 0 < (want == 0.0).sum() < want.size
+        for needs in (False, True):
+            out = affine_relu_rows(Tensor(x, requires_grad=needs), Tensor(w),
+                                   Tensor(b))
+            np.testing.assert_array_equal(out.data, want)
         with pytest.raises(ShapeError):
-            affine_rows(Tensor(x), Tensor(w.T), Tensor(b))
+            affine_relu_rows(Tensor(x), Tensor(w.T), Tensor(b))
+
+    def test_affine_relu_rows_rejects_a_negative_infinite_pre_activation(
+            self):
+        # the ReLU alone would turn the -inf into 0
+        x = Tensor([[1e200, 1.0]])
+        w = Tensor([[-1e200, 0.0], [1.0, 1.0]])
+        with pytest.raises(NumericError, match="affine_relu_rows"), \
+                np.errstate(over="ignore"):
+            affine_relu_rows(x, w, Tensor([0.0, 0.0]))
 
     def test_mean_rows_keeps_a_row(self):
         out = T.mean_rows(Tensor([[1.0, 2.0], [3.0, 6.0]]))
@@ -564,9 +576,9 @@ class TestBackward:
 
         def untied(x, w, b):
             copies.append(Tensor(w.data, requires_grad=True))
-            return affine_rows(x, copies[-1], b)
+            return affine_relu_rows(x, copies[-1], b)
 
-        monkeypatch.setattr(hier_attention, "affine_rows", untied)
+        monkeypatch.setattr(hier_attention, "affine_relu_rows", untied)
         self.hier_gradients(n, d, seed=3)
         assert len(copies) == hier_attention.level_count(n, 3)
         per_level = sum(c.grad for c in reversed(copies))
@@ -623,11 +635,25 @@ class TestTapeRetention:
                 backward(loss)
         assert a.grad is None
 
-    def test_hier_attend_keeps_at_most_six_blocks_per_level(self):
+    def test_hier_attend_makes_five_nodes_per_level(self):
+        # level 0 is the input's ReLU; each later level's projection and
+        # its ReLU are one node
+        n, d = 15, 8
+        rng = np.random.default_rng(23)
+        vectors = Tensor(rng.uniform(-1, 1, size=(n, d)), requires_grad=True)
+        proj_w, proj_b = init_projection(d, rng)
+        with Tape() as tape:
+            hier_attend(vectors, proj_w, proj_b)
+        level = ["exp_shifted", "mul", "window_ratio", "scale",
+                 "affine_relu_rows"]
+        assert [node.op for node in tape._nodes] == (
+            ["relu"] + level * hier_attention.level_count(n, 3))
+
+    def test_hier_attend_keeps_at_most_four_blocks_per_level(self):
         # the rules read each level's input and its exponentials (2 blocks;
-        # exp's rule reads the same array as mul's), the window
-        # denominators and ratios (2), the affine input (1) and the ReLU
-        # mask (1/8)
+        # exp's and window_ratio's rules read the same array as mul's), the
+        # window ratios (1) and the projection's input (1); the projection
+        # reads its ReLU mask off its output, the next level's input
         n, d = 105, 128
         rng = np.random.default_rng(22)
         vectors = Tensor(rng.uniform(-1, 1, size=(n, d)))
@@ -643,7 +669,7 @@ class TestTapeRetention:
         finally:
             tracemalloc.stop()
         assert out.shape == (1, d)
-        assert held / (windows * d * 8) <= 6.0
+        assert held / (windows * d * 8) <= 4.25
 
     def test_no_rule_keeps_a_tensor(self):
         grouped = {op for ops in OP_GROUPS.values() for op in ops}
@@ -683,7 +709,7 @@ class TestGradCheck:
         x = Tensor(rng.uniform(-1, 1, size=(1, 5)))
 
         def f(p):
-            z = affine_rows(x, p["w"], p["b"])
+            z = affine_rowwise(x, p["w"], p["b"])
             return bce_loss(sigmoid(sum_all(z)), 1)
 
         report = grad_check(f, params)
@@ -897,7 +923,7 @@ class TestAffineAdjoints:
     # 1 row of 9 columns through 9 x 9 is a stacked weight term, 9 rows a
     # dense one
     @pytest.mark.parametrize("rows", [1, 9])
-    @pytest.mark.parametrize("op", [affine_rows, affine_rowwise])
+    @pytest.mark.parametrize("op", [affine_relu_rows, affine_rowwise])
     def test_constant_input_gets_no_adjoint(self, op, rows):
         rng = np.random.default_rng(19)
         x = rng.uniform(-1, 1, size=(rows, 9))

@@ -243,6 +243,13 @@ def relu_keeps_the_complement_mask(mp):
     saved_value_replaced(mp, "relu", "mask", lambda saved: ~saved["mask"])
 
 
+def affine_relu_keeps_the_complement_mask(mp):
+    # the rule reads its mask off its output; this output is 1 exactly
+    # where the true one is 0
+    saved_value_replaced(mp, "affine_relu_rows", "rectified",
+                         lambda saved: (saved["rectified"] == 0.0) * 1.0)
+
+
 PLANTED_FAULTS = [
     ("oracle.metrics", swap_false_calls, "confusion counts"),
     ("structure.filter_bounds", filter_without_tanh, "escaped (-1, 1)"),
@@ -256,6 +263,8 @@ PLANTED_FAULTS = [
      "threshold: saved 0.75, loaded 0.5"),
     ("gradients.linear", affine_reads_rows_reversed, "FAIL affine_rowwise.w"),
     ("gradients.linear", mul_reads_a_for_both, "FAIL sum_axis.a"),
+    ("gradients.linear", affine_relu_keeps_the_complement_mask,
+     "FAIL affine_relu_rows.x"),
     ("gradients.softmax", window_reads_its_output,
      "FAIL window_attend[k=1,n=5].h0"),
     ("gradients.lstm", lstm_reads_tanh_of_cells,
