@@ -131,20 +131,17 @@ def _inline_frames(raw_mfcc, where: str) -> np.ndarray:
     except ValueError as exc:
         raise CorpusError(f"{where}: ragged mfcc ({exc})") from None
     if frames.dtype.kind not in "iuf":
-        suspects = [raw_mfcc]
+        rows = raw_mfcc if isinstance(raw_mfcc, list) else [raw_mfcc]
     elif frames.ndim == 2:
         flagged = ((frames == 0) | (frames == 1)).any(axis=1)
-        suspects = [raw_mfcc[i] for i in np.flatnonzero(flagged)]
+        rows = [raw_mfcc[i] for i in np.flatnonzero(flagged)]
     else:  # the shape check names it
-        suspects = []
-    pending = suspects[::-1]
-    while pending:
-        cell = pending.pop()
-        if isinstance(cell, list):
-            pending.extend(reversed(cell))
-        elif type(cell) not in (int, float):
-            raise CorpusError(f"{where}: mfcc cell {json.dumps(cell)} is "
-                              f"not a number")
+        rows = []
+    for row in rows:
+        for cell in row if isinstance(row, list) else [row]:
+            if type(cell) not in (int, float):
+                raise CorpusError(f"{where}: mfcc cell {json.dumps(cell)} "
+                                  f"is not a number")
     try:
         return frames.astype(np.float64, copy=False)
     except OverflowError:  # an integer beyond float64's range

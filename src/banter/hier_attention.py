@@ -56,14 +56,8 @@ def _level_shift(x: np.ndarray) -> np.ndarray:
     than ``SHIFT_SPREAD_LIMIT``, an (n, d) array whose wide columns hold
     their own values, so that ``window_ratio`` rescales each of their
     windows to its own maximum.
-
-    ``x`` must be non-negative, as every level's input is a ReLU output:
-    then no column spreads wider than its maximum, and a level whose
-    largest value is within the limit skips the column minimum.
     """
     top = x.max(axis=0)
-    if top.max() <= SHIFT_SPREAD_LIMIT:
-        return top
     wide = top - x.min(axis=0) > SHIFT_SPREAD_LIMIT
     return np.where(wide, x, top) if wide.any() else top
 
