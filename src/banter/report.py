@@ -27,11 +27,12 @@ def heatmap_document(trace: DialogAttentionTrace, dialog_id: str) -> dict:
     Row i carries min(i, D) scalar weights per populated modality; weights
     for positions outside the window are implicitly zero, which is what
     gives the heatmap its lower-triangular band. Each scalar is a valid
-    slot's weight averaged over the coordinates. In ``window_attend``'s
-    layout, block b owns slots b * D .. b * D + D - 1 of every row, and the
-    last min(i, D) of them hold positions i - min(i, D) + 1 .. i.
+    slot's weight averaged over the coordinates. The trace forms the
+    weights when they are read: block b owns slots b * D .. b * D + D - 1
+    of every row, and the last min(i, D) of them hold positions
+    i - min(i, D) + 1 .. i.
     """
-    if not trace.weights:
+    if not trace.exps:
         raise ValueError("heatmap export needs a non-empty trace")
     width = trace.width
     cells = {key: weights.mean(axis=2).tolist()

@@ -461,65 +461,6 @@ def sigmoid(a: Tensor) -> Tensor:
 # model-specific ops
 
 
-def window_attend(blocks: Sequence[Tensor],
-                  width: int) -> tuple[Tensor, np.ndarray]:
-    """Causal windowed attention over the rows of k same-shape (n, d) blocks.
-
-    Row t of the (n, d) result attends to rows max(0, t - width + 1) .. t
-    of every block: a per-coordinate softmax over those k * min(t + 1,
-    width) vectors weights their sum, which is then divided by their count.
-
-    Inside the op each block gets ``width - 1`` leading zero rows, so every
-    position has a full window of ``k * width`` slots; slot b * width + j
-    of row t holds block b's row t - width + 1 + j. The softmax masks the
-    pad slots out (weight exactly 0), and because they come first and add
-    exact zeros, every sum sees the valid slots in the same order as a
-    per-position loop would. Also returns the (n, k * width, d) weights.
-    """
-    if len(blocks) == 0:
-        raise ValueError("window_attend needs at least one block")
-    if width < 1:
-        raise ValueError(f"window width must be >= 1, got {width}")
-    shape = blocks[0].shape
-    if len(shape) != 2 or shape[0] < 1:
-        raise ShapeError(f"window_attend expects non-empty (n, d) blocks, "
-                         f"got shape {shape}")
-    for block in blocks[1:]:
-        if block.shape != shape:
-            raise ShapeError(f"window_attend: block shape {block.shape} "
-                             f"vs {shape}")
-    n, d = shape
-    k, lead = len(blocks), width - 1
-    padded = np.zeros((k, lead + n, d))
-    for b, block in enumerate(blocks):
-        padded[b, lead:] = block.data
-    # rows[j, t]: the padded row in slot j of position t
-    rows = np.arange(width)[:, None] + np.arange(n)
-    # slot-major (k * width, n, d), so sums over axis 0 add slot by slot
-    slots = padded[:, rows].reshape(k * width, n, d)
-    valid = np.tile(rows >= lead, (k, 1))[:, :, None]
-    peak = np.where(valid, slots, -np.inf).max(axis=0)
-    exps = np.exp(np.where(valid, slots - peak, -np.inf))
-    weights = exps / exps.sum(axis=0)
-    pooled = (weights * slots).sum(axis=0)
-    inv_count = 1.0 / (k * np.minimum(np.arange(1, n + 1), width))[:, None]
-    out = Tensor(pooled * inv_count)
-    padded_shape = padded.shape
-
-    def bwd(gs):
-        # d pooled / d slot_j = w_j * (1 + slot_j - pooled), per coordinate
-        g = gs[0] * inv_count
-        d_slots = (weights * (1.0 + slots - pooled) * g).reshape(k, width,
-                                                                 n, d)
-        d_padded = np.zeros(padded_shape)
-        for j in range(width):
-            d_padded[:, j:j + n] += d_slots[:, j]
-        return tuple(d_padded[:, lead:])
-
-    _finish("window_attend", [out], list(blocks), bwd)
-    return out, weights.transpose(1, 0, 2)
-
-
 def exp_shifted(a: Tensor, shift: np.ndarray) -> Tensor:
     """``exp(a - shift)`` for a constant ``shift`` of ``a``'s shape or of
     its last axis.
@@ -618,15 +559,20 @@ def window_ratio(num: Tensor, den: Tensor, size: int,
 
 def window_weights(e: np.ndarray, size: int,
                    shift: np.ndarray) -> np.ndarray:
-    """The (n - size + 1, size, d) weights ``window_ratio(mul(e, x), e, size,
-    shift)`` gives the rows x[k + j] of window k: f[k, j] e[k + j] over
-    their sum in the window, so a window's weights sum to 1 per column.
+    """The (n - size + 1, k * size, d) weights of a (k, n, d) stack ``e``
+    of k blocks, or (n - size + 1, size, d) for one (n, d) block: slot
+    b * size + j of window k weighs block b's row k + j by f[k, j]
+    e[b, k + j] over the window's sum over every block, as
+    ``window_ratio(mul(e, x), e, size, shift)`` weighs the rows of x. A
+    window's weights sum to 1 per column.
     """
-    m = e.shape[0] - size + 1
+    blocks = np.reshape(e, (-1,) + e.shape[-2:])
+    m = e.shape[-2] - size + 1
     factors = _window_factors(shift, size)
-    rows = np.stack([e[j:j + m] if factors is None
-                     else factors[j] * e[j:j + m] for j in range(size)],
-                    axis=1)
+    rows = np.stack([blocks[:, j:j + m] if factors is None
+                     else factors[j] * blocks[:, j:j + m]
+                     for j in range(size)], axis=2)
+    rows = rows.transpose(1, 0, 2, 3).reshape(m, -1, e.shape[-1])
     return rows / rows.sum(axis=1, keepdims=True)
 
 

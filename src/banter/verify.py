@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor
-from .context_attention import contextualize_dialog
+from .context_attention import attend, contextualize_dialog
 from .data import MFCC_COLUMNS, Dialog, EmbeddingTable, UtteranceRecord
 from .fusion import filter_modality, init_filter_gate
 from .gradcheck import grad_check
@@ -67,8 +67,9 @@ def op_scenarios(rng: np.random.Generator) -> dict:
     """Named (params, loss_fn) pairs exercising every tape op.
 
     A key is the op's name, or the name followed by a bracketed variant.
-    Every op is looked up on the tensor module when the loss runs, so a
-    patched op is the one checked.
+    Every op is looked up when the loss runs, on the tensor module or,
+    inside C-ATN^D's ``attend``, on its module, so a patched op is the one
+    checked.
     """
     u = lambda *s: rng.uniform(-1, 1, size=s)
     scen = {}
@@ -147,17 +148,18 @@ def op_scenarios(rng: np.random.Generator) -> dict:
     scen["sigmoid"] = ({"a": a}, lambda p: tensor.sum_all(
         tensor.mul(tensor.sigmoid(p["a"]), tensor.sigmoid(p["a"]))))
 
-    # one block (a modality) and two (the cross view), with fewer rows
-    # than the window and more
+    # C-ATN^D's window_ratio, on its zero-padded sums: one block (a
+    # modality) and two (the cross view), with fewer rows than the window
+    # and more. The four draw 105 values in all, so the scenarios after
+    # them keep the draws their planted faults were set on.
     for k in (1, 2):
         for n in (2, 5):
             blocks = {f"h{b}": Tensor(u(n, 3), requires_grad=True)
                       for b in range(k)}
             mixer = Tensor(u(n, 3))
-            scen[f"window_attend[k={k},n={n}]"] = (
+            scen[f"window_ratio[k={k},n={n}]"] = (
                 blocks, lambda p, m=mixer, k=k: tensor.sum_all(tensor.mul(
-                    tensor.window_attend([p[f"h{b}"] for b in range(k)],
-                                         3)[0], m)))
+                    attend([p[f"h{b}"] for b in range(k)], 3)[0], m)))
 
     # the three H-ATN row-pass scenarios draw 76 values in all, so the
     # scenarios after them keep the draws their planted faults were set on
@@ -240,7 +242,7 @@ OP_GROUPS = {
                               "sigmoid", "dropout", "bce_loss"),
     "gradients.linear": ("concat", "sum_all", "mean_rows",
                          "sum_axis", "affine_relu_rows", "affine_rowwise"),
-    "gradients.softmax": ("exp_shifted", "window_ratio", "window_attend"),
+    "gradients.softmax": ("exp_shifted", "window_ratio"),
     "gradients.lstm": ("lstm_sequence",),
     "gradients.conv": ("conv1d_same",),
 }

@@ -6,7 +6,7 @@ import pytest
 from banter.context_attention import contextualize_dialog
 from banter.gradcheck import grad_check
 from banter.report import heatmap_document
-from banter.tensor import ShapeError, Tensor, add, mul, sum_all, window_attend
+from banter.tensor import ShapeError, Tensor, add, mul, sum_all
 
 
 def softmax_group(stack: np.ndarray) -> np.ndarray:
@@ -32,16 +32,19 @@ def cross_oracle(h_audio: np.ndarray, h_text: np.ndarray, i: int,
     return np.concatenate([mean, h_audio[i - 1], h_text[i - 1]])
 
 
-def list_form_mean(vectors: list[np.ndarray]) -> np.ndarray:
-    """The per-position list ops, step for step: a group softmax over the
-    window's vectors, a running sum of weight * vector, times 1 / count."""
-    stacked = np.stack(vectors)
-    exps = np.exp(stacked - stacked.max(axis=0))
-    weights = exps / exps.sum(axis=0)
-    total = weights[0] * vectors[0]
-    for w, v in zip(weights[1:], vectors[1:]):
-        total = total + w * v
-    return total * (1.0 / len(vectors))
+def list_form_mean(blocks: list[list[np.ndarray]]) -> np.ndarray:
+    """The layer's sums at one position, step for step: per window row,
+    ``exp(h) * h`` and ``exp(h)`` added over the blocks; a running sum of
+    each over the window's rows; their ratio, times 1 / count."""
+    window = list(zip(*blocks))
+    num = den = 0.0
+    for vectors in window:
+        exps = [np.exp(v) for v in vectors]
+        row_num, row_den = exps[0] * vectors[0], exps[0]
+        for e, v in zip(exps[1:], vectors[1:]):
+            row_num, row_den = row_num + e * v, row_den + e
+        num, den = num + row_num, den + row_den
+    return num / den * (1.0 / (len(blocks) * len(window)))
 
 
 def matrices(rng, n, d):
@@ -55,8 +58,8 @@ class TestAttendedModality:
     def test_first_utterance_self_concat(self):
         rng = np.random.default_rng(0)
         h = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-        _, out, _, _ = contextualize_dialog(None, h, 5)
-        _, weights = window_attend([h], 5)
+        _, out, _, trace = contextualize_dialog(None, h, 5)
+        weights = trace.weights["text"]
         np.testing.assert_allclose(weights[0, -1], np.ones(4))
         np.testing.assert_allclose(weights[0, :-1], 0.0)
         np.testing.assert_allclose(
@@ -65,8 +68,8 @@ class TestAttendedModality:
     def test_two_identical_states(self):
         v = np.array([0.3, -0.7])
         h = Tensor(np.stack([v, v]))
-        _, out, _, _ = contextualize_dialog(None, h, 5)
-        _, weights = window_attend([h], 5)
+        _, out, _, trace = contextualize_dialog(None, h, 5)
+        weights = trace.weights["text"]
         np.testing.assert_allclose(weights[1, -2:], np.full((2, 2), 0.5))
         np.testing.assert_allclose(out.data[1], np.concatenate([v / 2, v]))
 
@@ -113,7 +116,8 @@ class TestAttendedCross:
         rng = np.random.default_rng(4)
         h_a = rng.uniform(-1, 1, size=(4, 3))
         h_t = rng.uniform(-1, 1, size=(4, 3))
-        _, weights = window_attend([Tensor(h_a), Tensor(h_t)], 2)
+        trace = contextualize_dialog(Tensor(h_a), Tensor(h_t), 2)[3]
+        weights = trace.weights["cross"]
         assert weights.shape == (4, 4, 3)
         np.testing.assert_allclose(weights[3].sum(axis=0), np.ones(3),
                                    atol=1e-9)
@@ -121,7 +125,7 @@ class TestAttendedCross:
         want = softmax_group(np.concatenate([h_a[2:], h_t[2:]]))
         np.testing.assert_allclose(weights[3], want, atol=1e-15)
 
-    # window_attend's own shape checks reject what the layer passes on
+    # the layer checks its matrices' shapes once, for all three attentions
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ShapeError, match=r"\(1, 4\) vs \(1, 3\)"):
             contextualize_dialog(Tensor(np.zeros((1, 3))),
@@ -213,8 +217,8 @@ class TestContextualizeDialog:
         assert np.all(delta < weight_mass * 20 + 1e-3)
 
     def test_matches_list_form_bit_for_bit(self):
-        # the per-position list ops this layer replaced, at paper width:
-        # pad slots come first and add exact zeros, so every bit agrees
+        # pad rows come first and add exact zeros, so every bit agrees
+        # with the sums formed position by position
         rng = np.random.default_rng(11)
         width = 5
         for d in (4, 128):
@@ -229,16 +233,15 @@ class TestContextualizeDialog:
                     a, t = list(h_a[lo:i]), list(h_t[lo:i])
                     np.testing.assert_array_equal(
                         out_a.data[i - 1],
-                        np.concatenate([list_form_mean(a), h_a[i - 1]]))
+                        np.concatenate([list_form_mean([a]), h_a[i - 1]]))
                     np.testing.assert_array_equal(
                         out_t.data[i - 1],
-                        np.concatenate([list_form_mean(t), h_t[i - 1]]))
+                        np.concatenate([list_form_mean([t]), h_t[i - 1]]))
                     np.testing.assert_array_equal(
                         out_x.data[i - 1],
-                        np.concatenate([list_form_mean(a + t), h_a[i - 1],
+                        np.concatenate([list_form_mean([a, t]), h_a[i - 1],
                                         h_t[i - 1]]))
-                    stacked = np.stack(a + t)
-                    exps = np.exp(stacked - stacked.max(axis=0))
+                    exps = np.exp(np.stack(a + t))
                     cells = [float(np.mean(w)) for w in exps / exps.sum(axis=0)]
                     row = rows[i - 1]["weights"]
                     assert row["cross_audio"] + row["cross_text"] == cells

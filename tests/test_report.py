@@ -80,7 +80,7 @@ class TestHeatmapDocument:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            heatmap_document(DialogAttentionTrace(width=2, weights={}), "d6")
+            heatmap_document(DialogAttentionTrace(width=2, exps={}), "d6")
 
     def test_export_writes_parseable_json(self, tmp_path):
         path = tmp_path / "heatmap.json"

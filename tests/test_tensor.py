@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from banter import hier_attention, tensor as T
+from banter.context_attention import contextualize_dialog
 from banter.gradcheck import grad_check
 from banter.hier_attention import hier_attend, init_projection
 from banter.optim import AdamState, adam_step, clip_gradients
@@ -33,7 +34,6 @@ from banter.tensor import (
     sum_all,
     sum_axis,
     tanh,
-    window_attend,
     window_ratio,
     window_weights,
 )
@@ -180,28 +180,38 @@ class TestConcat:
         np.testing.assert_allclose(b.grad, [30.0])
 
 
+def group_weights(blocks: list[np.ndarray], width: int) -> np.ndarray:
+    """The (n, k * width, d) weights C-ATN^D's trace gives k = 1 block (a
+    modality's attention) or k = 2 (the cross attention)."""
+    if len(blocks) == 1:
+        trace = contextualize_dialog(None, Tensor(blocks[0]), width)[3]
+        return trace.weights["text"]
+    trace = contextualize_dialog(*map(Tensor, blocks), width)[3]
+    return trace.weights["cross"]
+
+
 class TestGroupSoftmax:
-    """The per-coordinate softmax over a window group inside window_attend.
+    """The per-coordinate softmax over a window group of C-ATN^D.
 
     ``weights[t, s]`` is the weight vector of slot s at position t; with
     width w, the last min(t + 1, w) slots of each block hold the group.
     """
 
     def test_singleton_group_is_all_ones(self):
-        _, w = window_attend([Tensor([[0.3, -2.0, 5.0]])], 1)
+        w = group_weights([np.array([[0.3, -2.0, 5.0]])], 1)
         np.testing.assert_array_equal(w[0, 0], np.ones(3))
 
     def test_identical_vectors_share_weight_equally(self):
         v = np.array([[0.1, 0.9, -4.0]])
-        _, w = window_attend([Tensor(v), Tensor(v)], 1)
+        w = group_weights([v, v], 1)
         np.testing.assert_allclose(w[0], np.full((2, 3), 0.5))
-        _, w = window_attend([Tensor(np.vstack([v, v]))], 2)
+        w = group_weights([np.vstack([v, v])], 2)
         np.testing.assert_allclose(w[1], np.full((2, 3), 0.5))
 
     def test_log_spaced_coordinates(self):
         # coordinate values 0, ln2, ln4 normalize to 1/7, 2/7, 4/7
         rows = np.log([[1.0], [2.0], [4.0]])
-        _, w = window_attend([Tensor(rows)], 3)
+        w = group_weights([rows], 3)
         np.testing.assert_allclose(w[2, :, 0], [1 / 7, 2 / 7, 4 / 7],
                                    atol=1e-12)
 
@@ -210,9 +220,8 @@ class TestGroupSoftmax:
         for _ in range(20):
             n, width = (int(v) for v in rng.integers(2, 6, size=2))
             k = int(rng.integers(1, 3))
-            blocks = [Tensor(rng.uniform(-5, 5, size=(n, 4)))
-                      for _ in range(k)]
-            _, w = window_attend(blocks, width)
+            blocks = [rng.uniform(-5, 5, size=(n, 4)) for _ in range(k)]
+            w = group_weights(blocks, width)
             np.testing.assert_allclose(w.sum(axis=1), np.ones((n, 4)),
                                        atol=1e-9)
             for t in range(n):
@@ -227,24 +236,26 @@ class TestGroupSoftmax:
         rng = np.random.default_rng(8)
         rows = rng.uniform(-2, 2, size=(4, 3))
         shift = rng.uniform(-10, 10, size=3)
-        _, base = window_attend([Tensor(rows)], 4)
-        _, shifted = window_attend([Tensor(rows + shift)], 4)
+        base = group_weights([rows], 4)
+        shifted = group_weights([rows + shift], 4)
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
-    def test_large_magnitudes_do_not_overflow(self):
+    def test_overflowing_exponential_is_a_numeric_error(self):
+        # the layer exponentiates at shift 0, which LSTM states in (-1, 1)
+        # allow; a state past exp's range stops it, never a finite row
         rows = Tensor([[900.0, -900.0], [890.0, -890.0]])
-        out, w = window_attend([rows, rows], 2)
-        assert np.all(np.isfinite(w)) and np.all(np.isfinite(out.data))
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            contextualize_dialog(rows, rows, 2)
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            window_attend([], 3)
+            contextualize_dialog(None, None, 3)
         with pytest.raises(ShapeError):
-            window_attend([Tensor(np.zeros((0, 2)))], 3)
+            contextualize_dialog(None, Tensor(np.zeros((0, 2))), 3)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            window_attend([Tensor([[1.0, 2.0]]), Tensor([[1.0]])], 3)
+            contextualize_dialog(Tensor([[1.0, 2.0]]), Tensor([[1.0]]), 3)
 
 
 class TestWindowOps:
@@ -295,13 +306,13 @@ class TestWindowOps:
             np.testing.assert_allclose(ratio, ratios[0], rtol=1e-14)
 
     def test_window_weights_match_group_softmax(self):
-        # a full window of window_attend is the same softmax over its rows
+        # a full window of C-ATN^D is the same softmax over its rows
         rng = np.random.default_rng(13)
         rows = rng.uniform(-3, 3, size=(4, 3))
         shift = rows.max(axis=0)
         weights = window_weights(exp_shifted(Tensor(rows), shift).data, 4,
                                  shift)
-        _, want = window_attend([Tensor(rows)], 4)
+        want = group_weights([rows], 4)
         np.testing.assert_allclose(weights[0], want[3], atol=1e-15)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
@@ -671,6 +682,31 @@ class TestTapeRetention:
         assert out.shape == (1, d)
         assert held / (windows * d * 8) <= 4.25
 
+    def test_context_attention_keeps_no_array_of_window_slots(self):
+        # the rules read (n, d) blocks and the (n + width - 1, d) padded
+        # sums, never a (k * width, n, d) array of the windows' slots
+        n, d, width = 8, 16, 5
+        rng = np.random.default_rng(24)
+        h_a, h_t = (Tensor(rng.uniform(-1, 1, size=(n, d)),
+                           requires_grad=True) for _ in range(2))
+        with Tape() as tape:
+            contextualize_dialog(h_a, h_t, width)
+
+        def arrays(fn):
+            # what a rule reads, also through the functions it calls
+            for cell in fn.__closure__ or ():
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    yield value
+                elif inspect.isfunction(value):
+                    yield from arrays(value)
+
+        kept = [(node.op, a.shape) for node in tape._nodes
+                for a in arrays(node.backward_fn)]
+        assert kept
+        assert [(op, shape) for op, shape in kept
+                if np.prod(shape) > (n + width - 1) * d] == []
+
     def test_no_rule_keeps_a_tensor(self):
         grouped = {op for ops in OP_GROUPS.values() for op in ops}
         offenders = []
@@ -879,7 +915,7 @@ class TestOpRegistry:
 
     def test_every_tape_op_has_a_gradient_scenario(self):
         ops = self.tape_ops()
-        assert {"add", "affine_rowwise", "window_attend", "bce_loss"} <= ops
+        assert {"add", "affine_rowwise", "window_ratio", "bce_loss"} <= ops
         covered = {key.split("[")[0]
                    for key in op_scenarios(np.random.default_rng(0))}
         assert sorted(ops - covered) == []

@@ -148,13 +148,13 @@ def unseeded_dropout(mp):
 
 
 def window_reads_one_row_ahead(mp):
-    def peeking(blocks, width):
+    def peeking(num, den, size, shift):
         # row t holds row t + 1's values; the last row repeats
-        ahead = [tensor.Tensor(np.concatenate([b.data[1:], b.data[-1:]]))
-                 for b in blocks]
-        return tensor.window_attend(ahead, width)
+        ahead = [tensor.Tensor(np.concatenate([x.data[1:], x.data[-1:]]))
+                 for x in (num, den)]
+        return tensor.window_ratio(*ahead, size, shift)
 
-    mp.setattr(context_attention, "window_attend", peeking)
+    mp.setattr(context_attention, "window_ratio", peeking)
 
 
 def softmax_over_coordinates(mp):
@@ -224,9 +224,10 @@ def mul_reads_a_for_both(mp):
 
 
 def window_reads_its_output(mp):
-    # the scaled output in place of the pooled sum it was made from
-    saved_value_replaced(mp, "window_attend", "pooled", lambda saved:
-                         saved["pooled"] * saved["inv_count"])
+    # the window mean, its output over the window size, in place of the
+    # output itself
+    saved_value_replaced(mp, "window_ratio", "ratio", lambda saved:
+                         saved["ratio"] / saved["size"])
 
 
 def lstm_reads_tanh_of_cells(mp):
@@ -266,7 +267,7 @@ PLANTED_FAULTS = [
     ("gradients.linear", affine_relu_keeps_the_complement_mask,
      "FAIL affine_relu_rows.x"),
     ("gradients.softmax", window_reads_its_output,
-     "FAIL window_attend[k=1,n=5].h0"),
+     "FAIL window_ratio[k=1,n=5].h0"),
     ("gradients.lstm", lstm_reads_tanh_of_cells,
      "FAIL lstm_sequence[n=5].w_f"),
     ("gradients.conv", conv_reads_taps_reversed, "FAIL conv1d_same.x"),
