@@ -43,7 +43,8 @@ class DialogAttentionTrace:
                 for key, e in self.exps.items()}
 
 
-def attend(blocks: list[Tensor], width: int) -> tuple[Tensor, list[Tensor]]:
+def attend(blocks: list[Tensor],
+           width: int) -> tuple[Tensor, list[np.ndarray]]:
     """Causal windowed attention over the rows of k same-shape (n, d) blocks.
 
     Row t of the (n, d) result is the per-coordinate softmax-weighted sum
@@ -51,7 +52,7 @@ def attend(blocks: list[Tensor], width: int) -> tuple[Tensor, list[Tensor]]:
     blocks, divided by their count: the blocks' ``e * h`` and ``e =
     exp(h)`` are summed row by row, go behind width - 1 zero rows, which
     weigh nothing, and ``window_ratio`` takes their window sums' ratio;
-    one ``mul`` divides by the count. Also returns the blocks' ``e``.
+    one ``mul`` divides by the count. Also returns the blocks' ``e`` arrays.
     """
     n, d = blocks[0].shape
     zero, pad = np.zeros(d), Tensor(np.zeros((width - 1, d)))
@@ -61,8 +62,8 @@ def attend(blocks: list[Tensor], width: int) -> tuple[Tensor, list[Tensor]]:
         num, den = add(num, mul(e_b, h)), add(den, e_b)
     ratio = window_ratio(concat([pad, num]), concat([pad, den]), width, zero)
     counts = len(blocks) * np.minimum(np.arange(1, n + 1), width)
-    return mul(ratio, Tensor(np.broadcast_to(1.0 / counts[:, None],
-                                             (n, d)))), e
+    return (mul(ratio, Tensor(np.broadcast_to(1.0 / counts[:, None], (n, d)))),
+            [e_b.data for e_b in e])
 
 
 def contextualize_dialog(
@@ -97,8 +98,7 @@ def contextualize_dialog(
                         ("cross", [h_audio, h_text])):
         if any(block is None for block in blocks):
             continue
-        attended, e = attend(blocks, width)
+        attended, exps[key] = attend(blocks, width)
         outputs[key] = concat([attended, *blocks], axis=1)
-        exps[key] = [e_b.data for e_b in e]
     return (outputs.get("audio"), outputs.get("text"), outputs.get("cross"),
             DialogAttentionTrace(width=width, exps=exps))
