@@ -86,8 +86,10 @@ def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
         size = min(width, current.shape[0])
         shift = _level_shift(current.data)
         e = exp_shifted(current, shift)
-        pooled = scale(window_ratio(mul(e, current), e, size, shift),
-                       1.0 / size)
+        # scaling the numerators, not the ratio, lets window_ratio's output
+        # be the array the projection reads, so the tape keeps one copy
+        pooled = window_ratio(scale(mul(e, current), 1.0 / size), e, size,
+                              shift)
         if level_weights is not None:
             level_weights.append(window_weights(e.data, size, shift))
         current = affine_relu_rows(pooled, proj_w, proj_b)

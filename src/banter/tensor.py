@@ -361,8 +361,11 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product,
         raise ShapeError(f"{op}: {x.shape} rows through {w.shape} "
                          f"+ {b.shape}")
     x_data, w_data, x_needs = x.data, w.data, x.requires_grad
-    y = product(x_data, w_data)
-    y += b.data
+    # an overflow is reported below as this op's NumericError, not first
+    # as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = product(x_data, w_data)
+        y += b.data
     rectified = None
     if rectify:
         # the ReLU would turn a -inf into 0
@@ -593,9 +596,9 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
     numpy; the input projections of all steps are computed up front, but
     one row at a time (``_rowwise_product``), unlike ``affine_relu_rows``:
     rows here are dialog positions, and a dialog prefix must give its
-    positions the same bits as the whole dialog. The backward pass runs
-    backpropagation through time in numpy, then forms each weight gradient
-    as one GEMM over all steps.
+    positions the same bits as the whole dialog. The backward pass stacks
+    the gates again, runs backpropagation through time in numpy, then forms
+    each weight gradient as one GEMM over all steps.
     """
     if len(w) != 4 or len(u) != 4 or len(b) != 4:
         raise ShapeError("lstm_sequence: needs w, u and b for 4 gates")
@@ -613,8 +616,12 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
             raise ShapeError(f"lstm_sequence: recurrence {u[k].shape} or "
                              f"bias {b[k].shape} does not fit width {hd}")
     x_data, x_needs = x.data, x.requires_grad
-    w_all = np.concatenate([t.data for t in w])
-    u_all = np.concatenate([t.data for t in u])
+    # the rule keeps the gate arrays, which the parameters hold anyway, not
+    # the stacked copies
+    w_data = [t.data for t in w]
+    u_data = [t.data for t in u]
+    w_all = np.concatenate(w_data)
+    u_all = np.concatenate(u_data)
     b_all = np.concatenate([t.data for t in b])
     n = x.shape[0]
     projected = _rowwise_product(x_data, w_all)
@@ -639,6 +646,7 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
 
     def bwd(gs):
         d_hiddens = gs[0]
+        u_stack = np.concatenate(u_data)
         i, f, g, o = (acts[:, k * hd:(k + 1) * hd] for k in range(4))
         c_prev = np.vstack([np.zeros((1, hd)), cells[:-1]])
         # dz = dL/dc (i, f, g blocks) or dL/dh (o block) times these
@@ -657,8 +665,8 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
             blocks[3] = dh
             d_z[t] *= factors[t]
             dc_next = dc * f[t]
-            dh_next = d_z[t] @ u_all
-        dx = d_z @ w_all if x_needs else None
+            dh_next = d_z[t] @ u_stack
+        dx = d_z @ np.concatenate(w_data) if x_needs else None
         dw = d_z.T @ x_data
         du = d_z[1:].T @ hiddens[:-1]
         db = d_z.sum(axis=0)

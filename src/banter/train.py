@@ -248,4 +248,8 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
             stale += 1
             if stale >= train_config.patience:
                 break
+    # the zeroed buffers would be one more parameter-sized copy while the
+    # caller scores
+    for tensor in named.values():
+        tensor.grad = None
     return best_params, history

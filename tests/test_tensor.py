@@ -604,6 +604,19 @@ class TestBackward:
                 np.testing.assert_array_equal(a, b)
 
 
+def _closure_arrays(fn):
+    """The arrays a rule reads, also through the functions and the lists
+    of arrays it closes over."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        values = value if isinstance(value, (list, tuple)) else [value]
+        for v in values:
+            if isinstance(v, np.ndarray):
+                yield v
+            elif inspect.isfunction(v):
+                yield from _closure_arrays(v)
+
+
 class TestTapeRetention:
     """A tape keeps what backward rules read and nothing more."""
 
@@ -655,17 +668,18 @@ class TestTapeRetention:
         proj_w, proj_b = init_projection(d, rng)
         with Tape() as tape:
             hier_attend(vectors, proj_w, proj_b)
-        level = ["exp_shifted", "mul", "window_ratio", "scale",
+        level = ["exp_shifted", "mul", "scale", "window_ratio",
                  "affine_relu_rows"]
         assert [node.op for node in tape._nodes] == (
             ["relu"] + level * hier_attention.level_count(n, 3))
 
-    def test_hier_attend_keeps_at_most_four_blocks_per_level(self):
+    @pytest.mark.parametrize("n, d", [(15, 300), (105, 128), (200, 128)])
+    def test_hier_attend_keeps_at_most_three_blocks_per_level(self, n, d):
         # the rules read each level's input and its exponentials (2 blocks;
-        # exp's and window_ratio's rules read the same array as mul's), the
-        # window ratios (1) and the projection's input (1); the projection
-        # reads its ReLU mask off its output, the next level's input
-        n, d = 105, 128
+        # exp's and window_ratio's rules read the same array as mul's) and
+        # the window ratios (1), which are the projection's input; the
+        # projection reads its ReLU mask off its output, the next level's
+        # input
         rng = np.random.default_rng(22)
         vectors = Tensor(rng.uniform(-1, 1, size=(n, d)))
         proj_w, proj_b = init_projection(d, rng)
@@ -680,7 +694,23 @@ class TestTapeRetention:
         finally:
             tracemalloc.stop()
         assert out.shape == (1, d)
-        assert held / (windows * d * 8) <= 4.25
+        assert held / (windows * d * 8) <= 3.25
+
+    def test_lstm_keeps_no_stacked_gate_copy(self):
+        # the rule reads the parameters' own gate arrays, never a
+        # (4h, d_in) or (4h, h) stack of them
+        n, d_in, hd = 5, 7, 3
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.uniform(-1, 1, size=(n, d_in)), requires_grad=True)
+        w, u, b = ([Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+                    for _ in range(4)]
+                   for shape in ((hd, d_in), (hd, hd), (hd,)))
+        with Tape() as tape:
+            lstm_sequence(x, w, u, b)
+        (node,) = tape._nodes
+        shapes = [a.shape for a in _closure_arrays(node.backward_fn)]
+        assert shapes
+        assert [s for s in shapes if s in ((4 * hd, d_in), (4 * hd, hd))] == []
 
     def test_context_attention_keeps_no_array_of_window_slots(self):
         # the rules read (n, d) blocks and the (n + width - 1, d) padded
@@ -691,18 +721,8 @@ class TestTapeRetention:
                            requires_grad=True) for _ in range(2))
         with Tape() as tape:
             contextualize_dialog(h_a, h_t, width)
-
-        def arrays(fn):
-            # what a rule reads, also through the functions it calls
-            for cell in fn.__closure__ or ():
-                value = cell.cell_contents
-                if isinstance(value, np.ndarray):
-                    yield value
-                elif inspect.isfunction(value):
-                    yield from arrays(value)
-
         kept = [(node.op, a.shape) for node in tape._nodes
-                for a in arrays(node.backward_fn)]
+                for a in _closure_arrays(node.backward_fn)]
         assert kept
         assert [(op, shape) for op, shape in kept
                 if np.prod(shape) > (n + width - 1) * d] == []

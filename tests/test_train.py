@@ -381,6 +381,19 @@ class TestTraining:
         for name, tensor in best_a.items():
             np.testing.assert_array_equal(tensor.data, best_b[name].data)
 
+    def test_returns_with_no_gradient_buffers(self, marker_data):
+        # a zeroed buffer per parameter would be one more copy of the
+        # parameters while the caller scores
+        dialogs, table = marker_data
+        cfg = tiny_text_config()
+        params = init_parameters(cfg, np.random.default_rng(9))
+        tc = TrainConfig(lr=1e-2, batch_size=4, max_epochs=2, patience=2,
+                         seed=6)
+        best, _ = train(cfg, dialogs, dialogs, tc, table,
+                        initial_params=params)
+        for name, tensor in [*params.items(), *best.items()]:
+            assert tensor.grad is None, name
+
     def test_text_config_requires_embeddings(self, marker_data):
         dialogs, _ = marker_data
         with pytest.raises(ValueError, match="embedding"):
