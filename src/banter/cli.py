@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .data import (
@@ -19,6 +20,7 @@ from .data import (
     decode_line,
     load_corpus,
     load_embeddings,
+    read_bytes,
     split_train_val,
 )
 from .model import (
@@ -97,8 +99,9 @@ def parse_config_file(path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise CliError(EXIT_CONFIG, f"config file not found: {path}")
+    lines = read_bytes(path, partial(CliError, EXIT_CONFIG)).splitlines()
     raw: dict[str, str] = {}
-    for lineno, raw_line in enumerate(path.read_bytes().splitlines(), start=1):
+    for lineno, raw_line in enumerate(lines, start=1):
         try:
             line = decode_line(raw_line, path, lineno)
         except CorpusError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,6 +79,24 @@ def decode_line(raw: bytes, path, lineno: int) -> str:
                           ) from None
 
 
+def read_bytes(path: Path,
+               error: Callable[[str], Exception] = CorpusError) -> bytes:
+    """The whole of a file; an OSError reading it becomes ``error(message)``."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror}") from None
+
+
+def _byte_lines(path: Path):
+    """A file's lines, read one at a time; an OSError becomes a CorpusError."""
+    try:
+        with open(path, "rb") as fh:
+            yield from fh
+    except OSError as exc:
+        raise CorpusError(f"{path}: cannot read: {exc.strerror}") from None
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CorpusError(message)
@@ -96,7 +115,7 @@ def _read_sidecar(sidecar: Path) -> list[list[float]]:
     named by its line."""
     # split as csv's universal newlines would; csv reads the decoded lines,
     # so quoted cells still load
-    lines = sidecar.read_bytes().splitlines(keepends=True)
+    lines = read_bytes(sidecar).splitlines(keepends=True)
     reader = csv.reader(decode_line(raw, sidecar, lineno)
                         for lineno, raw in enumerate(lines, start=1))
     rows: list[list[float]] = []
@@ -140,18 +159,36 @@ def _inline_frames(raw_mfcc, where: str) -> np.ndarray:
     for row in rows:
         for cell in row if isinstance(row, list) else [row]:
             if type(cell) not in (int, float):
-                raise CorpusError(f"{where}: mfcc cell {json.dumps(cell)} "
-                                  f"is not a number")
+                # an object cell may hold frames _frames_hook converted
+                shown = json.dumps(cell, default=np.ndarray.tolist)
+                raise CorpusError(f"{where}: mfcc cell {shown} is not a "
+                                  f"number")
     try:
         return frames.astype(np.float64, copy=False)
     except OverflowError:  # an integer beyond float64's range
         raise CorpusError(f"{where}: mfcc value out of range") from None
 
 
+def _frames_hook(obj: dict) -> dict:
+    """json's object_hook: an ``mfcc`` list becomes its float64 array as
+    soon as json has read its object, so a dialog's frames never all sit in
+    memory as Python floats. A list that ``_inline_frames`` rejects stays a
+    list, and ``_load_frames`` raises on it again, naming the utterance."""
+    raw_mfcc = obj.get("mfcc")
+    if isinstance(raw_mfcc, list):
+        try:
+            obj["mfcc"] = _inline_frames(raw_mfcc, "")
+        except CorpusError:
+            pass
+    return obj
+
+
 def _load_frames(raw_mfcc, mfcc_path, base_dir: Path, where: str) -> np.ndarray | None:
     if raw_mfcc is not None and mfcc_path is not None:
         raise CorpusError(f"{where}: both inline mfcc and mfcc_path given")
-    if raw_mfcc is not None:
+    if isinstance(raw_mfcc, np.ndarray):  # converted by _frames_hook
+        frames = raw_mfcc
+    elif raw_mfcc is not None:
         frames = _inline_frames(raw_mfcc, where)
     elif mfcc_path is not None:
         _require(isinstance(mfcc_path, str) and mfcc_path != "",
@@ -221,29 +258,28 @@ def load_corpus(path) -> list[Dialog]:
     dialogs: list[Dialog] = []
     seen_ids: set[str] = set()
     # lines are decoded one at a time, so a bad byte is named by its line
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = decode_line(raw, path, lineno)
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
-            except RecursionError:
-                raise CorpusError(f"{path}:{lineno}: JSON nested too deeply") from None
-            _require(isinstance(obj, dict), f"{path}:{lineno}: line is not an object")
-            dialog_id = obj.get("dialog_id")
-            _require(isinstance(dialog_id, str) and dialog_id != "",
-                     f"{path}:{lineno}: missing string dialog_id")
-            _require(dialog_id not in seen_ids,
-                     f"{path}:{lineno}: duplicate dialog_id {dialog_id!r}")
-            seen_ids.add(dialog_id)
-            raw_utts = obj.get("utterances")
-            _require(isinstance(raw_utts, list) and len(raw_utts) > 0,
-                     f"dialog {dialog_id!r}: needs at least one utterance")
-            utts = [_parse_utterance(u, dialog_id, base_dir) for u in raw_utts]
-            dialogs.append(Dialog(dialog_id=dialog_id, utterances=utts))
+    for lineno, raw in enumerate(_byte_lines(path), start=1):
+        line = decode_line(raw, path, lineno)
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line, object_hook=_frames_hook)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+        except RecursionError:
+            raise CorpusError(f"{path}:{lineno}: JSON nested too deeply") from None
+        _require(isinstance(obj, dict), f"{path}:{lineno}: line is not an object")
+        dialog_id = obj.get("dialog_id")
+        _require(isinstance(dialog_id, str) and dialog_id != "",
+                 f"{path}:{lineno}: missing string dialog_id")
+        _require(dialog_id not in seen_ids,
+                 f"{path}:{lineno}: duplicate dialog_id {dialog_id!r}")
+        seen_ids.add(dialog_id)
+        raw_utts = obj.get("utterances")
+        _require(isinstance(raw_utts, list) and len(raw_utts) > 0,
+                 f"dialog {dialog_id!r}: needs at least one utterance")
+        utts = [_parse_utterance(u, dialog_id, base_dir) for u in raw_utts]
+        dialogs.append(Dialog(dialog_id=dialog_id, utterances=utts))
     _require(len(dialogs) > 0, f"{path}: corpus is empty")
     return dialogs
 
@@ -318,37 +354,37 @@ def load_embeddings(path) -> EmbeddingTable:
     path = Path(path)
     if not path.is_file():
         raise CorpusError(f"embedding file not found: {path}")
-    with open(path, "rb") as fh:
-        header = decode_line(fh.readline(), path, 1).split()
-        if len(header) != 2:
-            raise CorpusError(f"{path}:1: header must be '<count> <dim>'")
+    lines = _byte_lines(path)
+    header = decode_line(next(lines, b""), path, 1).split()
+    if len(header) != 2:
+        raise CorpusError(f"{path}:1: header must be '<count> <dim>'")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise CorpusError(f"{path}:1: non-integer header fields") from None
+    if dim < 1:
+        raise CorpusError(f"{path}:1: dimension must be positive, got {dim}")
+    table = EmbeddingTable(dim)
+    rows = 0
+    pending: list[tuple[int, str, str]] = []
+    for lineno, raw in enumerate(lines, start=2):
         try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise CorpusError(f"{path}:1: non-integer header fields") from None
-        if dim < 1:
-            raise CorpusError(f"{path}:1: dimension must be positive, got {dim}")
-        table = EmbeddingTable(dim)
-        rows = 0
-        pending: list[tuple[int, str, str]] = []
-        for lineno, raw in enumerate(fh, start=2):
-            try:
-                line = decode_line(raw, path, lineno)
-            except CorpusError:
-                # a bad row above the bad byte is the first fault
-                _add_vector_rows(table, pending, path)
-                raise
-            # fastText .vec rows may end in a space before the newline
-            line = line.rstrip()
-            if not line:
-                continue
-            token, _, values = line.partition(" ")
-            pending.append((lineno, token, values))
-            rows += 1
-            if len(pending) == EMBEDDING_BLOCK_ROWS:
-                _add_vector_rows(table, pending, path)
-                pending = []
-        _add_vector_rows(table, pending, path)
+            line = decode_line(raw, path, lineno)
+        except CorpusError:
+            # a bad row above the bad byte is the first fault
+            _add_vector_rows(table, pending, path)
+            raise
+        # fastText .vec rows may end in a space before the newline
+        line = line.rstrip()
+        if not line:
+            continue
+        token, _, values = line.partition(" ")
+        pending.append((lineno, token, values))
+        rows += 1
+        if len(pending) == EMBEDDING_BLOCK_ROWS:
+            _add_vector_rows(table, pending, path)
+            pending = []
+    _add_vector_rows(table, pending, path)
     if rows != count:
         raise CorpusError(
             f"{path}: header declared {count} vectors, file has {rows} rows")

@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .context_attention import DialogAttentionTrace, contextualize_dialog
-from .data import MFCC_COLUMNS, Dialog, EmbeddingTable, embed_utterance
+from .data import (
+    MFCC_COLUMNS,
+    Dialog,
+    EmbeddingTable,
+    embed_utterance,
+    read_bytes,
+)
 from .encoders import (
     acoustic_encode,
     glorot_uniform,
@@ -429,7 +435,7 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
     path = Path(path)
     if not path.is_file():
         raise CheckpointError(f"checkpoint not found: {path}")
-    raw = path.read_bytes()
+    raw = read_bytes(path, CheckpointError)
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(
             f"{path}: bad magic {raw[:len(CHECKPOINT_MAGIC)]!r}, "

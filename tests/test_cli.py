@@ -1,7 +1,10 @@
 """End-to-end tests for the command line front end."""
 
+import builtins
 import csv
 import dataclasses
+import errno
+import io
 import json
 import os
 import re
@@ -80,6 +83,21 @@ def strict_run(workspace):
     val_corpus = write_corpus(tmp / "strict_val.jsonl",
                               [r for r in records if r["dialog_id"] in val_ids])
     return out, val_corpus, val_ids
+
+
+def _set_frames(mfcc, **fields):
+    """A corpus edit: the second utterance of line 3 gets ``mfcc`` and
+    ``fields``."""
+    def edit(lines):
+        dialog = json.loads(lines[2])
+        dialog["utterances"][1].update(mfcc=mfcc, **fields)
+        lines[2] = json.dumps(dialog)
+    return edit
+
+
+def _blank_lines(lines):
+    lines[1:1] = ["", "   "]
+    lines.append("")
 
 
 class TestConfigFile:
@@ -376,6 +394,35 @@ class TestTrainCommand:
                        f"{dialog['utterances'][1]['id']!r}: mfcc cell "
                        f"{shown} is not a number\n")
 
+    @pytest.mark.parametrize("edit, exit_code, line", [
+        (_set_frames([[0.5] * 128, [0.5] * 3]), 3,
+         "ragged mfcc (setting an array element with a sequence"),
+        (_set_frames([1.0, 2.0]), 3,
+         "acoustic frames must be F x 128, got shape (2,)"),
+        (_set_frames([[[1.0]]]), 3,
+         "acoustic frames must be F x 128, got shape (1, 1, 1)"),
+        (_set_frames([[0.5] * 128], mfcc_path="d2.csv"), 3,
+         "both inline mfcc and mfcc_path given"),
+        (_blank_lines, 0, None),
+    ], ids=["ragged", "1-D", "3-D", "inline and sidecar", "blank lines"])
+    def test_corpus_edge_ends_in_its_exit_code_and_line(
+            self, workspace, tmp_path, capsys, edit, exit_code, line):
+        _, corpus, emb = workspace
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "run.cfg", edited, emb,
+                           out_dir=tmp_path / "out")
+        assert main(["train", "--config", str(cfg)]) == exit_code
+        err = capsys.readouterr().err
+        if line is None:
+            assert err == "" and (tmp_path / "out" / "model.ckpt").is_file()
+        else:
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: dialog 'd2', utterance 'd2_u1': "
+                                  f"{line}")
+
     @pytest.mark.parametrize("label, shown", [("true", "True"),
                                               ("1.0", "1.0")])
     def test_label_of_the_wrong_type_is_a_data_error(self, workspace,
@@ -507,6 +554,46 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and "not a directory" in err
         assert ("--out" if by_flag else "'out_dir'") in err
         assert taken.read_text(encoding="utf-8") == "a file\n"
+
+
+class TestUnreadableInput:
+    """An OSError reading an input ends in one line naming the file. chmod
+    does not stop a process run as root, so the read is patched instead."""
+
+    @pytest.mark.parametrize("kind, exit_code", [
+        ("run file", 2), ("corpus", 3), ("sidecar", 3), ("embeddings", 3),
+        ("checkpoint", 3)])
+    def test_unreadable_file_is_named(self, workspace, trained, tmp_path,
+                                      capsys, monkeypatch, kind, exit_code):
+        _, corpus, emb = workspace
+        sidecar_corpus = sidecar_copy(corpus, tmp_path / "sidecar")
+        cfg = write_config(tmp_path / "run.cfg", sidecar_corpus, emb,
+                           out_dir=tmp_path / "out")
+        ckpt = trained / "model.ckpt"
+        target = {"run file": cfg, "corpus": sidecar_corpus,
+                  "sidecar": sidecar_corpus.parent / "d0.d0_u0.csv",
+                  "embeddings": emb, "checkpoint": ckpt}[kind]
+        real_open = io.open
+
+        def denying_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) \
+                    and os.fspath(file) == str(target):
+                raise PermissionError(errno.EACCES, "Permission denied",
+                                      str(target))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", denying_open)
+        monkeypatch.setattr(io, "open", denying_open)
+        if kind == "checkpoint":
+            argv = ["eval", "--checkpoint", str(ckpt), "--data",
+                    str(sidecar_corpus), "--embeddings", str(emb), "--out",
+                    str(tmp_path / "eval")]
+        else:
+            argv = ["train", "--config", str(cfg)]
+        assert main(argv) == exit_code
+        where = "dialog 'd0', utterance 'd0_u0': " if kind == "sidecar" else ""
+        assert capsys.readouterr().err \
+            == f"error: {where}{target}: cannot read: Permission denied\n"
 
 
 class TestEvalCommand:

@@ -1,5 +1,7 @@
 """Corpus loading, embedding tables, corpus counts, and split behavior."""
 
+import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -126,8 +128,9 @@ class TestLoadCorpus:
         np.testing.assert_allclose(loaded[0].utterances[0].acoustic, frames)
 
     @pytest.mark.parametrize("cell, shown", [
-        ("0.5", '"0.5"'), (True, "true"), (False, "false"), ({}, "{}")],
-        ids=["string", "true", "false", "object"])
+        ("0.5", '"0.5"'), (True, "true"), (False, "false"), ({}, "{}"),
+        ({"mfcc": [[0.5, 2.0]]}, '{"mfcc": [[0.5, 2.0]]}')],
+        ids=["string", "true", "false", "object", "object holding frames"])
     def test_inline_frame_cell_must_be_a_number(self, tmp_path, cell, shown):
         frames = np.linspace(-1, 1, 2 * 128).reshape(2, 128).tolist()
         frames[1][5] = cell
@@ -168,6 +171,59 @@ class TestLoadCorpus:
         path = synthdata.write_corpus(tmp_path / "zeros.jsonl", [dialog])
         loaded = load_corpus(path)[0].utterances[0].acoustic
         np.testing.assert_array_equal(loaded, frames)
+
+    def test_inline_frames_peak_below_five_times_their_bytes(self, tmp_path):
+        # each utterance's frames become an array as json finishes them, so
+        # a dialog's frames never all sit in memory as Python floats
+        rng = np.random.default_rng(0)
+        frames = rng.normal(0.0, 0.3, size=(6, 200, 128)).round(4)
+        dialog = {"dialog_id": "d0", "utterances": [
+            {"id": f"u{j}", "speaker": "a", "tokens": ["x"], "sarcasm": 0,
+             "humor": 0, "mfcc": frames[j].tolist()} for j in range(6)]}
+        path = synthdata.write_corpus(tmp_path / "big.jsonl", [dialog])
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(
+            [u.acoustic for u in loaded[0].utterances], frames)
+        assert peak < 5 * frames.nbytes
+
+    def test_inline_frames_are_json_numbers_bit_for_bit(self, tmp_path):
+        special = "-0.0, -0, 0, 1, 1.0, 7, -3, 2.5e-3, 1e-320, 1e308, -1e308"
+        fill = ", ".join(["0.125", "-1", "3"] * 39)
+        row = f"[{special}, {fill}]"
+        ints = "[" + ", ".join(str(k - 64) for k in range(128)) + "]"
+        line = ('{"dialog_id": "d0", "utterances": [{"id": "u0", '
+                '"tokens": ["x"], "sarcasm": 0, "humor": 0, "mfcc": '
+                f'[{row}, {ints}, {row}]}}]}}')
+        path = tmp_path / "bits.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        expected = np.asarray(json.loads(line)["utterances"][0]["mfcc"],
+                              dtype=np.float64)
+        assert expected.shape == (3, 128)
+        loaded = load_corpus(path)[0].utterances[0].acoustic
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mfcc", [
+        [[0.5] * 128], [[1, 2], [3]], [["x"]], "frames"],
+        ids=["frames", "ragged", "string cell", "string"])
+    def test_dialog_level_mfcc_is_ignored(self, tmp_path, mfcc):
+        plain = json.loads(small_corpus(tmp_path).read_text().splitlines()[0])
+        plain["utterances"][0]["mfcc"] = [[0.25] * 128, [1] * 128]
+        keyed = dict(plain, mfcc=mfcc)
+        loaded = [load_corpus(synthdata.write_corpus(tmp_path / name, [d]))[0]
+                  for name, d in (("plain.jsonl", plain),
+                                  ("keyed.jsonl", keyed))]
+        for a, b in zip(*(d.utterances for d in loaded)):
+            assert (a.uid, a.tokens, a.sarcasm, a.humor) \
+                == (b.uid, b.tokens, b.sarcasm, b.humor)
+            assert (a.acoustic is None) == (b.acoustic is None)
+            if a.acoustic is not None:
+                assert a.acoustic.tobytes() == b.acoustic.tobytes()
 
     def test_sidecar_csv_matches_inline(self, tmp_path):
         frames = np.linspace(-1, 1, 3 * 128).reshape(3, 128)
