@@ -1,27 +1,28 @@
 """Command line front end: train, eval, inspect, and verify subcommands.
 
-Exit codes: 0 success, 2 configuration problem, 3 data problem, 4 numeric
-failure during optimization, 5 verification failure. ``main`` maps the
-library's exceptions to them; a subcommand converts one itself only where
-the same exception class means another problem there.
+Exit codes: 0 success, 2 configuration or output problem, 3 data problem,
+4 numeric failure during optimization, 5 verification failure. ``main``
+maps the library's exceptions to them; a subcommand converts one itself
+only where the same exception class means another problem there.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from functools import partial
 from pathlib import Path
 
 from .data import (
     CorpusError,
+    OutputError,
     decode_line,
     load_corpus,
     load_embeddings,
     read_bytes,
     split_train_val,
+    write_json,
 )
 from .model import (
     CheckpointError,
@@ -97,8 +98,6 @@ def _convert(key: str, raw: str):
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; '#' comments and blank lines are skipped."""
     path = Path(path)
-    if not path.is_file():
-        raise CliError(EXIT_CONFIG, f"config file not found: {path}")
     lines = read_bytes(path, partial(CliError, EXIT_CONFIG)).splitlines()
     raw: dict[str, str] = {}
     for lineno, raw_line in enumerate(lines, start=1):
@@ -175,13 +174,15 @@ def _output_dir(path_str, source: str) -> Path:
     The path, or else its nearest existing ancestor, must be a directory;
     nothing is created here, so a failed run leaves no directory behind.
     """
-    path = Path(path_str)
-    existing = path
-    while not existing.exists() and existing != existing.parent:
-        existing = existing.parent
-    if not existing.is_dir():
-        raise CliError(EXIT_CONFIG, f"{source} {str(path)!r}: {existing} is "
-                                    f"not a directory")
+    path = existing = Path(path_str)
+    try:
+        while not existing.exists() and existing != existing.parent:
+            existing = existing.parent
+        fault = None if existing.is_dir() else f"{existing} is not a directory"
+    except OSError as exc:
+        fault = f"cannot check {existing}: {exc.strerror}"
+    if fault:
+        raise CliError(EXIT_CONFIG, f"{source} {str(path)!r}: {fault}")
     return path
 
 
@@ -221,7 +222,6 @@ def cmd_train(args) -> int:
     best, history = train(config, train_dialogs, val_dialogs, train_config,
                           table)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint_path = out_dir / "model.ckpt"
     save_checkpoint(best, checkpoint_path, config)
     # report from the float32 values the checkpoint holds, so that `eval`
@@ -267,11 +267,9 @@ def cmd_eval(args) -> int:
     matrices, metrics = evaluate_split(config, params, dialogs, table,
                                        threshold=config.threshold)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.json"
-    document = _evaluation_document(config, matrices, metrics, len(dialogs))
-    metrics_path.write_text(json.dumps(document, indent=2) + "\n",
-                            encoding="utf-8")
+    write_json(metrics_path, _evaluation_document(config, matrices, metrics,
+                                                  len(dialogs)))
     report_path = out_dir / "report.txt"
     render_report([], matrices, metrics, config, report_path)
 
@@ -295,7 +293,6 @@ def cmd_inspect(args) -> int:
     prediction = forward_dialog(config, params, dialog, table,
                                 training=False)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for k, utt in enumerate(dialog.utterances):
         labels = {}
@@ -307,11 +304,9 @@ def cmd_inspect(args) -> int:
         rows.append({"uid": utt.uid, "speaker": utt.speaker,
                      "text": " ".join(utt.tokens), "labels": labels})
     utterances_path = out_dir / "utterances.json"
-    utterances_path.write_text(
-        json.dumps({"dialog_id": dialog.dialog_id,
-                    "variant": variant_label(config),
-                    "utterances": rows}, indent=2) + "\n",
-        encoding="utf-8")
+    write_json(utterances_path, {"dialog_id": dialog.dialog_id,
+                                 "variant": variant_label(config),
+                                 "utterances": rows})
 
     print(f"dialog {dialog.dialog_id}: {len(rows)} utterances, "
           f"{variant_label(config)}")
@@ -407,7 +402,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except CliError as exc:
         code, message = exc.code, exc.message
-    except ConfigError as exc:
+    except (ConfigError, OutputError) as exc:
         code, message = EXIT_CONFIG, str(exc)
     except (CorpusError, CheckpointError, ModalityError) as exc:
         code, message = EXIT_DATA, str(exc)

@@ -24,6 +24,10 @@ class CorpusError(ValueError):
     """Malformed corpus file or invariant violation, with location info."""
 
 
+class OutputError(Exception):
+    """An output file that could not be written, named with the reason."""
+
+
 @dataclass
 class UtteranceRecord:
     """One speaker turn: tokens, optional F x 128 frame matrix, two labels."""
@@ -86,6 +90,22 @@ def read_bytes(path: Path,
         return path.read_bytes()
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc.strerror}") from None
+
+
+def write_file(path, data: str | bytes) -> None:
+    """Write a file whole, a str as UTF-8, making its directory first; an
+    OSError becomes an OutputError naming the file."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data.encode() if isinstance(data, str) else data)
+    except OSError as exc:
+        raise OutputError(f"{path}: cannot write: {exc.strerror}") from None
+
+
+def write_json(path, document) -> None:
+    """A JSON document indented by 2, with a final newline."""
+    write_file(path, json.dumps(document, indent=2) + "\n")
 
 
 def _byte_lines(path: Path):
@@ -195,8 +215,6 @@ def _load_frames(raw_mfcc, mfcc_path, base_dir: Path, where: str) -> np.ndarray 
                  f"{where}: mfcc_path must be a non-empty string, "
                  f"got {mfcc_path!r}")
         sidecar = base_dir / mfcc_path
-        if not sidecar.is_file():
-            raise CorpusError(f"{where}: mfcc sidecar not found: {sidecar}")
         try:
             rows = _read_sidecar(sidecar)
         except CorpusError as exc:
@@ -252,8 +270,6 @@ def load_corpus(path) -> list[Dialog]:
     the offending dialog and utterance ids.
     """
     path = Path(path)
-    if not path.is_file():
-        raise CorpusError(f"corpus file not found: {path}")
     base_dir = path.parent
     dialogs: list[Dialog] = []
     seen_ids: set[str] = set()
@@ -352,8 +368,6 @@ def load_embeddings(path) -> EmbeddingTable:
     Inf, are rejected naming the row.
     """
     path = Path(path)
-    if not path.is_file():
-        raise CorpusError(f"embedding file not found: {path}")
     lines = _byte_lines(path)
     header = decode_line(next(lines, b""), path, 1).split()
     if len(header) != 2:

@@ -24,6 +24,7 @@ from .data import (
     EmbeddingTable,
     embed_utterance,
     read_bytes,
+    write_file,
 )
 from .encoders import (
     acoustic_encode,
@@ -407,11 +408,9 @@ def save_checkpoint(params: ParameterSet, path, config: ModelConfig) -> None:
         blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
     header[META_KEY] = asdict(config)
     head_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(head_bytes).to_bytes(8, "little"))
-        fh.write(head_bytes)
-        fh.write(bytes(blob))
+    write_file(path, b"".join([CHECKPOINT_MAGIC,
+                               len(head_bytes).to_bytes(8, "little"),
+                               head_bytes, blob]))
 
 
 def _is_int(value) -> bool:
@@ -433,8 +432,6 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
     in header order: no gap, overlap or trailing byte.
     """
     path = Path(path)
-    if not path.is_file():
-        raise CheckpointError(f"checkpoint not found: {path}")
     raw = read_bytes(path, CheckpointError)
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(

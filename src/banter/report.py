@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 from pathlib import Path
 
 from .context_attention import DialogAttentionTrace
+from .data import write_file, write_json
 from .metrics import ConfusionMatrix, Metrics
 from .model import ModelConfig, variant_label
 
@@ -57,9 +57,7 @@ def heatmap_document(trace: DialogAttentionTrace, dialog_id: str) -> dict:
 def export_heatmap(trace: DialogAttentionTrace, dialog_id: str, path) -> dict:
     """Write the heatmap document as JSON; returns the document."""
     document = heatmap_document(trace, dialog_id)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+    write_json(path, document)
     return document
 
 
@@ -126,10 +124,6 @@ def render_report(history_rows: list[dict],
         lines.append(f"  f1         {s.f1:.4f}")
         lines.append(f"  accuracy   {s.accuracy:.4f}")
         lines.append("")
-    path.write_text("\n".join(lines), encoding="utf-8")
-
-    twin = path.with_suffix(".json")
-    with open(twin, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+    write_file(path, "\n".join(lines))
+    write_json(path.with_suffix(".json"), document)
     return document

@@ -42,10 +42,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         # asarray with order="C" keeps 0-d shapes; ascontiguousarray would
         # promote scalars to shape (1,)
-        arr = np.asarray(data, dtype=np.float64, order="C")
-        if not np.isfinite(arr).all():
-            raise NumericError("tensor initialized with non-finite values")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.key = next(_SERIAL)
@@ -142,9 +139,11 @@ def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
     and tests alike call ``_finish(name, [out], parents, rule)``.
     ``backward_fn`` must close over the arrays, shapes and flags it reads,
     never over a Tensor, so that the tape keeps no activation that no rule
-    reads. Output finiteness is already enforced by the Tensor constructor.
+    reads. A non-finite output raises a NumericError naming the op.
     """
     (out,) = outputs
+    if not np.isfinite(out.data).all():
+        raise NumericError(f"{op}: non-finite output")
     needs = [p.requires_grad for p in parents]
     if True not in needs:
         return

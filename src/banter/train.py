@@ -13,12 +13,13 @@ dropout) flows from the single seed, so a run is a pure function of
 from __future__ import annotations
 
 import csv
+import io
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dialog, EmbeddingTable
+from .data import Dialog, EmbeddingTable, write_file
 from .metrics import ConfusionMatrix, Metrics, compute_metrics, confusion
 from .model import (
     ConfigError,
@@ -109,11 +110,11 @@ class TrainHistory:
             f"val_{task}_{name}"
             for task in self.tasks for name in CSV_METRIC_COLUMNS
         ]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns)
-            writer.writeheader()
-            for row in self.rows():
-                writer.writerow(row)
+        text = io.StringIO(newline="")
+        writer = csv.DictWriter(text, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(self.rows())
+        write_file(path, text.getvalue())
 
 
 def macro_f1(metrics: dict[str, Metrics]) -> float:

@@ -100,6 +100,32 @@ def _blank_lines(lines):
     lines.append("")
 
 
+def _raw_header(head: bytes):
+    """Writes a copy of a checkpoint with ``head`` as its header bytes."""
+    def make(src: Path, dst: Path) -> None:
+        raw = src.read_bytes()
+        # magic, 8-byte header length, header, then the parameters
+        end = 14 + int.from_bytes(raw[6:14], "little")
+        dst.write_bytes(raw[:6] + len(head).to_bytes(8, "little") + head
+                        + raw[end:])
+    return make
+
+
+def _header_edit(edit):
+    """Writes a copy of a checkpoint with ``edit`` applied to its header."""
+    return lambda src, dst: rewrite_checkpoint_header(src, dst, edit)
+
+
+def _prefix(size: int):
+    """Writes the first ``size`` bytes of a file."""
+    return lambda src, dst: dst.write_bytes(src.read_bytes()[:size])
+
+
+def _text(text: str):
+    """Writes ``text`` in place of a file."""
+    return lambda src, dst: dst.write_text(text, encoding="utf-8")
+
+
 class TestConfigFile:
     def test_every_key_has_a_default(self):
         settings = resolve_settings(None, {})
@@ -179,9 +205,11 @@ class TestConfigFile:
         assert "lr" in err.value.message
 
     def test_missing_config_file(self, tmp_path, capsys):
-        code = main(["train", "--config", str(tmp_path / "absent.cfg")])
+        absent = tmp_path / "absent.cfg"
+        code = main(["train", "--config", str(absent)])
         assert code == 2
-        assert "not found" in capsys.readouterr().err
+        assert capsys.readouterr().err \
+            == f"error: {absent}: cannot read: No such file or directory\n"
 
 
 class TestTrainCommand:
@@ -282,11 +310,12 @@ class TestTrainCommand:
     def test_missing_corpus_file_is_a_data_error(self, workspace, tmp_path,
                                                  capsys):
         _, _, emb = workspace
-        cfg = write_config(tmp_path / "run.cfg", tmp_path / "absent.jsonl",
-                           emb)
+        absent = tmp_path / "absent.jsonl"
+        cfg = write_config(tmp_path / "run.cfg", absent, emb)
         code = main(["train", "--config", str(cfg)])
         assert code == 3
-        assert "not found" in capsys.readouterr().err
+        assert capsys.readouterr().err \
+            == f"error: {absent}: cannot read: No such file or directory\n"
 
     def test_unknown_variant_is_a_config_error(self, workspace, tmp_path,
                                                capsys):
@@ -556,44 +585,134 @@ class TestTrainCommand:
         assert taken.read_text(encoding="utf-8") == "a file\n"
 
 
-class TestUnreadableInput:
-    """An OSError reading an input ends in one line naming the file. chmod
-    does not stop a process run as root, so the read is patched instead."""
+def _refuse(monkeypatch, target, code: int, calls=("open",)) -> None:
+    """Make each of ``calls`` ("open", "stat") on the one file ``target``
+    fail with errno ``code``, as the system would. chmod does not stop a
+    process run as root, so the calls are patched instead."""
+    def refusing(real):
+        def call(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) \
+                    and os.fspath(file) == str(target):
+                raise OSError(code, os.strerror(code), str(target))
+            return real(file, *args, **kwargs)
+        return call
 
-    @pytest.mark.parametrize("kind, exit_code", [
-        ("run file", 2), ("corpus", 3), ("sidecar", 3), ("embeddings", 3),
-        ("checkpoint", 3)])
-    def test_unreadable_file_is_named(self, workspace, trained, tmp_path,
-                                      capsys, monkeypatch, kind, exit_code):
+    if "open" in calls:
+        monkeypatch.setattr(builtins, "open", refusing(io.open))
+        monkeypatch.setattr(io, "open", refusing(io.open))
+    if "stat" in calls:
+        monkeypatch.setattr(os, "stat", refusing(os.stat))
+
+
+# each input file and the exit code a fault in it ends in
+INPUTS = [("run file", 2), ("corpus", 3), ("sidecar", 3), ("embeddings", 3),
+          ("checkpoint", 3)]
+
+
+class TestUnreadableInput:
+    """An input that is missing or cannot be read ends in one line naming
+    the file and the system's reason."""
+
+    @staticmethod
+    def _run(workspace, trained, tmp_path, kind):
+        """(argv, file) for a run that reads copies of the inputs in
+        ``tmp_path``, and the copy of ``kind`` it reads."""
         _, corpus, emb = workspace
         sidecar_corpus = sidecar_copy(corpus, tmp_path / "sidecar")
+        emb = shutil.copy(emb, tmp_path / "emb.txt")
+        ckpt = shutil.copy(trained / "model.ckpt", tmp_path / "m.ckpt")
         cfg = write_config(tmp_path / "run.cfg", sidecar_corpus, emb,
                            out_dir=tmp_path / "out")
-        ckpt = trained / "model.ckpt"
         target = {"run file": cfg, "corpus": sidecar_corpus,
                   "sidecar": sidecar_corpus.parent / "d0.d0_u0.csv",
                   "embeddings": emb, "checkpoint": ckpt}[kind]
-        real_open = io.open
-
-        def denying_open(file, *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)) \
-                    and os.fspath(file) == str(target):
-                raise PermissionError(errno.EACCES, "Permission denied",
-                                      str(target))
-            return real_open(file, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", denying_open)
-        monkeypatch.setattr(io, "open", denying_open)
         if kind == "checkpoint":
             argv = ["eval", "--checkpoint", str(ckpt), "--data",
                     str(sidecar_corpus), "--embeddings", str(emb), "--out",
                     str(tmp_path / "eval")]
         else:
             argv = ["train", "--config", str(cfg)]
-        assert main(argv) == exit_code
+        return argv, target
+
+    @staticmethod
+    def _line(kind, target, reason):
         where = "dialog 'd0', utterance 'd0_u0': " if kind == "sidecar" else ""
+        return f"error: {where}{target}: cannot read: {reason}\n"
+
+    @pytest.mark.parametrize("kind, exit_code", INPUTS)
+    def test_unreadable_file_is_named(self, workspace, trained, tmp_path,
+                                      capsys, monkeypatch, kind, exit_code):
+        argv, target = self._run(workspace, trained, tmp_path, kind)
+        _refuse(monkeypatch, target, errno.EACCES)
+        assert main(argv) == exit_code
         assert capsys.readouterr().err \
-            == f"error: {where}{target}: cannot read: Permission denied\n"
+            == self._line(kind, target, "Permission denied")
+
+    @pytest.mark.parametrize("kind, exit_code", INPUTS)
+    @pytest.mark.parametrize("fault", ["missing", "directory",
+                                       "stat refused"])
+    def test_missing_or_unstatable_file_is_named(
+            self, workspace, trained, tmp_path, capsys, monkeypatch, kind,
+            exit_code, fault):
+        argv, target = self._run(workspace, trained, tmp_path, kind)
+        if fault == "stat refused":
+            # as in a directory without search permission: stat and open
+            # are both refused
+            _refuse(monkeypatch, target, errno.EACCES, ("open", "stat"))
+        else:
+            target.unlink()
+            if fault == "directory":
+                target.mkdir()
+        assert main(argv) == exit_code
+        reason = {"missing": "No such file or directory",
+                  "directory": "Is a directory",
+                  "stat refused": "Permission denied"}[fault]
+        assert capsys.readouterr().err == self._line(kind, target, reason)
+
+
+class TestUnwritableOutput:
+    """A file a command cannot write ends the run in exit 2 and one line
+    naming the file; the write is patched to fail as on a full disk."""
+
+    @staticmethod
+    def _argv(command, workspace, trained, tmp_path, out):
+        _, corpus, emb = workspace
+        if command == "train":
+            cfg = write_config(tmp_path / "run.cfg", corpus, emb,
+                               out_dir=out)
+            return ["train", "--config", str(cfg)]
+        argv = [command, "--checkpoint", str(trained / "model.ckpt"),
+                "--data", str(corpus), "--embeddings", str(emb), "--out",
+                str(out)]
+        return argv + (["--dialog-id", "d3"] if command == "inspect" else [])
+
+    @pytest.mark.parametrize("command, name", [
+        ("train", "model.ckpt"), ("train", "history.csv"),
+        ("train", "report.txt"), ("train", "report.json"),
+        ("eval", "metrics.json"), ("eval", "report.txt"),
+        ("eval", "report.json"), ("inspect", "utterances.json"),
+        ("inspect", "heatmap.json")])
+    def test_unwritable_file_is_named(self, workspace, trained, tmp_path,
+                                      capsys, monkeypatch, command, name):
+        out = tmp_path / "out"
+        argv = self._argv(command, workspace, trained, tmp_path, out)
+        _refuse(monkeypatch, out / name, errno.ENOSPC)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: {out / name}: cannot "
+                                           f"write: No space left on device\n")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
+    def test_out_that_cannot_be_checked_is_named(
+            self, workspace, trained, tmp_path, capsys, monkeypatch,
+            command):
+        out = tmp_path / "out"
+        argv = self._argv(command, workspace, trained, tmp_path, out)
+        _refuse(monkeypatch, out, errno.EACCES, ("stat",))
+        assert main(argv) == 2
+        source = "config key 'out_dir'" if command == "train" else "--out"
+        assert capsys.readouterr().err == (
+            f"error: {source} {str(out)!r}: cannot check {out}: Permission "
+            f"denied\n")
 
 
 class TestEvalCommand:
@@ -760,6 +879,61 @@ class TestEvalCommand:
         _, config = load_checkpoint(trained / "model.ckpt")
         first = init_parameters(config, np.random.default_rng(0)).names()[0]
         assert err.count(str(bad)) == 1 and f"'{first}'" in err
+
+    @pytest.mark.parametrize("kind, make, line", [
+        ("embeddings", _text("x 12\n"),
+         "{path}:1: non-integer header fields"),
+        ("embeddings", _text("1 0\n"),
+         "{path}:1: dimension must be positive, got 0"),
+        ("embeddings", _text("1 -3\n"),
+         "{path}:1: dimension must be positive, got -3"),
+        ("checkpoint", _prefix(10), "{path}: truncated header length"),
+        ("checkpoint", _prefix(20), "{path}: truncated header"),
+        ("checkpoint", _raw_header(b"\xff{}"),
+         "{path}: unreadable header ('utf-8' codec can't decode byte 0xff "
+         "in position 0: invalid start byte)"),
+        ("checkpoint", _raw_header(b"{nope"),
+         "{path}: unreadable header (Expecting property name enclosed in "
+         "double quotes: line 1 column 2 (char 1))"),
+        ("checkpoint", _header_edit(lambda h: {name: entry for name, entry
+                                               in h.items()
+                                               if name != "__meta__"}),
+         "{path}: header '__meta__' is missing or not an object"),
+        ("checkpoint", _header_edit(lambda h: h["__meta__"].update(depth=2)),
+         "{path}: unknown config fields ['depth']"),
+        ("checkpoint",
+         _header_edit(lambda h: h["text_attn.proj_w"].update(dtype="f64")),
+         "{path}: parameter 'text_attn.proj_w' has unsupported dtype 'f64'"),
+        ("checkpoint",
+         _header_edit(lambda h: h["__meta__"].update(audio_repr="mel")),
+         "{path}: bad stored config: audio_repr must be one of ('conv', "
+         "'hier'), got 'mel'"),
+        ("checkpoint", _header_edit(lambda h: h["__meta__"].update(d_audio=0)),
+         "{path}: bad stored config: d_audio must be positive, got 0"),
+        ("checkpoint",
+         _header_edit(lambda h: h["__meta__"].update(attn_width_tokens=1)),
+         "{path}: bad stored config: attn_width_tokens must be at least 2, "
+         "got 1"),
+    ], ids=["non-integer header", "dimension 0", "dimension -3",
+            "truncated header length", "truncated header",
+            "header not UTF-8", "header not JSON", "no __meta__",
+            "unknown config field", "unsupported dtype", "bad audio_repr",
+            "dimension 0 stored", "attention width 1 stored"])
+    def test_bad_table_or_checkpoint_ends_in_its_line(
+            self, workspace, trained, tmp_path, capsys, kind, make, line):
+        _, corpus, emb = workspace
+        ckpt = trained / "model.ckpt"
+        source = {"embeddings": emb, "checkpoint": ckpt}[kind]
+        path = tmp_path / source.name
+        make(source, path)
+        inputs = {"embeddings": emb, "checkpoint": ckpt, kind: path}
+        code = main(["eval", "--checkpoint", str(inputs["checkpoint"]),
+                     "--data", str(corpus), "--embeddings",
+                     str(inputs["embeddings"]), "--out",
+                     str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err \
+            == "error: " + line.format(path=path) + "\n"
 
     def test_text_checkpoint_requires_embeddings_flag(self, workspace,
                                                       trained, tmp_path,

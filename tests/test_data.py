@@ -292,8 +292,11 @@ class TestLoadCorpus:
             load_corpus(path)
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(CorpusError, match="not found"):
-            load_corpus(tmp_path / "absent.jsonl")
+        absent = tmp_path / "absent.jsonl"
+        with pytest.raises(CorpusError) as err:
+            load_corpus(absent)
+        assert str(err.value) \
+            == f"{absent}: cannot read: No such file or directory"
 
 
 def counts(dialogs):
