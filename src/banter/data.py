@@ -8,8 +8,10 @@ format with a "<count> <dim>" header line.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,13 +95,21 @@ def read_bytes(path: Path,
 
 
 def write_file(path, data: str | bytes) -> None:
-    """Write a file whole, a str as UTF-8, making its directory first; an
-    OSError becomes an OutputError naming the file."""
+    """Write a file whole, a str as UTF-8, making its directory first.
+
+    The bytes go to a ``.tmp`` sibling that then replaces the file, so a
+    failed write leaves the old file as it was. An OSError removes the
+    sibling and becomes an OutputError naming the file.
+    """
     path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data.encode() if isinstance(data, str) else data)
+        partial.write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(partial, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            partial.unlink()
         raise OutputError(f"{path}: cannot write: {exc.strerror}") from None
 
 

@@ -28,10 +28,14 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: Mapping[str, Tensor]) -> None:
-    """One bias-corrected Adam update; gradients are zeroed afterwards."""
+    """One bias-corrected Adam update; every ``.grad`` is ``None`` after it.
+
+    A ``None`` gradient (no dialog of the batch reached the parameter) steps
+    as a zero array would: the parameter still moves by its momentum.
+    """
     for name, p in params.items():
         if p.grad is None:
-            raise ValueError(f"adam_step: parameter {name!r} has no gradient")
+            continue
         if p.grad.shape != p.data.shape:
             raise ShapeError(f"adam_step: gradient shape mismatch on {name!r}")
         if not np.isfinite(p.grad).all():
@@ -44,7 +48,7 @@ def adam_step(state: AdamState, params: Mapping[str, Tensor]) -> None:
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
         m, v = state.moments[name]
-        g = p.grad
+        g = 0.0 if p.grad is None else p.grad
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
@@ -52,22 +56,36 @@ def adam_step(state: AdamState, params: Mapping[str, Tensor]) -> None:
         m_hat = m / correct1
         v_hat = v / correct2
         p.data -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
-        p.zero_grad()
+        p.grad = None
+
+
+def _norm(grads: list[np.ndarray], scale: float = 1.0) -> float:
+    """The joint L2 norm of ``grads``, summed as squares of ``g / scale``."""
+    total = 0.0
+    for g in grads:
+        if scale != 1.0:
+            g = g / scale
+        total += float(np.sum(g * g))
+    return scale * total ** 0.5
 
 
 def clip_gradients(params: Mapping[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm. A finite norm whose square overflows is
+    formed from the gradients divided by their largest magnitude.
     """
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = total ** 0.5
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    with np.errstate(over="ignore"):
+        norm = _norm(grads)
+    if norm == float("inf"):
+        # no gradient is NaN, or the norm would be; an infinite one keeps
+        # the infinite norm, and adam_step names its parameter
+        largest = float(max(map(np.max, map(np.abs, grads))))
+        if largest < float("inf"):
+            norm = _norm(grads, largest)
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= factor
+        for g in grads:
+            g *= factor
     return norm

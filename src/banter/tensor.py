@@ -56,9 +56,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(())[()])
 
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = g.astype(np.float64, copy=True)
@@ -194,7 +191,7 @@ def backward(loss: Tensor) -> None:
     execution order and summed as one product just before the tensor's own
     node runs, or, for a leaf, after the last node. A rule's adjoint whose
     shape is not its parent's raises ``ShapeError`` naming the op. Repeated
-    calls without zeroing gradients accumulate.
+    calls accumulate until ``.grad`` is set back to ``None``.
     """
     tape = active_tape()
     if tape is None:

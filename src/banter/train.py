@@ -184,11 +184,9 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
     params = (initial_params if initial_params is not None
               else init_parameters(model_config, rng))
     named = params.as_dict()
-    # from here on, adam_step leaves every gradient zeroed; a parameter no
-    # dialog reaches (hier_attend on one-row inputs never uses its
-    # projection) keeps that zero, and a stale gradient is not summed in
+    # a caller's stale gradients are not summed into the first step
     for tensor in named.values():
-        tensor.zero_grad()
+        tensor.grad = None
     adam = AdamState(lr=train_config.lr)
     history = TrainHistory(tasks=model_config.tasks)
     # epoch 1 always improves on -inf, so the first epoch sets the snapshot
@@ -249,8 +247,4 @@ def train(model_config: ModelConfig, train_dialogs: list[Dialog],
             stale += 1
             if stale >= train_config.patience:
                 break
-    # the zeroed buffers would be one more parameter-sized copy while the
-    # caller scores
-    for tensor in named.values():
-        tensor.grad = None
     return best_params, history

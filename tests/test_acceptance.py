@@ -53,9 +53,19 @@ def criterion_1():
     return _timed_verify_check(verify.check_metric_arithmetic)
 
 
-def criterion_2():
-    """Finite differences confirm every gradient of the full model."""
-    return _timed_verify_check(verify.check_model_gradients, 60.0)
+def criterion_2(pristine=None):
+    """Finite differences confirm every gradient of the full model.
+
+    Under pytest the check is read from ``pristine``, the session's
+    ``banter verify`` run (conftest.py), whose seconds cover all its checks.
+    """
+    if pristine is None:
+        return _timed_verify_check(verify.check_model_gradients, 60.0)
+    listing, seconds = pristine["listing"], pristine["seconds"]
+    ok = "ok    gradients.model" in listing.splitlines() and seconds < 60.0
+    detail = (f"gradients.model in the session's verify run, {seconds:.2f}s "
+              f"for all its checks against a 60s bound")
+    return ok, detail + ("" if ok else f"; listing:\n{listing}")
 
 
 def criterion_3():
@@ -233,9 +243,9 @@ CRITERIA = (
 )
 
 
-def _run(number):
+def _run(number, *args):
     _, label, func = CRITERIA[number - 1]
-    passed, detail = func()
+    passed, detail = func(*args)
     status = "SKIP" if passed is None else ("PASS" if passed else "FAIL")
     print(f"criterion {number} {status}: {label} ({detail})")
     if passed is None:
@@ -247,8 +257,8 @@ def test_criterion_1_metric_oracle():
     _run(1)
 
 
-def test_criterion_2_gradient_suite():
-    _run(2)
+def test_criterion_2_gradient_suite(pristine):
+    _run(2, pristine)
 
 
 def test_criterion_3_attention_structure():

@@ -452,6 +452,30 @@ class TestTrainCommand:
             assert err.startswith(f"error: dialog 'd2', utterance 'd2_u1': "
                                   f"{line}")
 
+    @pytest.mark.parametrize("kind, blanks", [("sidecar", [""]),
+                                              ("embeddings", ["", "   "])])
+    def test_blank_lines_in_a_table_are_skipped(self, workspace, trained,
+                                                tmp_path, capsys, kind,
+                                                blanks):
+        # a csv line of spaces is a cell, so a sidecar's blank line is empty
+        _, corpus, emb = workspace
+        if kind == "sidecar":
+            corpus = sidecar_copy(corpus, tmp_path / "sidecar")
+            edited = corpus.parent / "d2.d2_u1.csv"
+        else:
+            emb = edited = Path(shutil.copy(emb, tmp_path / "emb.txt"))
+        lines = edited.read_text(encoding="utf-8").splitlines()
+        lines[1:1] = blanks
+        edited.write_text("\n".join(lines + blanks) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", corpus, emb, out_dir=out)
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        # the same run as the fixture's, which read the files without them
+        for artifact in ("model.ckpt", "history.csv"):
+            assert (out / artifact).read_bytes() \
+                == (trained / artifact).read_bytes(), artifact
+
     @pytest.mark.parametrize("label, shown", [("true", "True"),
                                               ("1.0", "1.0")])
     def test_label_of_the_wrong_type_is_a_data_error(self, workspace,
@@ -498,7 +522,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize("key, value", [
         ("threshold", "nan"), ("threshold", "7"), ("threshold", "-0.1"),
         ("grad_clip", "nan"), ("lr", "nan"), ("lr", "inf"), ("seed", "-1"),
-        ("val_fraction", "nan"), ("val_fraction", "0")])
+        ("val_fraction", "nan"), ("val_fraction", "0"), ("d_hidden", "0"),
+        ("head_hidden", "0"), ("attn_width_tokens", "1"),
+        ("attn_width_dialog", "0"), ("dropout", "1.0"), ("task_mode", "both"),
+        ("max_epochs", "0"), ("patience", "3")])
     def test_setting_that_breaks_a_run_is_a_config_error(
             self, workspace, tmp_path, capsys, key, value):
         _, corpus, emb = workspace
@@ -586,13 +613,16 @@ class TestTrainCommand:
 
 
 def _refuse(monkeypatch, target, code: int, calls=("open",)) -> None:
-    """Make each of ``calls`` ("open", "stat") on the one file ``target``
-    fail with errno ``code``, as the system would. chmod does not stop a
-    process run as root, so the calls are patched instead."""
+    """Make each of ``calls`` ("open", "stat") on the one file ``target``,
+    or on the ``.tmp`` sibling a write of it goes through, fail with errno
+    ``code``, as the system would. chmod does not stop a process run as
+    root, so the calls are patched instead."""
+    refused = {str(target), f"{target}.tmp"}
+
     def refusing(real):
         def call(file, *args, **kwargs):
             if isinstance(file, (str, os.PathLike)) \
-                    and os.fspath(file) == str(target):
+                    and os.fspath(file) in refused:
                 raise OSError(code, os.strerror(code), str(target))
             return real(file, *args, **kwargs)
         return call
@@ -700,6 +730,44 @@ class TestUnwritableOutput:
         assert main(argv) == 2
         assert capsys.readouterr().err == (f"error: {out / name}: cannot "
                                            f"write: No space left on device\n")
+
+    def test_failed_write_keeps_the_old_checkpoint(
+            self, workspace, trained, tmp_path, capsys, monkeypatch):
+        # a rerun into a finished run directory, on a disk that fills up
+        # halfway through the new checkpoint
+        _, corpus, emb = workspace
+        out = tmp_path / "out"
+        shutil.copytree(trained, out)
+        old = (out / "model.ckpt").read_bytes()
+
+        class FillsUp(io.BufferedWriter):
+            def write(self, data):
+                super().write(bytes(data)[:len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        real_open = io.open
+
+        def open_(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and "w" in mode \
+                    and Path(file).name.startswith("model.ckpt"):
+                return FillsUp(real_open(file, mode, buffering=0))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_)
+        monkeypatch.setattr(io, "open", open_)
+        cfg = write_config(tmp_path / "run.cfg", corpus, emb, out_dir=out,
+                           seed=7)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'model.ckpt'}: cannot write: No space left on "
+            f"device\n")
+        monkeypatch.undo()
+        assert (out / "model.ckpt").read_bytes() == old
+        assert sorted(p.name for p in out.iterdir()) \
+            == sorted(p.name for p in trained.iterdir())
+        assert main(["eval", "--checkpoint", str(out / "model.ckpt"),
+                     "--data", str(corpus), "--embeddings", str(emb),
+                     "--out", str(tmp_path / "eval")]) == 0
 
     @pytest.mark.parametrize("command", ["train", "eval", "inspect"])
     def test_out_that_cannot_be_checked_is_named(

@@ -2,6 +2,7 @@
 
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -800,6 +801,14 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(noisy, {"x": x})
 
+    def test_unreached_parameter_reads_as_zero(self):
+        x = Tensor([1.0], requires_grad=True)
+        unused = Tensor([2.0, 3.0], requires_grad=True)
+        report = grad_check(lambda p: sum_all(mul(p["x"], p["x"])),
+                            {"x": x, "unused": unused})
+        assert report.passed and report.max_rel_err["unused"] == 0.0
+        assert unused.grad is None
+
     def test_existing_gradients_survive(self):
         x = Tensor([1.0], requires_grad=True)
         x.grad = np.array([9.0])
@@ -817,7 +826,7 @@ class TestAdam:
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
         theta = Tensor([1.0, -2.0], requires_grad=True)
-        theta.zero_grad()
+        theta.grad = np.zeros(2)
         adam_step(AdamState(), {"theta": theta})
         np.testing.assert_allclose(theta.data, [1.0, -2.0])
 
@@ -837,7 +846,7 @@ class TestAdam:
         theta = Tensor([1.0], requires_grad=True)
         theta.grad = np.array([0.3])
         adam_step(AdamState(), {"theta": theta})
-        np.testing.assert_allclose(theta.grad, [0.0])
+        assert theta.grad is None
 
     def test_step_counter_increments(self):
         theta = Tensor([1.0], requires_grad=True)
@@ -847,9 +856,28 @@ class TestAdam:
             adam_step(state, {"theta": theta})
             assert state.t == expected
 
-    def test_missing_gradient_rejected(self):
-        with pytest.raises(ValueError):
-            adam_step(AdamState(), {"theta": Tensor([1.0], requires_grad=True)})
+    def test_missing_gradient_steps_as_zeros(self):
+        # as for a parameter no dialog of the second batch reaches
+        missing = Tensor([1.0, -2.0], requires_grad=True)
+        zeroed = Tensor([1.0, -2.0], requires_grad=True)
+        state_missing, state_zeroed = AdamState(), AdamState()
+        missing.grad = np.array([0.3, -0.7])
+        zeroed.grad = np.array([0.3, -0.7])
+        adam_step(state_missing, {"theta": missing})
+        adam_step(state_zeroed, {"theta": zeroed})
+        assert np.all(state_missing.moments["theta"][0] != 0.0)
+        after_first = missing.data.copy()
+
+        zeroed.grad = np.zeros(2)
+        adam_step(state_missing, {"theta": missing})
+        adam_step(state_zeroed, {"theta": zeroed})
+        assert missing.grad is None and zeroed.grad is None
+        np.testing.assert_array_equal(missing.data, zeroed.data)
+        for m_missing, m_zeroed in zip(state_missing.moments["theta"],
+                                       state_zeroed.moments["theta"]):
+            np.testing.assert_array_equal(m_missing, m_zeroed)
+        # the momentum carried it on in the first step's direction
+        assert np.all(np.sign(missing.data - after_first) == [-1.0, 1.0])
 
     def test_non_finite_gradient_rejected(self):
         theta = Tensor([1.0], requires_grad=True)
@@ -871,6 +899,15 @@ class TestClipGradients:
         p.grad = np.array([0.5])
         clip_gradients({"p": p}, 5.0)
         np.testing.assert_allclose(p.grad, [0.5])
+
+    def test_norm_whose_square_overflows_is_clipped(self):
+        p = Tensor([0.0, 0.0], requires_grad=True)
+        p.grad = np.array([1e200, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = clip_gradients({"p": p}, 5.0)
+        assert norm == 1e200
+        np.testing.assert_allclose(np.linalg.norm(p.grad), 5.0, rtol=1e-15)
 
 
 class TestGradientProperty:
