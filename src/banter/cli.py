@@ -17,6 +17,7 @@ from pathlib import Path
 from .data import (
     CorpusError,
     OutputError,
+    check_fraction,
     decode_line,
     load_corpus,
     load_embeddings,
@@ -47,30 +48,34 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_VERIFY = 5
 
-# every run-file key, its parser, default, and the line --help prints
-CONFIG_KEYS = {
+_FIELD_DEFAULTS = {f.name: f.default for cls in (ModelConfig, TrainConfig)
+                   for f in dataclasses.fields(cls)}
+# every run-file key, its parser, default, and the line --help prints; a
+# key named after a ModelConfig or TrainConfig field gives only the line,
+# and takes that field's default, parsed by the default's type
+CONFIG_KEYS = {key: spec if isinstance(spec, tuple) else
+               (type(_FIELD_DEFAULTS[key]), _FIELD_DEFAULTS[key], spec)
+               for key, spec in {
     "corpus": (str, None, "path to the JSON-lines dialog corpus"),
     "embeddings": (str, None, "path to the token embedding text table"),
     "out_dir": (str, "runs", "directory for checkpoint, history, report"),
     "variant": (str, "full", "model variant row name, or 'full'"),
-    "task_mode": (str, "joint", "sarcasm, humor, or joint"),
-    "d_text_in": (int, 300, "token embedding width the model expects"),
-    "d_hidden": (int, 128, "LSTM hidden width per modality"),
-    "d_audio": (int, 128, "acoustic encoder output width"),
-    "attn_width_tokens": (int, 3, "utterance-level attention window"),
-    "attn_width_dialog": (int, 5, "dialog-level attention window"),
-    "dropout": (float, 0.4, "rate on utterance reps and head hidden"),
-    "head_hidden": (int, 128, "classifier head hidden width"),
-    "lr": (float, 1e-3, "Adam learning rate"),
-    "batch_size": (int, 32, "dialogs per optimizer step"),
-    "max_epochs": (int, 100, "epoch cap"),
-    "patience": (int, 10, "epochs without val F1 gain before stopping"),
-    "seed": (int, 0, "seed for init, batching, dropout, and the split"),
-    "grad_clip": (float, 5.0, "global gradient norm ceiling"),
-    "threshold": (float, ModelConfig.threshold,
-                  "probability cutoff for positive calls"),
+    "task_mode": "sarcasm, humor, or joint",
+    "d_hidden": "LSTM hidden width per modality",
+    "d_audio": "acoustic encoder output width",
+    "attn_width_tokens": "utterance-level attention window",
+    "attn_width_dialog": "dialog-level attention window",
+    "dropout": "rate on utterance reps and head hidden",
+    "head_hidden": "classifier head hidden width",
+    "lr": "Adam learning rate",
+    "batch_size": "dialogs per optimizer step",
+    "max_epochs": "epoch cap",
+    "patience": "epochs without val F1 gain before stopping",
+    "seed": "seed for init, batching, dropout, and the split",
+    "grad_clip": "global gradient norm ceiling",
+    "threshold": "probability cutoff for positive calls",
     "val_fraction": (float, 0.1, "dialogs held out for validation"),
-}
+}.items()}
 
 # the default cutoff, for callers that score outside a saved model
 EVAL_THRESHOLD = ModelConfig.threshold
@@ -147,25 +152,14 @@ def _model_config(settings: dict) -> ModelConfig:
                          **_fields_of(ModelConfig, settings))
 
 
-def _embeddings_for(config: ModelConfig, path_str, *, source: str,
-                    mismatch_exit: int = EXIT_DATA):
-    """Load the table a text-reading model needs; None for audio-only.
-
-    A width mismatch is a config mistake when training (the d_text_in key)
-    but a data mistake when scoring a checkpoint whose width is fixed.
-    """
+def _embeddings_for(config: ModelConfig, path_str, *, source: str):
+    """Load the table a text-reading model needs; None for audio-only."""
     if not config.uses_text:
         return None
     if not path_str:
         raise CliError(EXIT_CONFIG,
                        f"{source} is required: the model variant reads text")
-    table = load_embeddings(path_str)
-    if table.dimension != config.d_text_in:
-        raise CliError(mismatch_exit,
-                       f"embedding table carries {table.dimension}-dimensional "
-                       f"vectors but the model expects d_text_in="
-                       f"{config.d_text_in}")
-    return table
+    return load_embeddings(path_str)
 
 
 def _output_dir(path_str, source: str) -> Path:
@@ -206,19 +200,19 @@ def cmd_train(args) -> int:
     train_config = TrainConfig(**_fields_of(TrainConfig, settings))
     out_dir = _output_dir(settings["out_dir"], "--out" if args.out
                           else "config key 'out_dir'")
-    dialogs = load_corpus(settings["corpus"])
-    table = _embeddings_for(config, settings["embeddings"],
-                            source="config key 'embeddings'",
-                            mismatch_exit=EXIT_CONFIG)
     try:
-        train_dialogs, val_dialogs = split_train_val(
-            dialogs, settings["val_fraction"], train_config.seed)
-    except CorpusError:
-        # a data error (see main), though it subclasses ValueError
-        raise
+        check_fraction(settings["val_fraction"])
     except ValueError as exc:
         raise CliError(EXIT_CONFIG,
                        f"config key 'val_fraction': {exc}") from None
+    dialogs = load_corpus(settings["corpus"])
+    table = _embeddings_for(config, settings["embeddings"],
+                            source="config key 'embeddings'")
+    if table is not None:
+        # the token width is the table's
+        config = dataclasses.replace(config, d_text_in=table.dimension)
+    train_dialogs, val_dialogs = split_train_val(
+        dialogs, settings["val_fraction"], train_config.seed)
     best, history = train(config, train_dialogs, val_dialogs, train_config,
                           table)
 
@@ -259,6 +253,11 @@ def _load_for_scoring(args):
     params, config = load_checkpoint(args.checkpoint)
     dialogs = load_corpus(args.data)
     table = _embeddings_for(config, args.embeddings, source="--embeddings")
+    if table is not None and table.dimension != config.d_text_in:
+        raise CliError(EXIT_DATA,
+                       f"{args.embeddings} carries {table.dimension}-"
+                       f"dimensional vectors but {args.checkpoint} reads "
+                       f"{config.d_text_in}-dimensional ones")
     return out_dir, params, config, dialogs, table
 
 

@@ -146,8 +146,11 @@ def _read_sidecar(sidecar: Path) -> list[list[float]]:
     # split as csv's universal newlines would; csv reads the decoded lines,
     # so quoted cells still load
     lines = read_bytes(sidecar).splitlines(keepends=True)
-    reader = csv.reader(decode_line(raw, sidecar, lineno)
-                        for lineno, raw in enumerate(lines, start=1))
+    decoded = (decode_line(raw, sidecar, lineno)
+               for lineno, raw in enumerate(lines, start=1))
+    # csv reads a line of spaces as one cell; as in the corpus and the
+    # table, it is blank, and it still counts in the line numbers
+    reader = csv.reader(line if line.strip() else "" for line in decoded)
     rows: list[list[float]] = []
     try:
         for row in reader:
@@ -425,6 +428,12 @@ def embed_utterance(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
     return matrix
 
 
+def check_fraction(fraction: float) -> None:
+    """The validation share ``split_train_val`` accepts: in (0, 1)."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+
+
 def split_train_val(dialogs: list[Dialog], fraction: float = 0.10,
                     seed: int = 0) -> tuple[list[Dialog], list[Dialog]]:
     """Deterministic dialog-level split; validation gets round(fraction * n).
@@ -432,8 +441,7 @@ def split_train_val(dialogs: list[Dialog], fraction: float = 0.10,
     Utterances never cross the boundary: whole dialogs land on one side.
     Both splits keep the original corpus order.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    check_fraction(fraction)
     n = len(dialogs)
     n_val = int(round(fraction * n))
     if n_val < 1 or n_val >= n:

@@ -73,18 +73,20 @@ def clip_gradients(params: Mapping[str, Tensor], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm. A finite norm whose square overflows is
-    formed from the gradients divided by their largest magnitude.
+    formed from the gradients divided by their largest magnitude. A
+    non-finite norm leaves the gradients as they are, and ``adam_step``
+    names the parameter.
     """
     grads = [p.grad for p in params.values() if p.grad is not None]
     with np.errstate(over="ignore"):
         norm = _norm(grads)
     if norm == float("inf"):
         # no gradient is NaN, or the norm would be; an infinite one keeps
-        # the infinite norm, and adam_step names its parameter
+        # the infinite norm
         largest = float(max(map(np.max, map(np.abs, grads))))
         if largest < float("inf"):
             norm = _norm(grads, largest)
-    if norm > max_norm and norm > 0.0:
+    if norm > max_norm and 0.0 < norm < float("inf"):
         factor = max_norm / norm
         for g in grads:
             g *= factor

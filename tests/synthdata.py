@@ -17,9 +17,9 @@ HUMOR_MARKER = "haha"
 # run-file keys at small dims: a CLI training run on the marker corpus
 # (emb_dim 12) takes around a second
 SMALL_KEYS = {
-    "d_text_in": "12", "d_hidden": "8", "d_audio": "8", "head_hidden": "6",
-    "dropout": "0.1", "lr": "3e-3", "batch_size": "8", "max_epochs": "2",
-    "patience": "2", "seed": "1", "val_fraction": "0.25",
+    "d_hidden": "8", "d_audio": "8", "head_hidden": "6", "dropout": "0.1",
+    "lr": "3e-3", "batch_size": "8", "max_epochs": "2", "patience": "2",
+    "seed": "1", "val_fraction": "0.25",
 }
 
 

@@ -167,7 +167,7 @@ def criterion_8():
         cfg = tmp / "run.cfg"
         cfg.write_text(
             f"corpus = {corpus_path}\nembeddings = {emb_path}\n"
-            "d_text_in = 12\nd_hidden = 8\nd_audio = 8\nhead_hidden = 6\n"
+            "d_hidden = 8\nd_audio = 8\nhead_hidden = 6\n"
             "dropout = 0.1\nlr = 3e-3\nbatch_size = 8\nmax_epochs = 3\n"
             "patience = 3\nval_fraction = 0.25\n", encoding="utf-8")
         outs = []

@@ -134,19 +134,6 @@ class TestConfigFile:
         assert settings["variant"] == "full"
         assert settings["attn_width_dialog"] == 5
 
-    def test_defaults_match_the_config_classes(self):
-        # a key named after a ModelConfig or TrainConfig field sets it, so
-        # it has that field's default and type
-        fields = {f.name: f for cls in (ModelConfig, TrainConfig)
-                  for f in dataclasses.fields(cls)}
-        shared = [key for key in CONFIG_KEYS if key in fields]
-        assert {"task_mode", "dropout", "lr", "seed", "grad_clip"} \
-            <= set(shared)
-        for key in shared:
-            converter, default, _ = CONFIG_KEYS[key]
-            assert (converter.__name__, default) \
-                == (fields[key].type, fields[key].default), key
-
     def test_readme_table_lists_every_key_with_its_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md"
                   ).read_text(encoding="utf-8")
@@ -173,13 +160,15 @@ class TestConfigFile:
         assert settings["seed"] == 9
         assert settings["out_dir"] == "from_file"
 
-    def test_unknown_key_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["learning_rate", "d_text_in"])
+    def test_unknown_key_is_rejected(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("learning_rate = 0.01\n")
+        cfg.write_text(f"{key} = 12\n")
         with pytest.raises(CliError) as err:
             parse_config_file(cfg)
         assert err.value.code == 2
-        assert "learning_rate" in err.value.message
+        assert err.value.message == (f"{cfg}:1: unknown config key {key!r}; "
+                                     f"known keys: {', '.join(CONFIG_KEYS)}")
 
     def test_duplicate_key_is_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -231,8 +220,9 @@ class TestTrainCommand:
         _, corpus, emb = workspace
         cfg = write_config(tmp_path / "run.cfg", corpus, emb)
         settings = resolve_settings(cfg, {})
-        config = cli._model_config(settings)
         table = load_embeddings(emb)
+        config = dataclasses.replace(cli._model_config(settings),
+                                     d_text_in=table.dimension)
         train_dialogs, val_dialogs = split_train_val(
             load_corpus(corpus), settings["val_fraction"], settings["seed"])
         best, _ = train(config, train_dialogs, val_dialogs, TrainConfig(
@@ -326,13 +316,17 @@ class TestTrainCommand:
         assert code == 2
         assert "variant" in capsys.readouterr().err
 
-    def test_embedding_width_mismatch_is_a_config_error(self, workspace,
-                                                        tmp_path, capsys):
-        _, corpus, emb = workspace
-        cfg = write_config(tmp_path / "run.cfg", corpus, emb, d_text_in=10)
-        code = main(["train", "--config", str(cfg)])
-        assert code == 2
-        assert "d_text_in" in capsys.readouterr().err
+    @pytest.mark.parametrize("width", [12, 5])
+    def test_token_width_is_the_tables(self, tmp_path, width):
+        corpus, emb = marker_corpus(tmp_path, n_dialogs=8,
+                                    utterances_per_dialog=4, emb_dim=width,
+                                    seed=0)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "run.cfg", corpus, emb, out_dir=out)
+        assert "d_text_in" not in cfg.read_text(encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 0
+        _, config = load_checkpoint(out / "model.ckpt")
+        assert config.d_text_in == width
 
     def test_oversized_split_is_a_data_error(self, workspace, tmp_path):
         _, corpus, emb = workspace
@@ -452,12 +446,11 @@ class TestTrainCommand:
             assert err.startswith(f"error: dialog 'd2', utterance 'd2_u1': "
                                   f"{line}")
 
-    @pytest.mark.parametrize("kind, blanks", [("sidecar", [""]),
+    @pytest.mark.parametrize("kind, blanks", [("sidecar", ["", "   "]),
                                               ("embeddings", ["", "   "])])
     def test_blank_lines_in_a_table_are_skipped(self, workspace, trained,
                                                 tmp_path, capsys, kind,
                                                 blanks):
-        # a csv line of spaces is a cell, so a sidecar's blank line is empty
         _, corpus, emb = workspace
         if kind == "sidecar":
             corpus = sidecar_copy(corpus, tmp_path / "sidecar")
@@ -539,7 +532,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("threshold", "1.5"), ("seed", "-1"), ("lr", "nan"),
-        ("batch_size", "0")])
+        ("batch_size", "0"), ("val_fraction", "nan"), ("val_fraction", "0")])
     def test_setting_is_checked_before_loading(self, tmp_path, capsys, key,
                                                value):
         cfg = write_config(tmp_path / "run.cfg", tmp_path / "missing.jsonl",
@@ -550,12 +543,11 @@ class TestTrainCommand:
     def test_run_file_reaches_the_configs(self, workspace, tmp_path,
                                           monkeypatch):
         # every key named after a config field, at a valid non-default value
-        values = {"task_mode": "sarcasm", "d_text_in": 12, "d_hidden": 7,
-                  "d_audio": 9, "attn_width_tokens": 4,
-                  "attn_width_dialog": 3, "dropout": 0.25, "head_hidden": 5,
-                  "lr": 0.002, "batch_size": 3, "max_epochs": 4,
-                  "patience": 2, "seed": 5, "grad_clip": 2.5,
-                  "threshold": 0.3}
+        values = {"task_mode": "sarcasm", "d_hidden": 7, "d_audio": 9,
+                  "attn_width_tokens": 4, "attn_width_dialog": 3,
+                  "dropout": 0.25, "head_hidden": 5, "lr": 0.002,
+                  "batch_size": 3, "max_epochs": 4, "patience": 2, "seed": 5,
+                  "grad_clip": 2.5, "threshold": 0.3}
         configs = {f.name: cls for cls in (ModelConfig, TrainConfig)
                    for f in dataclasses.fields(cls)}
         assert set(values) == {key for key in CONFIG_KEYS if key in configs}
@@ -578,6 +570,8 @@ class TestTrainCommand:
                 else train_config
             assert value != CONFIG_KEYS[key][1], key
             assert getattr(built, key) == value, key
+        # the token width is the table's
+        assert model_config.d_text_in == load_embeddings(emb).dimension == 12
 
     def test_threshold_picks_the_history_calls(self, workspace, tmp_path):
         # at a cutoff of 0 every utterance is called positive
@@ -1013,15 +1007,19 @@ class TestEvalCommand:
         assert "--embeddings" in capsys.readouterr().err
 
     def test_wrong_width_table_is_a_data_error(self, workspace, trained,
-                                               tmp_path):
-        from synthdata import write_embeddings
+                                               tmp_path, capsys):
         _, corpus, _ = workspace
         narrow = write_embeddings(tmp_path / "narrow.txt",
                                   {"zing": np.zeros(5)}, 5)
-        code = main(["eval", "--checkpoint", str(trained / "model.ckpt"),
-                     "--data", str(corpus), "--embeddings", str(narrow),
-                     "--out", str(tmp_path / "out")])
-        assert code == 3
+        ckpt = trained / "model.ckpt"
+        scoring = ["--checkpoint", str(ckpt), "--data", str(corpus),
+                   "--embeddings", str(narrow), "--out", str(tmp_path / "out")]
+        for argv in (["eval"] + scoring,
+                     ["inspect", "--dialog-id", "d0"] + scoring):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                f"error: {narrow} carries 5-dimensional vectors but {ckpt} "
+                f"reads 12-dimensional ones\n")
 
     @pytest.mark.parametrize("checkpoint", ["trained", "missing"])
     def test_out_that_is_a_file_is_checked_before_loading(

@@ -909,6 +909,18 @@ class TestClipGradients:
         assert norm == 1e200
         np.testing.assert_allclose(np.linalg.norm(p.grad), 5.0, rtol=1e-15)
 
+    def test_infinite_norm_leaves_the_gradients_to_adam(self):
+        p = Tensor([0.0, 0.0], requires_grad=True)
+        p.grad = np.array([np.inf, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = clip_gradients({"w": p}, 5.0)
+        assert norm == np.inf
+        np.testing.assert_array_equal(p.grad, [np.inf, 3.0])
+        with pytest.raises(NumericError,
+                           match="non-finite gradient on 'w'"):
+            adam_step(AdamState(), {"w": p})
+
 
 class TestGradientProperty:
     @pytest.mark.parametrize("seed", range(100))
