@@ -26,10 +26,10 @@ class DialogAttentionTrace:
 
     ``exps`` maps "audio", "text" and "cross" to the (n, d) ``exp(h)`` of
     that attention's blocks (audio, then text); an attention that did not
-    run has no key. ``weights`` forms, per attention, the (n, k * width, d)
-    softmax weights ``report.heatmap_document`` reads: slot b * width + j
-    of row t weighs block b's row t - width + 1 + j, and the slots before
-    the dialog's first row weigh exactly 0.
+    run has no key. ``weights`` forms, per attention, the (n, k * s, d)
+    softmax weights ``report.heatmap_document`` reads, s = min(width, n):
+    slot b * s + j of row t weighs block b's row t - s + 1 + j, and the
+    slots before the dialog's first row weigh exactly 0.
     """
 
     width: int
@@ -37,10 +37,13 @@ class DialogAttentionTrace:
 
     @property
     def weights(self) -> dict[str, np.ndarray]:
-        pad = ((0, 0), (self.width - 1, 0), (0, 0))
-        return {key: window_weights(np.pad(np.stack(e), pad), self.width,
-                                    np.zeros(e[0].shape[1]))
-                for key, e in self.exps.items()}
+        weights = {}
+        for key, e in self.exps.items():
+            span = min(self.width, len(e[0]))
+            pad = ((0, 0), (span - 1, 0), (0, 0))
+            weights[key] = window_weights(np.pad(np.stack(e), pad), span,
+                                          np.zeros(e[0].shape[1]))
+        return weights
 
 
 def attend(blocks: list[Tensor],
@@ -50,11 +53,13 @@ def attend(blocks: list[Tensor],
     Row t of the (n, d) result is the per-coordinate softmax-weighted sum
     of the k * min(t + 1, width) rows max(0, t - width + 1) .. t of the
     blocks, divided by their count: the blocks' ``e * h`` and ``e =
-    exp(h)`` are summed row by row, go behind width - 1 zero rows, which
-    weigh nothing, and ``window_ratio`` takes their window sums' ratio;
-    one ``mul`` divides by the count. Also returns the blocks' ``e`` arrays.
+    exp(h)`` are summed row by row, go behind s - 1 zero rows, which weigh
+    nothing, and ``window_ratio`` takes their window sums' ratio, s =
+    min(width, n); one ``mul`` divides by the count. Also returns the
+    blocks' ``e`` arrays.
     """
     n, d = blocks[0].shape
+    width = min(width, n)
     zero, pad = np.zeros(d), Tensor(np.zeros((width - 1, d)))
     e = [exp_shifted(h, zero) for h in blocks]
     num, den = mul(e[0], blocks[0]), e[0]

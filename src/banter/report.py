@@ -28,22 +28,22 @@ def heatmap_document(trace: DialogAttentionTrace, dialog_id: str) -> dict:
     for positions outside the window are implicitly zero, which is what
     gives the heatmap its lower-triangular band. Each scalar is a valid
     slot's weight averaged over the coordinates. The trace forms the
-    weights when they are read: block b owns slots b * D .. b * D + D - 1
-    of every row, and the last min(i, D) of them hold positions
-    i - min(i, D) + 1 .. i.
+    weights when they are read: over n rows, block b owns slots b * s ..
+    b * s + s - 1 of every row, s = min(D, n), and the last min(i, D) of
+    them hold positions i - min(i, D) + 1 .. i.
     """
     if not trace.exps:
         raise ValueError("heatmap export needs a non-empty trace")
-    width = trace.width
     cells = {key: weights.mean(axis=2).tolist()
              for key, weights in trace.weights.items()}
     n = len(next(iter(cells.values())))
+    span = min(trace.width, n)
     rows = []
     for i in range(1, n + 1):
-        valid = min(i, width)
+        valid = min(i, span)
         weights = {}
         for field, (key, block) in HEATMAP_FIELDS.items():
-            end = (block + 1) * width
+            end = (block + 1) * span
             weights[field] = (cells[key][i - 1][end - valid:end]
                               if key in cells else [])
         rows.append({
@@ -51,7 +51,7 @@ def heatmap_document(trace: DialogAttentionTrace, dialog_id: str) -> dict:
             "window": list(range(i - valid + 1, i + 1)),
             "weights": weights,
         })
-    return {"dialog_id": dialog_id, "D": width, "rows": rows}
+    return {"dialog_id": dialog_id, "D": trace.width, "rows": rows}
 
 
 def export_heatmap(trace: DialogAttentionTrace, dialog_id: str, path) -> dict:

@@ -1061,6 +1061,32 @@ class TestInspectCommand:
         printed = capsys.readouterr().out
         assert "gold=" in printed and "pred=" in printed
 
+    def test_dialog_window_wider_than_any_dialog(self, workspace, tmp_path):
+        # the marker dialogs hold 4 utterances each: a window of 10**12
+        # trains and inspects as one of 4 does, with no pad of 10**12 rows
+        _, corpus, emb = workspace
+        runs = []
+        for width in (4, 10**12):
+            out = tmp_path / str(width)
+            cfg = write_config(tmp_path / f"{width}.cfg", corpus, emb,
+                               out_dir=out, attn_width_dialog=width)
+            assert main(["train", "--config", str(cfg)]) == 0
+            assert main(["inspect", "--checkpoint", str(out / "model.ckpt"),
+                         "--data", str(corpus), "--embeddings", str(emb),
+                         "--dialog-id", "d3", "--out",
+                         str(out / "inspect")]) == 0
+            runs.append(out)
+        narrow, wide = runs
+        assert (wide / "history.csv").read_bytes() \
+            == (narrow / "history.csv").read_bytes()
+        params = [load_checkpoint(out / "model.ckpt")[0] for out in runs]
+        for name, t in params[0].items():
+            np.testing.assert_array_equal(params[1][name].data, t.data)
+        heatmaps = [json.loads((out / "inspect" / "heatmap.json").read_text())
+                    for out in runs]
+        assert heatmaps[1]["D"] == 10**12
+        assert heatmaps[1]["rows"] == heatmaps[0]["rows"]
+
     def test_predictions_use_the_saved_threshold(self, workspace, strict_run,
                                                  tmp_path):
         _, _, emb = workspace

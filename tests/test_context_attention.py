@@ -6,7 +6,8 @@ import pytest
 from banter.context_attention import contextualize_dialog
 from banter.gradcheck import grad_check
 from banter.report import heatmap_document
-from banter.tensor import ShapeError, Tensor, add, mul, sum_all
+from banter.tensor import (ShapeError, Tape, Tensor, add, backward, concat,
+                           mul, sum_all)
 
 
 def softmax_group(stack: np.ndarray) -> np.ndarray:
@@ -90,10 +91,10 @@ class TestAttendedCross:
     def test_identical_modalities_at_start(self):
         v = np.array([[0.5, 1.5, -1.0]])
         _, _, out, trace = contextualize_dialog(Tensor(v), Tensor(v), 5)
-        # slot 4 holds audio row 1, slot 9 text row 1; the rest is padding
-        cross = trace.weights["cross"][0]
-        np.testing.assert_array_equal(cross[[4, 9]], np.full((2, 3), 0.5))
-        np.testing.assert_array_equal(np.delete(cross, [4, 9], axis=0), 0.0)
+        # a one-row dialog's window is that row: slot 0 holds audio row 1,
+        # slot 1 text row 1
+        np.testing.assert_array_equal(trace.weights["cross"][0],
+                                      np.full((2, 3), 0.5))
         np.testing.assert_allclose(out.data[0],
                                    np.concatenate([v[0] / 2, v[0], v[0]]))
 
@@ -151,7 +152,7 @@ class TestContextualizeDialog:
             out_t.data[0], np.concatenate([h_t.data[0], h_t.data[0]]))
         assert out_x.shape == (1, 9)
         assert {key: w.shape for key, w in trace.weights.items()} == {
-            "audio": (1, 5, 3), "text": (1, 5, 3), "cross": (1, 10, 3)}
+            "audio": (1, 1, 3), "text": (1, 1, 3), "cross": (1, 2, 3)}
 
     def test_trace_window_sizes(self):
         # row t (1-based) weighs the last min(t, 5) of each block's 5 slots
@@ -178,6 +179,25 @@ class TestContextualizeDialog:
         with pytest.raises(ValueError, match="width"):
             contextualize_dialog(h, None, 0)
 
+    def test_window_wider_than_the_dialog_is_the_dialog(self):
+        # a window of 10**12 over 4 rows attends as one of 4 does, to the
+        # bit and in the backward pass, with no pad of 10**12 rows
+        rng = np.random.default_rng(12)
+        h = rng.uniform(-1, 1, size=(2, 4, 3))
+        mixers = [Tensor(rng.uniform(-1, 1, size=(4, w))) for w in (6, 6, 9)]
+        runs = []
+        for width in (4, 10**12):
+            blocks = [Tensor(x, requires_grad=True) for x in h]
+            with Tape():
+                *outs, trace = contextualize_dialog(*blocks, width)
+                backward(sum_all(concat([mul(out, m) for out, m
+                                         in zip(outs, mixers)], axis=1)))
+            runs.append([out.data for out in outs]
+                        + [block.grad for block in blocks]
+                        + list(trace.weights.values()))
+        for narrow, wide in zip(*runs):
+            np.testing.assert_array_equal(wide, narrow)
+
     def test_strict_causality(self):
         rng = np.random.default_rng(8)
         h_a, h_t = matrices(rng, 6, 3)
@@ -199,7 +219,8 @@ class TestContextualizeDialog:
         assert out_a is None and out_x is None
         assert out_t.shape == (4, 6)
         assert list(trace.weights) == ["text"]
-        assert trace.weights["text"].shape == (4, 5, 3)
+        # the window of 5 stops at the dialog's 4 rows
+        assert trace.weights["text"].shape == (4, 4, 3)
 
     def test_low_weight_context_continuity(self):
         # a context utterance with tiny weight moves the output by less

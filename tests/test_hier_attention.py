@@ -195,10 +195,7 @@ class TestHierAttend:
         raw[10, 3] = 1000.0
         assert 1000.0 - np.maximum(raw[:, 3], 0).min() > 745 \
             > SHIFT_SPREAD_LIMIT
-        # a positive bias keeps the levels' tiny pre-activations off the
-        # ReLU corner, which finite-difference steps would straddle
-        proj_w, _ = init_projection(8, rng)
-        proj_b = Tensor(np.full(8, 0.1), requires_grad=True)
+        proj_w, proj_b = init_projection(8, rng)
         vectors = Tensor(raw, requires_grad=True)
         out, _ = hier_attend(vectors, proj_w, proj_b)
         want = hier_oracle(raw, proj_w.data, proj_b.data, 3)

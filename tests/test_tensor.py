@@ -186,8 +186,8 @@ class TestConcat:
 
 
 def group_weights(blocks: list[np.ndarray], width: int) -> np.ndarray:
-    """The (n, k * width, d) weights C-ATN^D's trace gives k = 1 block (a
-    modality's attention) or k = 2 (the cross attention)."""
+    """The (n, k * min(width, n), d) weights C-ATN^D's trace gives k = 1
+    block (a modality's attention) or k = 2 (the cross attention)."""
     if len(blocks) == 1:
         trace = contextualize_dialog(None, Tensor(blocks[0]), width)[3]
         return trace.weights["text"]
@@ -199,7 +199,8 @@ class TestGroupSoftmax:
     """The per-coordinate softmax over a window group of C-ATN^D.
 
     ``weights[t, s]`` is the weight vector of slot s at position t; with
-    width w, the last min(t + 1, w) slots of each block hold the group.
+    window w = min(width, n), the last min(t + 1, w) slots of each block
+    hold the group.
     """
 
     def test_singleton_group_is_all_ones(self):
@@ -229,9 +230,9 @@ class TestGroupSoftmax:
             w = group_weights(blocks, width)
             np.testing.assert_allclose(w.sum(axis=1), np.ones((n, 4)),
                                        atol=1e-9)
+            span = min(width, n)
             for t in range(n):
-                group = np.tile(np.arange(width) >= width - min(t + 1, width),
-                                k)
+                group = np.tile(np.arange(span) >= span - min(t + 1, span), k)
                 # pad slots before the dialog start get exactly zero weight
                 assert np.all(w[t, ~group] == 0.0)
                 if group.sum() > 1:
@@ -777,19 +778,72 @@ class TestGradCheck:
         report = grad_check(f, params)
         assert report.passed, report.summary()
 
-    def test_broken_adjoint_is_named(self):
-        def broken_tanh(a):
-            y = np.tanh(a.data)
-            out = Tensor(y)
-            # wrong rule on purpose: drops the 1 - y^2 factor
-            T._finish("tanh", [out], [a], lambda gs: (gs[0],))
+    @staticmethod
+    def broken_tanh(a):
+        y = np.tanh(a.data)
+        out = Tensor(y)
+        # wrong rule on purpose: drops the 1 - y^2 factor
+        T._finish("tanh", [out], [a], lambda gs: (gs[0],))
+        return out
+
+    @staticmethod
+    def relu_reading(slope):
+        """relu whose rule multiplies by ``slope(mask)`` in place of the
+        mask."""
+        def op(a):
+            mask = a.data > 0.0
+            out = Tensor(np.maximum(a.data, 0.0))
+            T._finish("relu", [out], [a], lambda gs: (gs[0] * slope(mask),))
             return out
 
+        return op
+
+    @staticmethod
+    def counted_check(op, point):
+        """grad_check of sum(tanh(op(x))) at ``point``, and how many times
+        it called the loss."""
+        calls = []
+
+        def f(p):
+            calls.append(None)
+            return sum_all(tanh(op(p["x"])))
+
+        report = grad_check(f, {"x": Tensor(point, requires_grad=True)})
+        return report, len(calls)
+
+    def test_broken_adjoint_is_named(self):
         w = Tensor(np.array([0.9, -1.2]), requires_grad=True)
-        report = grad_check(lambda p: sum_all(broken_tanh(p["w"])), {"w": w})
+        report = grad_check(lambda p: sum_all(self.broken_tanh(p["w"])),
+                            {"w": w})
         assert not report.passed
         assert "w" in report.failures
         assert "FAIL" in report.summary() and "w" in report.summary()
+
+    # 3e-6 from relu's kink: the central difference at STEP straddles it
+    KINKED = [3e-6]
+
+    def test_kink_within_the_step_passes(self):
+        report, calls = self.counted_check(relu, self.KINKED)
+        assert report.passed, report.summary()
+        # two baselines and the taped pass, then two evaluations at each step
+        assert calls == 3 + 2 + 2
+
+    def test_complemented_mask_at_a_kink_fails(self):
+        report, _ = self.counted_check(
+            self.relu_reading(lambda mask: ~mask), self.KINKED)
+        assert report.failures == ["x"], report.summary()
+
+    def test_adjoint_one_percent_wrong_at_a_kink_fails(self):
+        report, _ = self.counted_check(
+            self.relu_reading(lambda mask: 1.01 * mask), self.KINKED)
+        assert report.failures == ["x"], report.summary()
+        # the retry past the kink leaves the 1% error alone
+        assert 0.009 < report.max_rel_err["x"] < 0.011
+
+    def test_wrong_adjoint_at_a_smooth_point_is_not_retried(self):
+        report, calls = self.counted_check(self.broken_tanh, [0.9, -1.2])
+        assert report.failures == ["x"], report.summary()
+        assert calls == 3 + 2 * 2
 
     def test_rejects_nondeterministic_function(self):
         rng = np.random.default_rng(0)
