@@ -26,32 +26,6 @@ GATE_NAMES = ("i", "f", "g", "o")
 KERNEL_WIDTH = 3
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...]) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def init_lstm(prefix: str, d_in: int, d_h: int,
-              rng: np.random.Generator) -> dict[str, Tensor]:
-    """Uniform fan-balanced weights, zero biases, forget bias +1.
-
-    Returns ``{prefix}.w_{gate}`` (d_h, d_in), ``{prefix}.u_{gate}``
-    (d_h, d_h) and ``{prefix}.b_{gate}`` (d_h,) for the gates input,
-    forget, cell and output, in that order. All four w are drawn before
-    the four u.
-    """
-    w = [glorot_uniform(rng, d_in, d_h, (d_h, d_in)) for _ in GATE_NAMES]
-    u = [glorot_uniform(rng, d_h, d_h, (d_h, d_h)) for _ in GATE_NAMES]
-    named = {}
-    for gate, w_gate, u_gate in zip(GATE_NAMES, w, u):
-        named[f"{prefix}.w_{gate}"] = Tensor(w_gate, requires_grad=True)
-        named[f"{prefix}.u_{gate}"] = Tensor(u_gate, requires_grad=True)
-        named[f"{prefix}.b_{gate}"] = Tensor(
-            np.full(d_h, 1.0 if gate == "f" else 0.0), requires_grad=True)
-    return named
-
-
 def lstm_encode_dialog(params: Mapping[str, Tensor], prefix: str,
                        x: Tensor) -> Tensor:
     """Run the LSTM named ``prefix`` in ``params`` from a zero state over the
@@ -65,18 +39,6 @@ def lstm_encode_dialog(params: Mapping[str, Tensor], prefix: str,
     w, u, b = ([params[f"{prefix}.{kind}_{gate}"] for gate in GATE_NAMES]
                for kind in "wub")
     return lstm_sequence(x, w, u, b)
-
-
-def init_acoustic(channels: int, coefficients: int,
-                  rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    """Time convolution kernels (channels, KERNEL_WIDTH, coefficients) and
-    bias."""
-    kernels = Tensor(
-        glorot_uniform(rng, coefficients * KERNEL_WIDTH, channels,
-                       (channels, KERNEL_WIDTH, coefficients)),
-        requires_grad=True)
-    bias = Tensor(np.zeros(channels), requires_grad=True)
-    return kernels, bias
 
 
 def acoustic_encode(kernels: Tensor, bias: Tensor,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .tensor import Tensor, affine_rowwise, mul, sigmoid, tanh
 
 
@@ -21,11 +19,3 @@ def filter_modality(h_mod: Tensor, h_cross: Tensor, gate_w: Tensor,
     gate = sigmoid(affine_rowwise(h_cross, gate_w, gate_b))
     return mul(tanh(h_mod), gate)
 
-
-def init_filter_gate(mod_dim: int, cross_dim: int,
-                     rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    """Small-uniform gate weights with zero bias (gate starts half-open)."""
-    bound = np.sqrt(6.0 / (mod_dim + cross_dim))
-    w = rng.uniform(-bound, bound, size=(mod_dim, cross_dim))
-    return (Tensor(w, requires_grad=True),
-            Tensor(np.zeros(mod_dim), requires_grad=True))

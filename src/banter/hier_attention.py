@@ -28,8 +28,6 @@ from .tensor import (
     window_weights,
 )
 
-# half-width of the uniform noise added to the identity projection at init
-PROJECTION_NOISE = 0.01
 # a column whose values spread wider than this within one level gets a
 # shift per row: exp(-spread) from one level-wide shift nears float64's
 # underflow at 745
@@ -95,11 +93,3 @@ def hier_attend(vectors: Tensor, proj_w: Tensor, proj_b: Tensor,
         current = affine_relu_rows(pooled, proj_w, proj_b)
     return current, level_weights
 
-
-def init_projection(dim: int,
-                    rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    """Near-identity affine map so early training passes vectors through."""
-    w = np.eye(dim) + rng.uniform(-PROJECTION_NOISE, PROJECTION_NOISE,
-                                  size=(dim, dim))
-    return (Tensor(w, requires_grad=True),
-            Tensor(np.zeros(dim), requires_grad=True))

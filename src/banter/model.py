@@ -12,6 +12,7 @@ cross-modal view, and per-task sigmoid heads score every utterance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -27,14 +28,13 @@ from .data import (
     write_file,
 )
 from .encoders import (
+    GATE_NAMES,
+    KERNEL_WIDTH,
     acoustic_encode,
-    glorot_uniform,
-    init_acoustic,
-    init_lstm,
     lstm_encode_dialog,
 )
-from .fusion import filter_modality, init_filter_gate
-from .hier_attention import hier_attend, init_projection
+from .fusion import filter_modality
+from .hier_attention import hier_attend
 from .tensor import (
     Tensor,
     affine_rowwise,
@@ -51,6 +51,9 @@ TEXT_REPRS = ("mean", "hier")
 AUDIO_REPRS = ("conv", "hier")
 TASK_MODES = ("sarcasm", "humor", "joint")
 TASKS = ("sarcasm", "humor")
+
+# half-width of the uniform noise added to the identity projection at init
+PROJECTION_NOISE = 0.01
 
 CHECKPOINT_MAGIC = b"MSHC1\n"
 # reserved checkpoint header key carrying the model configuration
@@ -169,10 +172,6 @@ class ParameterSet:
             raise ValueError(f"{META_KEY!r} is reserved")
         self._tensors[name] = tensor
 
-    def register_all(self, named: dict[str, Tensor]) -> None:
-        for name, tensor in named.items():
-            self.register(name, tensor)
-
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
@@ -186,46 +185,80 @@ class ParameterSet:
         return dict(self._tensors)
 
 
-def init_parameters(config: ModelConfig,
-                    rng: np.random.Generator) -> ParameterSet:
-    """Fresh parameters for a configuration; draw order is fixed."""
-    params = ParameterSet()
-    d = config.d_hidden
+def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter a configuration reads, name to shape, in the order a
+    checkpoint stores them. Draws and allocates nothing."""
+    d, hh = config.d_hidden, config.head_hidden
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def lstm(prefix: str, d_in: int) -> None:
+        for gate in GATE_NAMES:
+            shapes[f"{prefix}.w_{gate}"] = (d, d_in)
+            shapes[f"{prefix}.u_{gate}"] = (d, d)
+            shapes[f"{prefix}.b_{gate}"] = (d,)
+
     if config.uses_text:
         if config.text_repr == "hier":
-            proj_w, proj_b = init_projection(config.d_text_in, rng)
-            params.register("text_attn.proj_w", proj_w)
-            params.register("text_attn.proj_b", proj_b)
-        params.register_all(init_lstm("lstm_text", config.d_text_in, d, rng))
+            shapes["text_attn.proj_w"] = (config.d_text_in, config.d_text_in)
+            shapes["text_attn.proj_b"] = (config.d_text_in,)
+        lstm("lstm_text", config.d_text_in)
     if config.uses_audio:
         if config.audio_repr == "conv":
-            kernels, bias = init_acoustic(config.d_audio, MFCC_COLUMNS, rng)
-            params.register("acoustic.kernels", kernels)
-            params.register("acoustic.bias", bias)
+            shapes["acoustic.kernels"] = (config.d_audio, KERNEL_WIDTH,
+                                          MFCC_COLUMNS)
+            shapes["acoustic.bias"] = (config.d_audio,)
         else:
-            proj_w, proj_b = init_projection(MFCC_COLUMNS, rng)
-            params.register("audio_attn.proj_w", proj_w)
-            params.register("audio_attn.proj_b", proj_b)
-        params.register_all(init_lstm("lstm_audio", config.d_audio, d, rng))
+            shapes["audio_attn.proj_w"] = (MFCC_COLUMNS, MFCC_COLUMNS)
+            shapes["audio_attn.proj_b"] = (MFCC_COLUMNS,)
+        lstm("lstm_audio", config.d_audio)
     if config.use_filter:
         for branch in ("filter_audio", "filter_text"):
-            gate_w, gate_b = init_filter_gate(2 * d, 3 * d, rng)
-            params.register(f"{branch}.gate_w", gate_w)
-            params.register(f"{branch}.gate_b", gate_b)
-    trunk = config.trunk_dim
-    hh = config.head_hidden
+            shapes[f"{branch}.gate_w"] = (2 * d, 3 * d)
+            shapes[f"{branch}.gate_b"] = (2 * d,)
     for task in config.tasks:
-        params.register(
-            f"head_{task}.w1",
-            Tensor(glorot_uniform(rng, trunk, hh, (hh, trunk)),
-                   requires_grad=True))
-        params.register(f"head_{task}.b1",
-                        Tensor(np.zeros(hh), requires_grad=True))
-        params.register(
-            f"head_{task}.w2",
-            Tensor(glorot_uniform(rng, hh, 1, (1, hh)), requires_grad=True))
-        params.register(f"head_{task}.b2",
-                        Tensor(np.zeros(1), requires_grad=True))
+        shapes[f"head_{task}.w1"] = (hh, config.trunk_dim)
+        shapes[f"head_{task}.b1"] = (hh,)
+        shapes[f"head_{task}.w2"] = (1, hh)
+        shapes[f"head_{task}.b2"] = (1,)
+    return shapes
+
+
+def initial_value(name: str, shape: tuple[int, ...],
+                  rng: np.random.Generator) -> np.ndarray:
+    """A parameter's initial value, by its kind.
+
+    A one-dimensional parameter is a bias: 0, except an LSTM's forget-gate
+    bias ``b_f``, which is 1. An H-ATN projection ``proj_w`` is the
+    identity plus U(±PROJECTION_NOISE), so early training passes vectors
+    through. Any other weight is Glorot-uniform (Glorot & Bengio 2010),
+    with bound sqrt(6 / (shape[0] + prod(shape[1:]))).
+    """
+    if len(shape) == 1:
+        return np.full(shape, 1.0 if name.endswith(".b_f") else 0.0)
+    if name.endswith("proj_w"):
+        return np.eye(shape[0]) + rng.uniform(
+            -PROJECTION_NOISE, PROJECTION_NOISE, size=shape)
+    bound = np.sqrt(6.0 / (shape[0] + math.prod(shape[1:])))
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def init_parameters(config: ModelConfig,
+                    rng: np.random.Generator) -> ParameterSet:
+    """Fresh parameters for a configuration, each from ``initial_value``.
+
+    Values are drawn in ``parameter_shapes``' order, except that an LSTM
+    draws its four input weights before its four recurrent ones.
+    """
+    shapes = parameter_shapes(config)
+    # a stable sort by (module, is recurrent) moves each LSTM's u last
+    modules = {m: k for k, m in enumerate(
+        dict.fromkeys(name.split(".")[0] for name in shapes))}
+    drawn = sorted(shapes, key=lambda name: (modules[name.split(".")[0]],
+                                             ".u_" in name))
+    values = {name: initial_value(name, shapes[name], rng) for name in drawn}
+    params = ParameterSet()
+    for name in shapes:
+        params.register(name, Tensor(values[name], requires_grad=True))
     return params
 
 
@@ -398,23 +431,24 @@ def variant_label(config: ModelConfig) -> str:
         and (modality is None or getattr(config, f"uses_{modality}")))
 
 
+def _header_entry(shape: tuple[int, ...], offset: int) -> dict:
+    """A parameter's checkpoint header entry: f32 values from blob byte
+    ``offset`` on."""
+    return {"shape": list(shape), "dtype": "f32", "offset": offset}
+
+
 def save_checkpoint(params: ParameterSet, path, config: ModelConfig) -> None:
     """Write all parameters as little-endian f32 with a JSON name header."""
     header: dict[str, dict] = {}
     blob = bytearray()
     for name, tensor in params.items():
-        header[name] = {"shape": list(tensor.shape), "dtype": "f32",
-                        "offset": len(blob)}
+        header[name] = _header_entry(tensor.shape, len(blob))
         blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
     header[META_KEY] = asdict(config)
     head_bytes = json.dumps(header).encode("utf-8")
     write_file(path, b"".join([CHECKPOINT_MAGIC,
                                len(head_bytes).to_bytes(8, "little"),
                                head_bytes, blob]))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _json_matches_default(value, default) -> bool:
@@ -427,9 +461,11 @@ def _json_matches_default(value, default) -> bool:
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
     """Read a checkpoint; bit-exact inverse of save at f32 precision.
 
-    Parameter names and shapes must be exactly those ``init_parameters``
-    builds for the stored config, and their byte ranges must tile the blob
-    in header order: no gap, overlap or trailing byte.
+    The stored config's ``parameter_shapes`` is the layout, checked before
+    any parameter is allocated: the header names exactly its parameters,
+    and each entry is the one ``save_checkpoint`` writes, so the byte
+    ranges tile the blob in layout order with no gap, overlap or trailing
+    byte.
     """
     path = Path(path)
     raw = read_bytes(path, CheckpointError)
@@ -470,42 +506,25 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
         config = ModelConfig(**meta)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad stored config: {exc}") from None
-    expected = {name: t.shape for name, t in
-                init_parameters(config, np.random.default_rng(0)).items()}
-    for name in expected:
+    shapes = parameter_shapes(config)
+    for name in shapes:
         if name not in header:
             raise CheckpointError(f"{path}: missing parameter {name!r}")
-    params = ParameterSet()
-    end = 0  # save_checkpoint writes the parameters back to back
-    for name, entry in header.items():
-        if name not in expected:
+    for name in header:
+        if name not in shapes:
             raise CheckpointError(f"{path}: unexpected parameter {name!r} "
                                   f"for the stored config")
-        if not isinstance(entry, dict):
-            raise CheckpointError(f"{path}: parameter {name!r} entry is not "
-                                  f"an object")
-        shape, offset = entry.get("shape"), entry.get("offset")
-        if not isinstance(shape, list) or not all(map(_is_int, shape)):
-            raise CheckpointError(f"{path}: parameter {name!r} shape must be "
-                                  f"a list of integers, got {shape!r}")
-        if not _is_int(offset):
-            raise CheckpointError(f"{path}: parameter {name!r} offset must be "
-                                  f"an integer, got {offset!r}")
-        shape = tuple(shape)
-        if shape != expected[name]:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {list(shape)}, the "
-                f"stored config needs {list(expected[name])}")
-        if entry.get("dtype") != "f32":
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has unsupported dtype "
-                f"{entry.get('dtype')!r}")
-        count = int(np.prod(shape)) if shape else 1
-        if offset != end:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} starts at blob offset {offset}, "
-                f"expected {end} (the previous parameter's end)")
-        end = offset + 4 * count
+    params = ParameterSet()
+    end = 0  # save_checkpoint writes the parameters back to back
+    for name, shape in shapes.items():
+        # compared as JSON text, so that 1, 1.0 and true differ
+        entry, want = (json.dumps(e, sort_keys=True) for e in
+                       (header[name], _header_entry(shape, end)))
+        if entry != want:
+            raise CheckpointError(f"{path}: parameter {name!r} entry is "
+                                  f"{entry}, the stored config needs {want}")
+        offset, count = end, math.prod(shape)
+        end += 4 * count
         if end > len(blob):
             raise CheckpointError(f"{path}: truncated blob at parameter "
                                   f"{name!r}")

@@ -23,13 +23,14 @@ import numpy as np
 from . import tensor
 from .context_attention import attend, contextualize_dialog
 from .data import MFCC_COLUMNS, Dialog, EmbeddingTable, UtteranceRecord
-from .fusion import filter_modality, init_filter_gate
+from .fusion import filter_modality
 from .gradcheck import grad_check
-from .hier_attention import hier_attend, init_projection, level_count
+from .hier_attention import hier_attend, level_count
 from .metrics import ConfusionMatrix, compute_metrics, confusion
 from .model import (
     ModelConfig,
     init_parameters,
+    initial_value,
     forward_dialog,
     load_checkpoint,
     save_checkpoint,
@@ -287,7 +288,8 @@ def check_hier_structure() -> None:
     rng = np.random.default_rng(1)
     dim = 4
     for width in range(2, 6):
-        proj_w, proj_b = init_projection(dim, rng)
+        proj_w = Tensor(initial_value("proj_w", (dim, dim), rng))
+        proj_b = Tensor(np.zeros(dim))
         for n in range(1, 65):
             vectors = Tensor(rng.normal(size=(n, dim)))
             out, level_weights = hier_attend(vectors, proj_w, proj_b, width,
@@ -358,7 +360,8 @@ def check_filter_bounds() -> None:
         d = int(rng.integers(1, 6))
         h_mod = Tensor(rng.uniform(-8, 8, size=(1, 2 * d)))
         h_cross = Tensor(rng.uniform(-8, 8, size=(1, 3 * d)))
-        gate_w, gate_b = init_filter_gate(2 * d, 3 * d, rng)
+        gate_w = Tensor(initial_value("gate_w", (2 * d, 3 * d), rng))
+        gate_b = Tensor(np.zeros(2 * d))
         out = filter_modality(h_mod, h_cross, gate_w, gate_b)
         if not np.all(np.abs(out.data) < 1.0):
             raise AssertionError(f"filter output escaped (-1, 1): {out.data}")

@@ -33,6 +33,7 @@ from banter.model import (
     forward_dialog,
     init_parameters,
     load_checkpoint,
+    parameter_shapes,
     save_checkpoint,
 )
 from banter.train import TrainConfig, evaluate_split, train
@@ -873,7 +874,7 @@ class TestEvalCommand:
         code, err = self._eval_error(workspace, bad, tmp_path, capsys)
         assert code == 3
         _, config = load_checkpoint(trained / "model.ckpt")
-        last = init_parameters(config, np.random.default_rng(0)).names()[-1]
+        last = list(parameter_shapes(config))[-1]
         assert str(bad) in err and f"'{last}'" in err
 
     def test_checkpoint_with_shared_offsets_is_a_data_error(
@@ -887,7 +888,7 @@ class TestEvalCommand:
         code, err = self._eval_error(workspace, bad, tmp_path, capsys)
         assert code == 3
         _, config = load_checkpoint(trained / "model.ckpt")
-        second = init_parameters(config, np.random.default_rng(0)).names()[1]
+        second = list(parameter_shapes(config))[1]
         assert str(bad) in err and f"'{second}'" in err
 
     @pytest.mark.parametrize("edit, named", [
@@ -903,9 +904,10 @@ class TestEvalCommand:
         (lambda h: h["__meta__"].update(threshold=1.5), "'threshold'"),
         (lambda h: h["__meta__"].update(threshold="0.5"), "'threshold'"),
         (lambda h: [h], "not a JSON object"),
+        (lambda h: h["__meta__"].update(d_hidden=10**7), "'lstm_text.w_i'"),
     ], ids=["no offset", "string offset", "entry not an object",
             "null shape", "string config field", "threshold out of range",
-            "string threshold", "list header"])
+            "string threshold", "list header", "huge hidden width"])
     def test_malformed_header_is_a_data_error(self, workspace, trained,
                                               tmp_path, capsys, edit, named):
         bad = rewrite_checkpoint_header(trained / "model.ckpt",
@@ -939,7 +941,7 @@ class TestEvalCommand:
         code, err = self._eval_error(workspace, bad, tmp_path, capsys)
         assert code == 3
         _, config = load_checkpoint(trained / "model.ckpt")
-        first = init_parameters(config, np.random.default_rng(0)).names()[0]
+        first = list(parameter_shapes(config))[0]
         assert err.count(str(bad)) == 1 and f"'{first}'" in err
 
     @pytest.mark.parametrize("kind, make, line", [
@@ -965,7 +967,9 @@ class TestEvalCommand:
          "{path}: unknown config fields ['depth']"),
         ("checkpoint",
          _header_edit(lambda h: h["text_attn.proj_w"].update(dtype="f64")),
-         "{path}: parameter 'text_attn.proj_w' has unsupported dtype 'f64'"),
+         "{path}: parameter 'text_attn.proj_w' entry is "
+         '{{"dtype": "f64", "offset": 0, "shape": [12, 12]}}, the stored '
+         'config needs {{"dtype": "f32", "offset": 0, "shape": [12, 12]}}'),
         ("checkpoint",
          _header_edit(lambda h: h["__meta__"].update(audio_repr="mel")),
          "{path}: bad stored config: audio_repr must be one of ('conv', "

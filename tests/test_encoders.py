@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from banter.encoders import (
-    GATE_NAMES,
-    acoustic_encode,
-    init_acoustic,
-    init_lstm,
-    lstm_encode_dialog,
-)
+from banter.encoders import GATE_NAMES, acoustic_encode, lstm_encode_dialog
 from banter.gradcheck import grad_check
+from banter.model import initial_value
 from banter.tensor import ShapeError, Tape, Tensor, mul, sum_all
 
 
@@ -22,6 +17,25 @@ def const_lstm(d_in, d_h, w=0.0, u=0.0, b=0.0):
     return {f"lstm.{kind}_{g}": Tensor(np.full(shape, value),
                                        requires_grad=True)
             for g in GATE_NAMES for kind, (shape, value) in shapes.items()}
+
+
+def init_lstm(d_in, d_h, rng):
+    """An LSTM named "lstm" whose values are drawn as ``init_parameters``
+    draws them: the four w, then the four u."""
+    shapes = {"w": (d_h, d_in), "u": (d_h, d_h), "b": (d_h,)}
+    return {f"lstm.{kind}_{g}": Tensor(initial_value(f"lstm.{kind}_{g}",
+                                                     shape, rng),
+                                       requires_grad=True)
+            for kind, shape in shapes.items() for g in GATE_NAMES}
+
+
+def init_acoustic(channels, coefficients, rng):
+    """Convolution kernels and bias drawn as ``init_parameters`` draws
+    them."""
+    kernels = initial_value("acoustic.kernels", (channels, 3, coefficients),
+                            rng)
+    return (Tensor(kernels, requires_grad=True),
+            Tensor(np.zeros(channels), requires_grad=True))
 
 
 def scalar_lstm_oracle(w, u, b, xs):
@@ -72,7 +86,7 @@ class TestLstmStep:
 
     def test_default_hidden_width(self):
         rng = np.random.default_rng(0)
-        params = init_lstm("lstm", 300, 128, rng)
+        params = init_lstm(300, 128, rng)
         hiddens = lstm_encode_dialog(
             params, "lstm", Tensor(rng.uniform(-1, 1, size=(3, 300))))
         assert hiddens.shape == (3, 128)
@@ -91,22 +105,15 @@ class TestLstmStep:
     def test_matches_scalar_oracle_random(self):
         # from step 2 on the state (h_prev, c_prev) is random and nonzero
         rng = np.random.default_rng(9)
-        params = init_lstm("lstm", 3, 4, rng)
+        params = init_lstm(3, 4, rng)
         xs = rng.uniform(-1, 1, size=(5, 3))
         hiddens = lstm_encode_dialog(params, "lstm", Tensor(xs))
         steps = scalar_lstm_oracle(*gate_lists(params), xs.tolist())
         for h, (want_h, _) in zip(hiddens.data, steps):
             np.testing.assert_allclose(h, want_h, atol=1e-12)
 
-    def test_forget_bias_is_one(self):
-        params = init_lstm("lstm", 4, 3, np.random.default_rng(1))
-        np.testing.assert_allclose(params["lstm.b_f"].data, np.ones(3))
-        for gate in ("i", "g", "o"):
-            np.testing.assert_allclose(params[f"lstm.b_{gate}"].data,
-                                       np.zeros(3))
-
     def test_input_shape_mismatch(self):
-        params = init_lstm("lstm", 3, 4, np.random.default_rng(0))
+        params = init_lstm(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             lstm_encode_dialog(params, "lstm", Tensor(np.zeros((1, 5))))
         with pytest.raises(ShapeError):
@@ -116,7 +123,7 @@ class TestLstmStep:
 class TestLstmEncodeDialog:
     def test_single_step_equivalence(self):
         rng = np.random.default_rng(2)
-        params = init_lstm("lstm", 5, 4, rng)
+        params = init_lstm(5, 4, rng)
         x = rng.uniform(-1, 1, size=5)
         (h_seq,) = lstm_encode_dialog(params, "lstm", Tensor([x])).data
         ((want_h, _),) = scalar_lstm_oracle(*gate_lists(params), [x.tolist()])
@@ -124,7 +131,7 @@ class TestLstmEncodeDialog:
 
     def test_causality_under_suffix_append(self):
         rng = np.random.default_rng(3)
-        params = init_lstm("lstm", 4, 3, rng)
+        params = init_lstm(4, 3, rng)
         rows = rng.uniform(-1, 1, size=(6, 4))
         base = lstm_encode_dialog(params, "lstm", Tensor(rows[:5]))
         extended = lstm_encode_dialog(params, "lstm", Tensor(rows))
@@ -133,14 +140,14 @@ class TestLstmEncodeDialog:
     def test_hidden_states_bounded(self):
         for seed in range(10):
             r = np.random.default_rng(seed)
-            params = init_lstm("lstm", 3, 4, r)
+            params = init_lstm(3, 4, r)
             inputs = Tensor(r.uniform(-5, 5, size=(8, 3)))
             hiddens = lstm_encode_dialog(params, "lstm", inputs)
             assert np.all(np.abs(hiddens.data) < 1.0)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
-        params = init_lstm("lstm", 6, 5, rng)
+        params = init_lstm(6, 5, rng)
         inputs = Tensor(rng.uniform(-1, 1, size=(4, 6)), requires_grad=True)
         weights = Tensor(rng.uniform(-1, 1, size=(4, 5)))
         named = {**params, "x": inputs}
@@ -155,14 +162,14 @@ class TestLstmEncodeDialog:
 
     def test_one_tape_node_per_dialog(self):
         rng = np.random.default_rng(6)
-        params = init_lstm("lstm", 4, 3, rng)
+        params = init_lstm(4, 3, rng)
         inputs = Tensor(rng.uniform(-1, 1, size=(6, 4)), requires_grad=True)
         with Tape() as tape:
             lstm_encode_dialog(params, "lstm", inputs)
         assert len(tape) == 1
 
     def test_empty_sequence_rejected(self):
-        params = init_lstm("lstm", 3, 4, np.random.default_rng(0))
+        params = init_lstm(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             lstm_encode_dialog(params, "lstm", Tensor(np.zeros((0, 3))))
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from banter.fusion import filter_modality, init_filter_gate
+from banter.fusion import filter_modality
 from banter.gradcheck import grad_check
-from banter.model import ModelConfig
+from banter.model import ModelConfig, initial_value
 from banter.tensor import (
     ShapeError,
     Tensor,
@@ -16,6 +16,13 @@ from banter.tensor import (
     sum_all,
     tanh,
 )
+
+
+def init_gate(mod_dim, cross_dim, rng):
+    """Gate weights and bias drawn as ``init_parameters`` draws them."""
+    return (Tensor(initial_value("gate_w", (mod_dim, cross_dim), rng),
+                   requires_grad=True),
+            Tensor(np.zeros(mod_dim), requires_grad=True))
 
 
 def random_pair(rng, d, n=1):
@@ -58,7 +65,7 @@ class TestFilterModality:
             d = int(rng.integers(1, 6))
             h_mod = Tensor(rng.uniform(-8, 8, size=(1, 2 * d)))
             h_cross = Tensor(rng.uniform(-8, 8, size=(1, 3 * d)))
-            gate_w, gate_b = init_filter_gate(2 * d, 3 * d, rng)
+            gate_w, gate_b = init_gate(2 * d, 3 * d, rng)
             out = filter_modality(h_mod, h_cross, gate_w, gate_b)
             assert np.all(np.abs(out.data) < 1.0)
 
@@ -93,7 +100,7 @@ class TestFilterModality:
         # the per-utterance form this layer replaced: one matrix-vector
         # product per row, at paper widths (2d = 256, 3d = 384)
         rng = np.random.default_rng(5)
-        gate_w, gate_b = init_filter_gate(256, 384, rng)
+        gate_w, gate_b = init_gate(256, 384, rng)
         for n in range(1, 13):
             h_mod, h_cross = random_pair(rng, 128, n)
             out = filter_modality(h_mod, h_cross, gate_w, gate_b)

@@ -8,10 +8,17 @@ from banter.hier_attention import (
     SHIFT_SPREAD_LIMIT,
     _level_shift,
     hier_attend,
-    init_projection,
     level_count,
 )
+from banter.model import initial_value
 from banter.tensor import Tape, Tensor, sum_all
+
+
+def init_projection(dim, rng):
+    """A projection drawn as ``init_parameters`` draws an H-ATN's."""
+    return (Tensor(initial_value("proj_w", (dim, dim), rng),
+                   requires_grad=True),
+            Tensor(np.zeros(dim), requires_grad=True))
 
 
 def identity_projection(dim):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from banter.model import (
     forward_dialog,
     init_parameters,
     load_checkpoint,
+    parameter_shapes,
     save_checkpoint,
     variant_label,
 )
@@ -168,13 +170,39 @@ class TestInitParameters:
         params = init_parameters(ModelConfig(), np.random.default_rng(0))
         assert params["head_sarcasm.w1"].shape == (128, 7 * 128)
 
-    def test_count_matches_registry(self):
-        for cfg in (toy_config(), toy_config(modality="audio",
-                                             use_filter=False)):
-            shapes = [{name: tensor.shape for name, tensor in
-                       init_parameters(cfg, np.random.default_rng(seed)).items()}
-                      for seed in (0, 3)]
-            assert shapes[0] == shapes[1]
+    def test_initial_values_follow_the_init_rule(self):
+        # biases 0 and forget-gate biases 1; weights inside their Glorot
+        # bound; H-ATN projections near the identity
+        for cfg in (toy_config(), toy_config(audio_repr="hier",
+                                             d_audio=MFCC_COLUMNS)):
+            params = init_parameters(cfg, np.random.default_rng(0))
+            for name, tensor in params.items():
+                data, shape = tensor.data, tensor.shape
+                if len(shape) == 1:
+                    want = 1.0 if name.endswith(".b_f") else 0.0
+                    np.testing.assert_array_equal(data, np.full(shape, want),
+                                                  err_msg=name)
+                elif name.endswith("proj_w"):
+                    assert np.abs(data - np.eye(shape[0])).max() <= 0.01, name
+                else:
+                    bound = math.sqrt(6 / (shape[0] + math.prod(shape[1:])))
+                    assert np.abs(data).max() <= bound, name
+            assert {"lstm_text.b_f", "lstm_audio.b_f"} <= set(params.names())
+
+    def test_every_declared_parameter_gets_a_gradient(self):
+        dialog = toy_dialog(n_utts=3, seed=4)
+        table = toy_table(6)
+        for row in VARIANT_ROWS:
+            cfg = build_variant(row, d_text_in=6, d_hidden=5, head_hidden=4,
+                                attn_width_dialog=2, dropout=0.0)
+            params = init_parameters(cfg, np.random.default_rng(0))
+            with Tape():
+                backward(dialog_loss(forward_dialog(cfg, params, dialog,
+                                                    table),
+                                     dialog, cfg.tasks))
+            unread = [name for name in parameter_shapes(cfg)
+                      if params[name].grad is None]
+            assert not unread, f"{row}: {unread}"
 
 
 class TestForwardDialog:
@@ -598,6 +626,6 @@ class TestCheckpoint:
             header["head_humor.w1"]["shape"].reverse()
 
         bad = rewrite_checkpoint_header(path, tmp_path / "bad.ckpt", transpose)
-        with pytest.raises(CheckpointError,
-                           match="'head_humor.w1' has shape"):
+        with pytest.raises(CheckpointError, match=r"'head_humor.w1' entry is "
+                           r".*\[35, 4\].* needs .*\[4, 35\]"):
             load_checkpoint(bad)

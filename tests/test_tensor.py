@@ -10,7 +10,7 @@ import pytest
 from banter import hier_attention, tensor as T
 from banter.context_attention import contextualize_dialog
 from banter.gradcheck import grad_check
-from banter.hier_attention import hier_attend, init_projection
+from banter.hier_attention import hier_attend
 from banter.optim import AdamState, adam_step, clip_gradients
 from banter.tensor import (
     BCE_EPS,
@@ -39,6 +39,7 @@ from banter.tensor import (
     window_weights,
 )
 from banter.verify import CHECKS, OP_GROUPS, op_scenarios
+from test_hier_attention import init_projection
 
 
 def tanh_reference(x: float, depth: int = 30) -> float:
