@@ -54,8 +54,14 @@ def _level_shift(x: np.ndarray) -> np.ndarray:
     than ``SHIFT_SPREAD_LIMIT``, an (n, d) array whose wide columns hold
     their own values, so that ``window_ratio`` rescales each of their
     windows to its own maximum.
+
+    ``x`` must hold no negative value, as every level's input, a ReLU
+    output, does. Then no column spreads wider than its maximum, so when
+    no maximum exceeds the limit the column minima are not looked at.
     """
     top = x.max(axis=0)
+    if top.max() <= SHIFT_SPREAD_LIMIT:
+        return top
     wide = top - x.min(axis=0) > SHIFT_SPREAD_LIMIT
     return np.where(wide, x, top) if wide.any() else top
 

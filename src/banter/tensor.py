@@ -350,6 +350,15 @@ def _rowwise_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product,
             rectify: bool = False) -> Tensor:
+    """``product(x.data, w.data) + b`` as one tape node named ``op``, and
+    with ``rectify`` its ReLU too.
+
+    ``_finish`` checks the affine output; only then does the ReLU run, in
+    the same buffer. So the output is checked once, and a -inf that the
+    ReLU would turn into 0 still raises a NumericError naming the op. The
+    rule reads its mask off the rectified output, an array the op's
+    consumers usually keep anyway.
+    """
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeError(f"{op}: bad operand ranks {x.shape}, "
                          f"{w.shape}, {b.shape}")
@@ -362,14 +371,7 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product,
     with np.errstate(over="ignore", invalid="ignore"):
         y = product(x_data, w_data)
         y += b.data
-    rectified = None
-    if rectify:
-        # the ReLU would turn a -inf into 0
-        if not np.isfinite(y).all():
-            raise NumericError(f"{op}: non-finite value before the ReLU")
-        # the rule reads its mask off the op's own output, an array the
-        # op's consumers usually keep anyway
-        rectified = np.maximum(y, 0.0, out=y)
+    rectified = y if rectify else None
     out = Tensor(y)
     rows = x.shape[0]
     d, k = w.shape
@@ -385,6 +387,8 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product,
         return dx, dw, g.sum(axis=0)
 
     _finish(op, [out], [x, w, b], bwd)
+    if rectify:
+        np.maximum(y, 0.0, out=y)
     return out
 
 
@@ -491,6 +495,29 @@ def _window_factors(shift: np.ndarray, size: int) -> list[np.ndarray] | None:
     return [np.exp(shift[j:j + m] - peak) for j in range(size)]
 
 
+def _window_sums(x: np.ndarray, size: int,
+                 factors: list[np.ndarray] | None) -> np.ndarray:
+    """The (n - size + 1, d) window sums of an (n, d) matrix: row k is
+    ``sum_j f[k, j] x[k + j]`` over j = 0 .. size - 1, with f[k, j] =
+    ``factors[j][k]``, or 1 when ``factors`` is None.
+
+    The terms are added in order of j into a fresh buffer, so every pass
+    that sums the same matrix gets the same bits.
+    """
+    m = x.shape[0] - size + 1
+    if factors is not None:
+        total = factors[0] * x[:m]
+        for j in range(1, size):
+            total += factors[j] * x[j:j + m]
+        return total
+    if size == 1:
+        return x[:m].copy()
+    total = np.add(x[:m], x[1:1 + m])
+    for j in range(2, size):
+        total += x[j:j + m]
+    return total
+
+
 def window_ratio(num: Tensor, den: Tensor, size: int,
                  shift: np.ndarray) -> Tensor:
     """Ratio of the window sums of two (n, d) matrices, per column.
@@ -501,11 +528,12 @@ def window_ratio(num: Tensor, den: Tensor, size: int,
     (``den = exp(x - shift)``) and f[k, j] = exp(shift[k + j] - peak[k])
     puts window k's rows back on the scale of its largest shift. A (d,)
     shift is one scale for every row: every f is 1, so both sums are
-    ``size`` shifted adds, in the backward pass too. An (n, d) shift should
-    be the values themselves, as ``hier_attend`` uses it: an f that
-    underflows then stands for a weight below exp(-745). No gradient flows
-    to ``shift``. The rule keeps the result and ``den``'s array, not the
-    denominators, and sums them again in the forward's order.
+    ``size`` shifted adds, in the backward pass too, with no factor
+    formed. An (n, d) shift should be the values themselves, as
+    ``hier_attend`` uses it: an f that underflows then stands for a
+    weight below exp(-745). No gradient flows to ``shift``. Both passes
+    take the window sums from ``_window_sums``; the rule keeps the result
+    and ``den``'s array, not the denominators, and sums them again.
     """
     _same_shape("window_ratio", num, den)
     if num.data.ndim != 2:
@@ -521,35 +549,29 @@ def window_ratio(num: Tensor, den: Tensor, size: int,
     m = n - size + 1
     factors = _window_factors(shift, size)
     den_data = den.data
-
-    def weighted(x, j):
-        return x if factors is None else factors[j] * x
-
-    def window_sums(x):
-        # a fresh buffer from the first two slices' sum, then the rest in
-        # place; the same order in both passes gives the same bits
-        if size == 1:
-            return weighted(x[:m], 0).copy()
-        total = np.add(weighted(x[:m], 0), weighted(x[1:1 + m], 1))
-        for j in range(2, size):
-            total += weighted(x[j:j + m], j)
-        return total
-
-    ratio = window_sums(num.data)
-    np.divide(ratio, window_sums(den_data), out=ratio)
+    ratio = _window_sums(num.data, size, factors)
+    np.divide(ratio, _window_sums(den_data, size, factors), out=ratio)
     out = Tensor(ratio)
 
     def bwd(gs):
         # d ratio[k] / d num[k + j] = f[k, j] / bottom[k], and
         # d ratio[k] / d den[k + j] = -f[k, j] ratio[k] / bottom[k]
-        a = window_sums(den_data)
+        a = _window_sums(den_data, size, factors)
         np.divide(gs[0], a, out=a)
         b = a * ratio
-        d_num = np.zeros((n, d))
-        d_den = np.zeros((n, d))
-        for j in range(size):
-            d_num[j:j + m] += weighted(a, j)
-            d_den[j:j + m] -= weighted(b, j)
+        fa = [a] * size if factors is None else [f * a for f in factors]
+        fb = [b] * size if factors is None else [f * b for f in factors]
+        # slice 0 is written, not added to a zero fill; 0.0 + a and
+        # 0.0 - b give a zero the sign that adding to the fill would
+        d_num = np.empty((n, d))
+        d_den = np.empty((n, d))
+        np.add(0.0, fa[0], out=d_num[:m])
+        np.subtract(0.0, fb[0], out=d_den[:m])
+        d_num[m:] = 0.0
+        d_den[m:] = 0.0
+        for j in range(1, size):
+            d_num[j:j + m] += fa[j]
+            d_den[j:j + m] -= fb[j]
         return d_num, d_den
 
     _finish("window_ratio", [out], [num, den], bwd)

@@ -252,6 +252,26 @@ class TestLevelShift:
         np.testing.assert_array_equal(_level_shift(narrow),
                                       narrow.max(axis=0))
 
+    @pytest.mark.parametrize("spike", [None, 599.0, 600.0, 601.0, 1000.0])
+    def test_equals_the_full_rule_on_non_negative_levels(self, spike):
+        # a level's input is a ReLU output, and the rule looks at the
+        # column minima only when some column maximum passes the limit
+        widened = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n, d = rng.integers(2, 40), rng.integers(1, 12)
+            x = np.maximum(rng.normal(size=(n, d)), 0.0)
+            if spike is not None:
+                x[rng.integers(n), rng.integers(d)] = spike
+            top = x.max(axis=0)
+            wide = top - x.min(axis=0) > SHIFT_SPREAD_LIMIT
+            want = np.where(wide, x, top) if wide.any() else top
+            got = _level_shift(x)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            widened += bool(wide.any())
+        assert (widened > 0) == (spike in (601.0, 1000.0))
+
 
 class TestRowOrder:
     """A window's softmax-weighted sum ignores the order of its rows,

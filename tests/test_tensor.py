@@ -361,6 +361,18 @@ class TestWindowOps:
                 np.errstate(over="ignore"):
             affine_relu_rows(x, w, Tensor([0.0, 0.0]))
 
+    def test_affine_relu_rows_names_an_affine_output_the_relu_would_hide(
+            self):
+        # the product and the bias are finite, their sum overflows to -inf
+        x = Tensor([[1e154, 1.0]], requires_grad=True)
+        w = Tensor([[-1e154, 0.0], [1.0, 1.0]])
+        b = Tensor([-1e308, 0.0])
+        named = "^affine_relu_rows: non-finite"
+        with pytest.raises(NumericError, match=named):
+            affine_relu_rows(x, w, b)
+        with Tape(), pytest.raises(NumericError, match=named):
+            affine_relu_rows(x, w, b)
+
     def test_mean_rows_keeps_a_row(self):
         out = T.mean_rows(Tensor([[1.0, 2.0], [3.0, 6.0]]))
         np.testing.assert_array_equal(out.data, [[2.0, 4.0]])

@@ -245,10 +245,11 @@ def relu_keeps_the_complement_mask(mp):
 
 
 def affine_relu_keeps_the_complement_mask(mp):
-    # the rule reads its mask off its output; this output is 1 exactly
-    # where the true one is 0
+    # the rule reads its mask off its output, which the ReLU rectifies
+    # only after recording; this array is 1 exactly where the rectified
+    # output is 0
     saved_value_replaced(mp, "affine_relu_rows", "rectified",
-                         lambda saved: (saved["rectified"] == 0.0) * 1.0)
+                         lambda saved: (saved["rectified"] <= 0.0) * 1.0)
 
 
 PLANTED_FAULTS = [
