@@ -12,14 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    conv1d_same,
-    lstm_sequence,
-    mean_rows,
-    relu,
-)
+from .tensor import ShapeError, Tensor, conv_relu_mean, lstm_sequence
 
 GATE_NAMES = ("i", "f", "g", "o")
 # frames each audio convolution kernel spans
@@ -49,7 +42,6 @@ def acoustic_encode(kernels: Tensor, bias: Tensor,
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.size == 0:
-        # conv1d_same checks ranks and channels; a mean over no frames is NaN
+        # conv_relu_mean checks ranks and channels; a mean of no frames is NaN
         raise ShapeError(f"acoustic_encode: empty frame matrix {frames.shape}")
-    convolved = conv1d_same(Tensor(frames), kernels, bias)
-    return mean_rows(relu(convolved))
+    return conv_relu_mean(Tensor(frames), kernels, bias)

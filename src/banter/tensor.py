@@ -127,6 +127,12 @@ def active_tape() -> Tape | None:
     return _STATE.stack[-1] if _STATE.stack else None
 
 
+def _check_finite(op: str, values: np.ndarray) -> None:
+    """Raise a NumericError naming ``op`` if ``values`` holds a NaN or Inf."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"{op}: non-finite output")
+
+
 def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
             backward_fn: Callable) -> None:
     """Register the node on the active tape when any parent needs gradients.
@@ -139,8 +145,7 @@ def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
     reads. A non-finite output raises a NumericError naming the op.
     """
     (out,) = outputs
-    if not np.isfinite(out.data).all():
-        raise NumericError(f"{op}: non-finite output")
+    _check_finite(op, out.data)
     needs = [p.requires_grad for p in parents]
     if True not in needs:
         return
@@ -189,7 +194,9 @@ def backward(loss: Tensor) -> None:
     ``None``, so their adjoints are freed as soon as their node has run.
     Outer-product terms (``_Outer``) a tensor receives are kept in reverse
     execution order and summed as one product just before the tensor's own
-    node runs, or, for a leaf, after the last node. A rule's adjoint whose
+    node runs, or, for a leaf, after the last node. A tensor's second and
+    later dense adjoints are summed into a fresh array each time, so no
+    array a rule returned is ever written. A rule's adjoint whose
     shape is not its parent's raises ``ShapeError`` naming the op. Repeated
     calls accumulate until ``.grad`` is set back to ``None``.
     """
@@ -202,12 +209,9 @@ def backward(loss: Tensor) -> None:
     shapes, leaves = tape._shapes, tape._leaves
     adjoints: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=np.float64)}
     outers: dict[int, list[_Outer]] = {}
-    # adjoint buffers allocated here, and so safe to update in place
-    owned: dict[int, np.ndarray] = {}
 
     for node in reversed(tape._nodes):
         g = _take_adjoint(node.out_key, adjoints, outers)
-        owned.pop(node.out_key, None)
         if g is None:
             continue
         parent_grads = node.backward_fn([g])
@@ -222,14 +226,10 @@ def backward(loss: Tensor) -> None:
                                  f"{got} for a parent of shape {shape}")
             if outer:
                 outers.setdefault(key, []).append(pg)
-            elif key in owned:
-                owned[key] += pg
             elif key in adjoints:
-                # the first array came from a backward rule, which may hand
-                # the same object to other parents: sum into a fresh buffer
-                # once, then accumulate into that buffer in place
-                buf = np.add(adjoints[key], pg, dtype=np.float64)
-                adjoints[key] = owned[key] = np.asarray(buf)
+                # a rule may hand one array to several parents, so a sum
+                # goes into a fresh array, never into one a rule returned
+                adjoints[key] = np.add(adjoints[key], pg, dtype=np.float64)
             else:
                 adjoints[key] = pg
 
@@ -305,20 +305,6 @@ def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.sum(a.data))
     shape = a.shape
     _finish("sum_all", [out], [a], lambda gs: (np.full(shape, gs[0]),))
-    return out
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over axis 0 of a matrix: (n, d) -> (1, d)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_rows expects a matrix, got shape {a.shape}")
-    n = a.shape[0]
-    out = Tensor(a.data.mean(axis=0, keepdims=True))
-
-    def bwd(gs):
-        return (np.tile(gs[0] / n, (n, 1)),)
-
-    _finish("mean_rows", [out], [a], bwd)
     return out
 
 
@@ -724,34 +710,47 @@ def dropout(a: Tensor, rate: float, training: bool,
 BCE_EPS = 1e-7
 
 
-def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """1D convolution over time with zero padding to the input length.
+def conv_relu_mean(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """The acoustic encoder as one tape node: the mean over frames of the
+    ReLU of a 1D convolution over time, zero-padded to the input length.
 
     ``x`` is (frames, in_channels), ``kernels`` is (out_channels, width,
-    in_channels) with odd width, ``bias`` is (out_channels,). Returns
-    (frames, out_channels).
+    in_channels) with odd width, ``bias`` is (out_channels,); the result
+    is (1, out_channels). As in ``_affine``, the convolution is checked
+    before the ReLU rectifies it in place, so a -inf the ReLU would hide
+    still raises a NumericError naming the op. The rule keeps the padded
+    frames and the ReLU's boolean mask, not the rectified matrix.
     """
+    op = "conv_relu_mean"
     if x.data.ndim != 2 or kernels.data.ndim != 3 or bias.data.ndim != 1:
-        raise ShapeError("conv1d_same: bad operand ranks")
+        raise ShapeError(f"{op}: bad operand ranks")
     frames, c_in = x.shape
     c_out, width, k_in = kernels.shape
     if k_in != c_in:
-        raise ShapeError(f"conv1d_same: {c_in} input channels vs kernel {k_in}")
+        raise ShapeError(f"{op}: {c_in} input channels vs kernel {k_in}")
     if bias.shape[0] != c_out:
-        raise ShapeError("conv1d_same: bias/kernel channel mismatch")
+        raise ShapeError(f"{op}: bias/kernel channel mismatch")
     if width % 2 == 0:
-        raise ShapeError("conv1d_same: kernel width must be odd")
+        raise ShapeError(f"{op}: kernel width must be odd")
     pad = width // 2
     padded = np.zeros((frames + width - 1, c_in))
     padded[pad:pad + frames] = x.data
     k_data, x_needs = kernels.data, x.requires_grad
-    result = np.tile(bias.data, (frames, 1))
-    for tap in range(width):
-        result += padded[tap:tap + frames] @ k_data[:, tap, :].T
-    out = Tensor(result)
+    # an overflow is reported as this op's NumericError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = np.tile(bias.data, (frames, 1))
+        for tap in range(width):
+            result += padded[tap:tap + frames] @ k_data[:, tap, :].T
+        _check_finite(op, result)
+        # the mask is formed only for a node that will be recorded
+        recorded = active_tape() is not None and (
+            x_needs or kernels.requires_grad or bias.requires_grad)
+        mask = result > 0.0 if recorded else None
+        np.maximum(result, 0.0, out=result)
+        out = Tensor(result.mean(axis=0, keepdims=True))
 
     def bwd(gs):
-        g = gs[0]
+        g = np.tile(gs[0] / frames, (frames, 1)) * mask
         d_kernels = np.zeros_like(k_data)
         for tap in range(width):
             d_kernels[:, tap, :] = g.T @ padded[tap:tap + frames]
@@ -763,7 +762,7 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             dx = d_padded[pad:pad + frames]
         return dx, d_kernels, g.sum(axis=0)
 
-    _finish("conv1d_same", [out], [x, kernels, bias], bwd)
+    _finish(op, [out], [x, kernels, bias], bwd)
     return out
 
 

@@ -220,8 +220,8 @@ class TestAcousticEncode:
         assert out.shape == (1, 128)
 
     def test_wrong_column_count_rejected(self):
-        # conv1d_same rejects bad ranks and widths; an empty matrix is
-        # rejected before the mean over its rows
+        # conv_relu_mean rejects bad ranks and widths; an empty matrix is
+        # rejected before the mean over its frames
         kernels, bias = init_acoustic(4, 128, np.random.default_rng(0))
         for shape in [(3, 64), (128,), (), (0, 128)]:
             with pytest.raises(ShapeError):

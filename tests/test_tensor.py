@@ -24,7 +24,7 @@ from banter.tensor import (
     backward,
     bce_loss,
     concat,
-    conv1d_same,
+    conv_relu_mean,
     dropout,
     exp_shifted,
     lstm_sequence,
@@ -373,12 +373,6 @@ class TestWindowOps:
         with Tape(), pytest.raises(NumericError, match=named):
             affine_relu_rows(x, w, b)
 
-    def test_mean_rows_keeps_a_row(self):
-        out = T.mean_rows(Tensor([[1.0, 2.0], [3.0, 6.0]]))
-        np.testing.assert_array_equal(out.data, [[2.0, 4.0]])
-        with pytest.raises(ShapeError):
-            T.mean_rows(Tensor([1.0, 2.0]))
-
 
 class TestSequenceOps:
     def test_affine_rowwise_rows_ignore_the_row_count(self):
@@ -565,17 +559,20 @@ class TestBackward:
 
     def test_shared_adjoint_is_not_written_through(self):
         # add hands one adjoint array to both x and y; x then takes a second
-        # contribution from mul(x, c), which must not leak into y.grad
+        # contribution from mul(x, c) and a third from mul(x, d), neither of
+        # which may leak into y.grad
         x = Tensor([0.5, -1.0], requires_grad=True)
         y = Tensor([2.0, 0.25], requires_grad=True)
         c = Tensor([3.0, -2.0])
+        d = Tensor([-0.5, 2.5])
         k = Tensor([1.5, 4.0])
         with Tape():
+            r = mul(x, d)
             t = mul(x, c)
             s = add(x, y)
-            backward(sum_all(add(mul(s, k), t)))
+            backward(sum_all(add(add(mul(s, k), t), r)))
         np.testing.assert_allclose(y.grad, k.data)
-        np.testing.assert_allclose(x.grad, k.data + c.data)
+        np.testing.assert_allclose(x.grad, k.data + c.data + d.data)
 
     def test_no_grad_flows_to_frozen_tensors(self):
         x = Tensor([1.0], requires_grad=True)
@@ -715,6 +712,23 @@ class TestTapeRetention:
             tracemalloc.stop()
         assert out.shape == (1, d)
         assert held / (windows * d * 8) <= 3.25
+
+    def test_conv_relu_mean_keeps_padded_frames_and_a_bool_mask(self):
+        # the rule reads the padded frames, the kernels and the ReLU's
+        # boolean mask, never a float64 (frames, c_out) convolution
+        frames, c_in, c_out = 6, 4, 3
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.uniform(-1, 1, size=(frames, c_in)))
+        k = Tensor(rng.uniform(-1, 1, size=(c_out, 3, c_in)),
+                   requires_grad=True)
+        c = Tensor(rng.uniform(-1, 1, size=c_out), requires_grad=True)
+        with Tape() as tape:
+            conv_relu_mean(x, k, c)
+        (node,) = tape._nodes
+        kept = _closure_arrays(node.backward_fn)
+        assert sorted((a.shape, a.dtype.name) for a in kept) == [
+            ((c_out, 3, c_in), "float64"), ((frames, c_out), "bool"),
+            ((frames + 2, c_in), "float64")]
 
     def test_lstm_keeps_no_stacked_gate_copy(self):
         # the rule reads the parameters' own gate arrays, never a
@@ -1004,8 +1018,9 @@ class TestConv1d:
         x = rng.uniform(-1, 1, size=(5, 2))
         k = rng.uniform(-1, 1, size=(3, 1, 2))
         c = rng.uniform(-1, 1, size=3)
-        out = conv1d_same(Tensor(x), Tensor(k), Tensor(c))
-        np.testing.assert_allclose(out.data, x @ k[:, 0, :].T + c, atol=1e-12)
+        out = conv_relu_mean(Tensor(x), Tensor(k), Tensor(c))
+        want = np.maximum(x @ k[:, 0, :].T + c, 0.0).mean(axis=0)
+        np.testing.assert_allclose(out.data, [want], atol=1e-12)
 
     def test_matches_direct_padding_evaluation(self):
         rng = np.random.default_rng(12)
@@ -1020,18 +1035,31 @@ class TestConv1d:
             window = padded[t:t + width]
             for o in range(c_out):
                 want[t, o] = np.sum(window * k[o]) + c[o]
-        out = conv1d_same(Tensor(x), Tensor(k), Tensor(c))
-        np.testing.assert_allclose(out.data, want, atol=1e-12)
+        out = conv_relu_mean(Tensor(x), Tensor(k), Tensor(c))
+        np.testing.assert_allclose(
+            out.data, [np.maximum(want, 0.0).mean(axis=0)], atol=1e-12)
 
     def test_even_width_rejected(self):
         with pytest.raises(ShapeError):
-            conv1d_same(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 2, 2))),
-                        Tensor(np.ones(1)))
+            conv_relu_mean(Tensor(np.ones((4, 2))),
+                           Tensor(np.ones((1, 2, 2))), Tensor(np.ones(1)))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            conv1d_same(Tensor(np.ones((4, 2))), Tensor(np.ones((1, 3, 5))),
-                        Tensor(np.ones(1)))
+            conv_relu_mean(Tensor(np.ones((4, 2))),
+                           Tensor(np.ones((1, 3, 5))), Tensor(np.ones(1)))
+
+    def test_names_a_convolution_output_the_relu_would_hide(self):
+        # the product and the bias are finite, their sum overflows to -inf
+        # in channel 0, whose ReLU and mean would read 0
+        x = Tensor([[1e154, 1.0]], requires_grad=True)
+        k = Tensor([[[-1e154, 0.0]], [[1.0, 1.0]]])
+        c = Tensor([-1e308, 0.0])
+        named = "^conv_relu_mean: non-finite"
+        with pytest.raises(NumericError, match=named):
+            conv_relu_mean(x, k, c)
+        with Tape(), pytest.raises(NumericError, match=named):
+            conv_relu_mean(x, k, c)
 
 
 class TestOpRegistry:
@@ -1082,13 +1110,13 @@ class TestConv1dAdjoints:
         x = rng.uniform(-1, 1, size=(6, 4))
         k = rng.uniform(-1, 1, size=(3, 3, 4))
         c = rng.uniform(-1, 1, size=3)
-        g = rng.uniform(-1, 1, size=(6, 3))
+        g = rng.uniform(-1, 1, size=(1, 3))
         grads = []
         for x_needs_grad in (True, False):
             with Tape() as tape:
-                conv1d_same(Tensor(x, requires_grad=x_needs_grad),
-                            Tensor(k, requires_grad=True),
-                            Tensor(c, requires_grad=True))
+                conv_relu_mean(Tensor(x, requires_grad=x_needs_grad),
+                               Tensor(k, requires_grad=True),
+                               Tensor(c, requires_grad=True))
                 grads.append(tape._nodes[-1].backward_fn([g]))
         (dx, dk, dc), (no_dx, const_dk, const_dc) = grads
         assert dx is not None and no_dx is None

@@ -236,7 +236,7 @@ def lstm_reads_tanh_of_cells(mp):
 
 
 def conv_reads_taps_reversed(mp):
-    saved_value_replaced(mp, "conv1d_same", "k_data",
+    saved_value_replaced(mp, "conv_relu_mean", "k_data",
                          lambda saved: saved["k_data"][:, ::-1])
 
 
@@ -271,7 +271,8 @@ PLANTED_FAULTS = [
      "FAIL window_ratio[k=1,n=5].h0"),
     ("gradients.lstm", lstm_reads_tanh_of_cells,
      "FAIL lstm_sequence[n=5].w_f"),
-    ("gradients.conv", conv_reads_taps_reversed, "FAIL conv1d_same.x"),
+    ("gradients.conv", conv_reads_taps_reversed,
+     "FAIL conv_relu_mean.x"),
     ("gradients.model", relu_keeps_the_complement_mask,
      "FAIL text_attn.proj_w"),
 ]
