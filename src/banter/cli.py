@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -34,6 +35,7 @@ from .model import (
     build_variant,
     forward_dialog,
     load_checkpoint,
+    parameter_shapes,
     save_checkpoint,
     variant_label,
 )
@@ -213,8 +215,17 @@ def cmd_train(args) -> int:
         config = dataclasses.replace(config, d_text_in=table.dimension)
     train_dialogs, val_dialogs = split_train_val(
         dialogs, settings["val_fraction"], train_config.seed)
-    best, history = train(config, train_dialogs, val_dialogs, train_config,
-                          table)
+    try:
+        best, history = train(config, train_dialogs, val_dialogs,
+                              train_config, table)
+    except MemoryError:
+        # a run file that asks for more memory than the process can have
+        shapes = parameter_shapes(config)
+        sizes = dict(zip(shapes, map(math.prod, shapes.values())))
+        name = max(sizes, key=sizes.get)
+        raise CliError(EXIT_CONFIG, f"{args.config}: training ran out of "
+                       f"memory; the largest parameter, {name!r}, has shape "
+                       f"{shapes[name]}") from None
 
     checkpoint_path = out_dir / "model.ckpt"
     save_checkpoint(best, checkpoint_path, config)

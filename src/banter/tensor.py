@@ -9,7 +9,6 @@ accumulate gradients in exact reverse execution order.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,10 +30,11 @@ _SERIAL = itertools.count()
 class Tensor:
     """A dense array of float64 values with an optional gradient buffer.
 
-    ``data`` is always a C-contiguous float64 ndarray. ``grad`` starts as
-    ``None`` and is allocated on first accumulation; it always matches
-    ``data`` in shape. Scalars are shape-() tensors. ``key`` is a serial
-    number no other tensor of the process gets; the tape names tensors by it.
+    ``data`` is always a C-contiguous float64 ndarray. ``grad`` is ``None``
+    until the first accumulation, then an ndarray of ``data``'s shape.
+    Scalars are shape-() tensors. ``requires_grad`` marks a leaf that asks
+    for its gradient, never an op output. ``key`` is a serial number no
+    other tensor of the process gets; the tape names tensors by it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "key")
@@ -58,7 +58,8 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = g.astype(np.float64, copy=True)
+            # a rule may return a 0-d adjoint as a numpy scalar
+            self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -107,24 +108,22 @@ class Tape:
         return len(self._nodes)
 
     def __enter__(self) -> "Tape":
-        _STATE.stack.append(self)
+        global _ACTIVE
+        if _ACTIVE is not None:
+            raise RuntimeError("a Tape is already active; tapes do not nest")
+        _ACTIVE = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _STATE.stack.pop()
-        assert popped is self, "tape context exited out of order"
+        global _ACTIVE
+        _ACTIVE = None
 
 
-class _TapeState(threading.local):
-    def __init__(self):
-        self.stack: list[Tape] = []
-
-
-_STATE = _TapeState()
+_ACTIVE: Tape | None = None  # the one tape that records ops
 
 
 def active_tape() -> Tape | None:
-    return _STATE.stack[-1] if _STATE.stack else None
+    return _ACTIVE
 
 
 def _check_finite(op: str, values: np.ndarray) -> None:
@@ -133,33 +132,39 @@ def _check_finite(op: str, values: np.ndarray) -> None:
         raise NumericError(f"{op}: non-finite output")
 
 
+def _needs(parents: Sequence[Tensor]) -> tuple[bool, ...] | None:
+    """Per parent, whether an op's node differentiates it: a leaf that asks
+    for its gradient, or an output the active tape recorded. None when the
+    op records no node: no tape is active, or no parent needs a gradient."""
+    tape = active_tape()
+    if tape is None:
+        return None
+    shapes = tape._shapes
+    needs = tuple([p.requires_grad or p.key in shapes for p in parents])
+    return needs if True in needs else None
+
+
 def _finish(op: str, outputs: Sequence[Tensor], parents: Sequence[Tensor],
             backward_fn: Callable) -> None:
-    """Register the node on the active tape when any parent needs gradients.
+    """Check the output, then record the node if ``_needs`` asks for one.
 
-    Every op has exactly one output. It comes as a one-element list, and
-    ``backward_fn`` receives its adjoint as a one-element list, because ops
-    and tests alike call ``_finish(name, [out], parents, rule)``.
-    ``backward_fn`` must close over the arrays, shapes and flags it reads,
-    never over a Tensor, so that the tape keeps no activation that no rule
-    reads. A non-finite output raises a NumericError naming the op.
+    Every op has exactly one output, passed as a one-element list, and
+    ``backward_fn`` gets its adjoint as one, because perfbench plants a
+    ``lambda gs: ...`` rule and tests call ``backward_fn([g])``. The rule
+    must close over the arrays, shapes and flags it reads, never over a
+    Tensor, so the tape keeps no activation that no rule reads. A
+    non-finite output raises a NumericError naming the op.
     """
     (out,) = outputs
     _check_finite(op, out.data)
-    needs = [p.requires_grad for p in parents]
-    if True not in needs:
+    needs = _needs(parents)
+    if needs is None:
         return
-    out.requires_grad = True
     tape = active_tape()
-    if tape is None:
-        return
-    shapes = tape._shapes
+    tape._leaves.update([(p.key, p) for p in parents if p.requires_grad])
+    tape._shapes[out.key] = out.data.shape
     parent_keys = tuple([p.key if need else None
                          for p, need in zip(parents, needs)])
-    for p, key in zip(parents, parent_keys):
-        if key is not None and key not in shapes:
-            tape._leaves[key] = p
-    shapes[out.key] = out.data.shape
     tape._nodes.append(_Node(op, out.key, parent_keys, backward_fn))
 
 
@@ -351,7 +356,7 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product,
     if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise ShapeError(f"{op}: {x.shape} rows through {w.shape} "
                          f"+ {b.shape}")
-    x_data, w_data, x_needs = x.data, w.data, x.requires_grad
+    x_data, w_data, needs = x.data, w.data, _needs([x, w, b])
     # an overflow is reported below as this op's NumericError, not first
     # as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -368,7 +373,7 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor, product,
 
     def bwd(gs):
         g = gs[0] if rectified is None else gs[0] * (rectified > 0.0)
-        dx = g @ w_data if x_needs else None
+        dx = g @ w_data if needs[0] else None
         dw = _Outer(g, x_data) if stack else g.T @ x_data
         return dx, dw, g.sum(axis=0)
 
@@ -408,8 +413,7 @@ def affine_rowwise(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     # the mask is formed only for a node that will be recorded
-    recorded = a.requires_grad and active_tape() is not None
-    mask = a.data > 0.0 if recorded else None
+    mask = a.data > 0.0 if _needs([a]) else None
 
     def bwd(gs):
         return (gs[0] * mask,)
@@ -619,7 +623,7 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
         if u[k].shape != (hd, hd) or b[k].shape != (hd,):
             raise ShapeError(f"lstm_sequence: recurrence {u[k].shape} or "
                              f"bias {b[k].shape} does not fit width {hd}")
-    x_data, x_needs = x.data, x.requires_grad
+    x_data, needs = x.data, _needs([x, *w, *u, *b])
     # the rule keeps the gate arrays, which the parameters hold anyway, not
     # the stacked copies
     w_data = [t.data for t in w]
@@ -670,7 +674,7 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
             d_z[t] *= factors[t]
             dc_next = dc * f[t]
             dh_next = d_z[t] @ u_stack
-        dx = d_z @ np.concatenate(w_data) if x_needs else None
+        dx = d_z @ np.concatenate(w_data) if needs[0] else None
         dw = d_z.T @ x_data
         du = d_z[1:].T @ hiddens[:-1]
         db = d_z.sum(axis=0)
@@ -735,7 +739,7 @@ def conv_relu_mean(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     pad = width // 2
     padded = np.zeros((frames + width - 1, c_in))
     padded[pad:pad + frames] = x.data
-    k_data, x_needs = kernels.data, x.requires_grad
+    k_data, needs = kernels.data, _needs([x, kernels, bias])
     # an overflow is reported as this op's NumericError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         result = np.tile(bias.data, (frames, 1))
@@ -743,9 +747,7 @@ def conv_relu_mean(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             result += padded[tap:tap + frames] @ k_data[:, tap, :].T
         _check_finite(op, result)
         # the mask is formed only for a node that will be recorded
-        recorded = active_tape() is not None and (
-            x_needs or kernels.requires_grad or bias.requires_grad)
-        mask = result > 0.0 if recorded else None
+        mask = result > 0.0 if needs else None
         np.maximum(result, 0.0, out=result)
         out = Tensor(result.mean(axis=0, keepdims=True))
 
@@ -755,7 +757,7 @@ def conv_relu_mean(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         for tap in range(width):
             d_kernels[:, tap, :] = g.T @ padded[tap:tap + frames]
         dx = None
-        if x_needs:
+        if needs[0]:
             d_padded = np.zeros_like(padded)
             for tap in range(width):
                 d_padded[tap:tap + frames] += g @ k_data[:, tap, :]

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -1180,13 +1181,23 @@ class TestConsoleScript:
     # imports this checkout whatever its working directory is
     SRC = Path(banter.__file__).resolve().parents[1]
 
-    def run_entry(self, argv):
+    def run_entry(self, argv, address_space=None):
+        """Run ``argv`` in a child process; with ``address_space`` (bytes),
+        under that RLIMIT_AS and with one BLAS thread, so that the limit
+        holds whatever the core count."""
         env = dict(os.environ)
         inherited = env.get("PYTHONPATH")
         env["PYTHONPATH"] = os.pathsep.join(
             [str(self.SRC)] + ([inherited] if inherited else []))
+        limit = None
+        if address_space is not None:
+            env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = "1"
+
+            def limit():
+                resource.setrlimit(resource.RLIMIT_AS,
+                                   (address_space, address_space))
         return subprocess.run(argv, capture_output=True, text=True,
-                              timeout=60, env=env)
+                              timeout=60, env=env, preexec_fn=limit)
 
     def assert_train_help(self, proc):
         assert proc.returncode == 0
@@ -1206,6 +1217,25 @@ class TestConsoleScript:
             scripts = tomllib.load(handle)["project"]["scripts"]
         assert scripts["banter"] == "banter.cli:console_main"
         assert banter.__main__.console_main is cli.console_main
+
+    # 768 MiB holds a tiny run several times over, but not one of these
+    # weights, so the first oversized draw fails before it writes anything
+    @pytest.mark.parametrize("key, value, largest", [
+        ("d_hidden", 10**7,
+         "'filter_audio.gate_w', has shape (20000000, 30000000)"),
+        ("head_hidden", 10**8, "'head_sarcasm.w1', has shape (100000000, 56)"),
+    ])
+    def test_run_file_too_large_for_memory_is_a_config_error(
+            self, workspace, tmp_path, key, value, largest):
+        _, corpus, emb = workspace
+        cfg = write_config(tmp_path / "huge.cfg", corpus, emb,
+                           out_dir=tmp_path / "out", **{key: value})
+        proc = self.run_entry([sys.executable, "-m", "banter", "train",
+                               "--config", str(cfg)],
+                              address_space=768 << 20)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: {cfg}: training ran out of memory; the largest "
+               f"parameter, {largest}\n")
 
     @pytest.mark.skipif(shutil.which("banter") is None,
                         reason="no installed banter console script on PATH")

@@ -1,8 +1,10 @@
 """Unit and property tests for the tensor kernel, tape, and optimizer."""
 
+import ast
 import inspect
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,6 +520,13 @@ class TestBackward:
             backward(scale(sigmoid(w), 8.0))
         np.testing.assert_allclose(w.grad, 2.0, atol=1e-12)
 
+    def test_zero_dim_leaf_gets_an_ndarray_gradient(self):
+        # scale's rule hands a 0-d adjoint on as a numpy scalar
+        w = Tensor(0.0, requires_grad=True)
+        with Tape():
+            backward(scale(sigmoid(w), 8.0))
+        assert type(w.grad) is np.ndarray and w.grad.shape == ()
+
     def test_fanout_sums_both_contributions(self):
         # y feeds mul(y, y) and a separate add branch
         def f(params):
@@ -549,6 +558,30 @@ class TestBackward:
         loss = sum_all(Tensor([1.0]))
         with pytest.raises(RuntimeError):
             backward(loss)
+
+    def test_a_tape_inside_another_is_refused(self):
+        with Tape() as outer:
+            with pytest.raises(RuntimeError, match="already active"):
+                with Tape():
+                    pass
+            assert T.active_tape() is outer
+        assert T.active_tape() is None
+
+    def test_output_of_another_tape_is_a_constant(self):
+        # made with no tape, or on an earlier one, an op output is not a
+        # leaf: a later tape records no node for it and gives it no .grad
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        y = tanh(x)
+        with Tape():
+            z = sigmoid(x)
+        assert (y.requires_grad, z.requires_grad) == (False, False)
+        with Tape() as tape:
+            scale(y, 2.0)
+            scale(z, 2.0)
+            assert len(tape) == 0
+            backward(sum_all(mul(add(y, z), x)))
+        assert y.grad is None and z.grad is None
+        np.testing.assert_allclose(x.grad, y.data + z.data)
 
     def test_rejects_non_scalar_loss(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -1102,6 +1135,47 @@ class TestOpRegistry:
         check_names = {name for name, _ in CHECKS}
         assert set(OP_GROUPS) <= check_names
         assert all(name.startswith("gradients.") for name in OP_GROUPS)
+
+
+class TestTapeDecisions:
+    """Whether an op records a node, and which parents the node
+    differentiates, is decided in ``_needs`` alone."""
+
+    @staticmethod
+    def functions_where(predicate) -> set[str]:
+        """Each function or method of the package, as ``module.qualname``,
+        whose source (its nested rules included) has an AST node for which
+        ``predicate`` holds."""
+        found = set()
+        for path in sorted(Path(T.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scopes = [(path.stem, tree.body)] + [
+                (f"{path.stem}.{cls.name}", cls.body) for cls in tree.body
+                if isinstance(cls, ast.ClassDef)]
+            for prefix, body in scopes:
+                found.update(
+                    f"{prefix}.{node.name}" for node in body
+                    if isinstance(node, ast.FunctionDef)
+                    and any(predicate(n) for n in ast.walk(node)))
+        return found
+
+    def test_only_leaves_and_the_decision_touch_requires_grad(self):
+        # Tensor.__init__ sets it, _needs reads it, and _finish registers
+        # the leaves it marks
+        touching = self.functions_where(
+            lambda n: isinstance(n, ast.Attribute)
+            and n.attr == "requires_grad")
+        assert touching == {"tensor.Tensor.__init__", "tensor._needs",
+                            "tensor._finish"}
+
+    def test_only_the_decision_and_backward_read_the_active_tape(self):
+        # Tape.__enter__ reads the slot too, to refuse a second tape
+        reading = self.functions_where(
+            lambda n: isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            and n.id in ("_ACTIVE", "active_tape"))
+        assert reading - {"tensor.Tape.__enter__"} == {
+            "tensor._needs", "tensor._finish", "tensor.backward",
+            "tensor.active_tape"}
 
 
 class TestConv1dAdjoints:

@@ -202,9 +202,7 @@ def saved_value_replaced(mp, op, name, wrong):
     record = tensor._finish
 
     def finish(op_name, outputs, parents, backward_fn):
-        recorded = tensor.active_tape() is not None and any(
-            p.requires_grad for p in parents)
-        if op_name == op and recorded:
+        if op_name == op and tensor._needs(parents) is not None:
             names = backward_fn.__code__.co_freevars
             cells = dict(zip(names, backward_fn.__closure__))
             saved = {key: cell.cell_contents for key, cell in cells.items()}
