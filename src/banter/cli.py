@@ -218,6 +218,9 @@ def cmd_train(args) -> int:
     try:
         best, history = train(config, train_dialogs, val_dialogs,
                               train_config, table)
+    except ConfigError as exc:
+        # a layout priced out before anything was drawn
+        raise CliError(EXIT_CONFIG, f"{args.config}: {exc}") from None
     except MemoryError:
         # a run file that asks for more memory than the process can have
         shapes = parameter_shapes(config)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -247,9 +248,21 @@ def init_parameters(config: ModelConfig,
     """Fresh parameters for a configuration, each from ``initial_value``.
 
     Values are drawn in ``parameter_shapes``' order, except that an LSTM
-    draws its four input weights before its four recurrent ones.
+    draws its four input weights before its four recurrent ones. The
+    layout is priced first: one whose float64 values alone exceed the
+    machine's physical memory raises a ConfigError naming its size and its
+    largest parameter, before anything is drawn.
     """
     shapes = parameter_shapes(config)
+    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+    needed = 8 * sum(sizes.values())
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        name = max(sizes, key=sizes.get)
+        raise ConfigError(
+            f"the parameters alone need {needed / 2**30:,.1f} GiB, more than "
+            f"the {physical / 2**30:,.1f} GiB of physical memory; the "
+            f"largest parameter, {name!r}, has shape {shapes[name]}")
     # a stable sort by (module, is recurrent) moves each LSTM's u last
     modules = {m: k for k, m in enumerate(
         dict.fromkeys(name.split(".")[0] for name in shapes))}

@@ -93,13 +93,16 @@ class Tape:
     A tape keeps what its nodes' rules read, not the op outputs, so a
     forward pass holds the sum of the arrays its rules saved, plus the
     shapes of the tensors its nodes made and the leaves that need a
-    gradient. Discarding a tape never touches parameter values.
+    gradient. A tape is consumed by the ``backward`` that runs it: each
+    node is dropped as soon as its rule has run, and afterwards the tape
+    holds no node. Discarding a tape never touches parameter values.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        # the shape of every tensor this tape's nodes made, by key
-        self._shapes: dict[int, tuple[int, ...]] = {}
+        # the shape of every tensor this tape's nodes made, by key; None
+        # once backward has run the node that made it
+        self._shapes: dict[int, tuple[int, ...] | None] = {}
         # every leaf that needs a gradient (a parent that no node of this
         # tape made, such as a parameter or a graph input), by key
         self._leaves: dict[int, Tensor] = {}
@@ -192,18 +195,27 @@ def _take_adjoint(key: int, adjoints: dict, outers: dict) -> np.ndarray | None:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate adjoints of ``loss`` into every reachable requires_grad leaf.
+    """Accumulate adjoints of ``loss`` into every reachable requires_grad leaf,
+    consuming the active tape.
 
-    Traverses the active tape in exact reverse execution order. Only leaves
-    (parameters and graph inputs) receive a ``.grad``; op outputs keep
-    ``None``, so their adjoints are freed as soon as their node has run.
+    Pops the tape's nodes in exact reverse execution order and runs each
+    rule once its node is off the tape, so the rule, and every array that
+    no node still waiting to run reads, is freed as soon as the rule has
+    run; afterwards the tape holds no node. Only leaves (parameters and
+    graph inputs) receive a ``.grad``; op outputs keep ``None``, so their
+    adjoints are freed as soon as their node has run.
     Outer-product terms (``_Outer``) a tensor receives are kept in reverse
     execution order and summed as one product just before the tensor's own
     node runs, or, for a leaf, after the last node. A tensor's second and
     later dense adjoints are summed into a fresh array each time, so no
     array a rule returned is ever written. A rule's adjoint whose
-    shape is not its parent's raises ``ShapeError`` naming the op. Repeated
-    calls accumulate until ``.grad`` is set back to ``None``.
+    shape is not its parent's raises ``ShapeError`` naming the op.
+    Running a graph backward a second time raises ``RuntimeError``: a loss
+    whose node an earlier call consumed, or an adjoint that reaches a
+    tensor whose node was consumed. A loss that no node made, a constant
+    or a leaf, takes the adjoint 1 itself. Graphs recorded one after
+    another on one tape, each run by its own call, accumulate until
+    ``.grad`` is set back to ``None``.
     """
     tape = active_tape()
     if tape is None:
@@ -211,11 +223,16 @@ def backward(loss: Tensor) -> None:
     if loss.shape != ():
         raise ShapeError(f"backward() needs a scalar loss, got shape {loss.shape}")
 
-    shapes, leaves = tape._shapes, tape._leaves
+    shapes, leaves, nodes = tape._shapes, tape._leaves, tape._nodes
+    if loss.key in shapes and shapes[loss.key] is None:
+        raise RuntimeError("backward(): an earlier backward() consumed this "
+                           "loss's graph; record the forward pass again")
     adjoints: dict[int, np.ndarray] = {loss.key: np.ones((), dtype=np.float64)}
     outers: dict[int, list[_Outer]] = {}
 
-    for node in reversed(tape._nodes):
+    while nodes:
+        node = nodes.pop()
+        shapes[node.out_key] = None
         g = _take_adjoint(node.out_key, adjoints, outers)
         if g is None:
             continue
@@ -227,6 +244,9 @@ def backward(loss: Tensor) -> None:
             got = (pg.rows.shape[1], pg.cols.shape[1]) if outer else pg.shape
             shape = shapes[key] if key in shapes else leaves[key].data.shape
             if got != shape:
+                if shape is None:
+                    raise RuntimeError(f"backward of {node.op}: an earlier "
+                                       f"backward() consumed a parent's node")
                 raise ShapeError(f"backward of {node.op}: adjoint of shape "
                                  f"{got} for a parent of shape {shape}")
             if outer:

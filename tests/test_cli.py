@@ -12,6 +12,8 @@ import resource
 import shutil
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,15 @@ from synthdata import (
 )
 from test_model import rewrite_checkpoint_header
 from test_verify import broken_tanh, run_alone
+
+
+def priced_out(size_gib: str, largest: str) -> str:
+    """``init_parameters``' message for a layout of ``size_gib`` GiB priced
+    against this machine's physical memory."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return (f"the parameters alone need {size_gib} GiB, more than the "
+            f"{physical / 2**30:,.1f} GiB of physical memory; the largest "
+            f"parameter, {largest}")
 
 
 @pytest.fixture(scope="module")
@@ -1184,7 +1195,8 @@ class TestConsoleScript:
     def run_entry(self, argv, address_space=None):
         """Run ``argv`` in a child process; with ``address_space`` (bytes),
         under that RLIMIT_AS and with one BLAS thread, so that the limit
-        holds whatever the core count."""
+        holds whatever the core count. Returns the finished process and
+        the child's own peak RSS in MiB."""
         env = dict(os.environ)
         inherited = env.get("PYTHONPATH")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -1196,8 +1208,22 @@ class TestConsoleScript:
             def limit():
                 resource.setrlimit(resource.RLIMIT_AS,
                                    (address_space, address_space))
-        return subprocess.run(argv, capture_output=True, text=True,
-                              timeout=60, env=env, preexec_fn=limit)
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as out, \
+                tempfile.TemporaryFile("w+", encoding="utf-8") as err:
+            child = subprocess.Popen(argv, stdout=out, stderr=err, env=env,
+                                     preexec_fn=limit)
+            timer = threading.Timer(60, child.kill)
+            timer.start()
+            # wait4 reports this child's own usage; RUSAGE_CHILDREN holds
+            # the largest peak of every child this process has reaped
+            _, status, usage = os.wait4(child.pid, 0)
+            timer.cancel()
+            child.returncode = os.waitstatus_to_exitcode(status)
+            out.seek(0)
+            err.seek(0)
+            proc = subprocess.CompletedProcess(argv, child.returncode,
+                                               out.read(), err.read())
+        return proc, usage.ru_maxrss / 1024
 
     def assert_train_help(self, proc):
         assert proc.returncode == 0
@@ -1206,8 +1232,8 @@ class TestConsoleScript:
         assert "val_fraction" in proc.stdout
 
     def test_entry_point_prints_config_keys(self):
-        proc = self.run_entry([sys.executable, "-m", "banter", "train",
-                               "--help"])
+        proc, _ = self.run_entry([sys.executable, "-m", "banter", "train",
+                                  "--help"])
         self.assert_train_help(proc)
 
     def test_installed_script_matches_module_entry(self):
@@ -1218,27 +1244,39 @@ class TestConsoleScript:
         assert scripts["banter"] == "banter.cli:console_main"
         assert banter.__main__.console_main is cli.console_main
 
-    # 768 MiB holds a tiny run several times over, but not one of these
-    # weights, so the first oversized draw fails before it writes anything
-    @pytest.mark.parametrize("key, value, largest", [
-        ("d_hidden", 10**7,
-         "'filter_audio.gate_w', has shape (20000000, 30000000)"),
-        ("head_hidden", 10**8, "'head_sarcasm.w1', has shape (100000000, 56)"),
+    # the d_hidden layouts exceed any machine's memory, so they are priced
+    # out before anything is drawn: at 10**6, drawing first would write
+    # lstm_text's four (10**6, 12) input weights, 92 MiB each, before the
+    # first (10**6, 10**6) one failed. The head_hidden layout (1.6 GiB)
+    # fits in memory but not under the limit, so its first (1900000, 56)
+    # weight's draw fails before it writes anything.
+    @pytest.mark.parametrize("key, value, expected", [
+        pytest.param("d_hidden", 10**7, priced_out(
+            "14,901,174.3", "'filter_audio.gate_w', has shape "
+            "(20000000, 30000000)"), id="d_hidden-10000000"),
+        pytest.param("d_hidden", 10**6, priced_out(
+            "149,012.9", "'filter_audio.gate_w', has shape "
+            "(2000000, 3000000)"), id="d_hidden-1000000"),
+        pytest.param("head_hidden", 1_900_000,
+                     "training ran out of memory; the largest parameter, "
+                     "'head_sarcasm.w1', has shape (1900000, 56)",
+                     id="head_hidden-1900000"),
     ])
     def test_run_file_too_large_for_memory_is_a_config_error(
-            self, workspace, tmp_path, key, value, largest):
+            self, workspace, tmp_path, key, value, expected):
         _, corpus, emb = workspace
         cfg = write_config(tmp_path / "huge.cfg", corpus, emb,
                            out_dir=tmp_path / "out", **{key: value})
-        proc = self.run_entry([sys.executable, "-m", "banter", "train",
-                               "--config", str(cfg)],
-                              address_space=768 << 20)
+        # 768 MiB holds a tiny run several times over
+        proc, peak_mb = self.run_entry([sys.executable, "-m", "banter",
+                                        "train", "--config", str(cfg)],
+                                       address_space=768 << 20)
         assert (proc.returncode, proc.stderr) == (
-            2, f"error: {cfg}: training ran out of memory; the largest "
-               f"parameter, {largest}\n")
+            2, f"error: {cfg}: {expected}\n")
+        assert peak_mb < 300
 
     @pytest.mark.skipif(shutil.which("banter") is None,
                         reason="no installed banter console script on PATH")
     def test_installed_script_prints_config_keys(self):
-        proc = self.run_entry(["banter", "train", "--help"])
+        proc, _ = self.run_entry(["banter", "train", "--help"])
         self.assert_train_help(proc)

@@ -4,6 +4,7 @@ import ast
 import inspect
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -538,13 +539,56 @@ class TestBackward:
         assert report.passed, report.summary()
 
     def test_repeated_backward_accumulates(self):
+        # two graphs recorded one after the other on one tape, each run
+        # backward once
         x = Tensor([2.0], requires_grad=True)
         with Tape():
-            loss = sum_all(mul(x, x))
-            backward(loss)
+            backward(sum_all(mul(x, x)))
             np.testing.assert_allclose(x.grad, [4.0])
-            backward(loss)
+            backward(sum_all(mul(x, x)))
             np.testing.assert_allclose(x.grad, [8.0])
+
+    def test_second_backward_through_a_consumed_graph_is_refused(self):
+        x = Tensor([2.0], requires_grad=True)
+        with Tape():
+            y = mul(x, x)
+            loss = sum_all(y)
+            backward(loss)
+            with pytest.raises(RuntimeError, match="consumed this loss"):
+                backward(loss)
+            # a new graph that reads a consumed output is refused where
+            # its adjoint reaches that output
+            with pytest.raises(RuntimeError, match="backward of mul: .* "
+                               "consumed a parent's node"):
+                backward(sum_all(mul(y, x)))
+        np.testing.assert_allclose(x.grad, [4.0])
+
+    def test_a_loss_no_node_made_takes_its_own_adjoint(self):
+        w = Tensor(3.0, requires_grad=True)
+        c = Tensor(5.0)
+        with Tape():
+            backward(w)
+            backward(w)
+            backward(c)
+        np.testing.assert_array_equal(w.grad, 2.0)
+        np.testing.assert_array_equal(c.grad, 1.0)
+
+    def test_backward_frees_each_rule_and_empties_the_tape(self):
+        # ``kept``'s array is read by the last node's rule alone, so it is
+        # freed while backward still has nodes to run, not when the tape
+        # goes
+        x = Tensor([0.5, -1.5], requires_grad=True)
+        tape_lengths = []
+        with Tape() as tape:
+            kept = Tensor(4.0)
+            weakref.finalize(kept.data, lambda: tape_lengths.append(len(tape)))
+            loss = mul(tanh(sum_all(x)), kept)
+            del kept
+            assert len(tape) == 3 and tape_lengths == []
+            backward(loss)
+            assert len(tape) == 0
+        assert tape_lengths == [1]
+        np.testing.assert_allclose(x.grad, 4.0 / np.cosh(-1.0) ** 2)
 
     def test_intermediates_keep_no_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
