@@ -620,13 +620,18 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
         h_t = sigmoid(z_o) * tanh(c_t)
 
     so it sees rows 0..t of ``x`` only. The whole sequence is one tape
-    node. The forward pass stacks the four gates and walks the steps in
-    numpy; the input projections of all steps are computed up front, but
-    one row at a time (``_rowwise_product``), unlike ``affine_relu_rows``:
-    rows here are dialog positions, and a dialog prefix must give its
-    positions the same bits as the whole dialog. The backward pass stacks
-    the gates again, runs backpropagation through time in numpy, then forms
-    each weight gradient as one GEMM over all steps.
+    node. The forward pass reads each gate's weights where they lie, with
+    no stacked copy: every gate's input projections of all steps are
+    computed up front into its column block, one row at a time
+    (``_rowwise_product``), unlike ``affine_relu_rows``: rows here are
+    dialog positions, and a dialog prefix must give its positions the same
+    bits as the whole dialog. Each step then writes ``U_k h_{t-1}`` into
+    the same block of one reused vector. With OpenBLAS's Haswell gemv
+    kernels this gives the bits of one product over the stacked gates
+    when ``h`` is a multiple of 4, such as the paper's 128; at other
+    widths an entry may differ in its last bits. The backward pass stacks
+    the gates, runs backpropagation through time in numpy, then forms each
+    weight gradient as one GEMM over all steps.
     """
     if len(w) != 4 or len(u) != 4 or len(b) != 4:
         raise ShapeError("lstm_sequence: needs w, u and b for 4 gates")
@@ -644,25 +649,29 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
             raise ShapeError(f"lstm_sequence: recurrence {u[k].shape} or "
                              f"bias {b[k].shape} does not fit width {hd}")
     x_data, needs = x.data, _needs([x, *w, *u, *b])
-    # the rule keeps the gate arrays, which the parameters hold anyway, not
-    # the stacked copies
+    # the forward pass and the rule read the parameters' own gate arrays,
+    # never a stacked copy of them
     w_data = [t.data for t in w]
     u_data = [t.data for t in u]
-    w_all = np.concatenate(w_data)
-    u_all = np.concatenate(u_data)
     b_all = np.concatenate([t.data for t in b])
     n = x.shape[0]
-    projected = _rowwise_product(x_data, w_all)
+    gates = [slice(k * hd, (k + 1) * hd) for k in range(4)]
+    projected = np.empty((n, 4 * hd))
+    for s, w_k in zip(gates, w_data):
+        projected[:, s] = _rowwise_product(x_data, w_k)
+    recur = np.empty(4 * hd)
     # per step: sigmoid(z_i), sigmoid(z_f), tanh(z_g), sigmoid(z_o)
     acts = np.empty((n, 4 * hd))
     cells = np.empty((n, hd))
     tanh_cells = np.empty((n, hd))
     hiddens = np.empty((n, hd))
-    cell_gate = slice(2 * hd, 3 * hd)
+    cell_gate = gates[2]
     h = np.zeros(hd)
     c = np.zeros(hd)
     for t in range(n):
-        z = (projected[t] + u_all @ h) + b_all
+        for s, u_k in zip(gates, u_data):
+            np.matmul(u_k, h, out=recur[s])
+        z = (projected[t] + recur) + b_all
         a = _stable_sigmoid(z)
         a[cell_gate] = np.tanh(z[cell_gate])
         i, f, g, o = a[:hd], a[hd:2 * hd], a[cell_gate], a[3 * hd:]
@@ -675,7 +684,7 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
     def bwd(gs):
         d_hiddens = gs[0]
         u_stack = np.concatenate(u_data)
-        i, f, g, o = (acts[:, k * hd:(k + 1) * hd] for k in range(4))
+        i, f, g, o = (acts[:, s] for s in gates)
         c_prev = np.vstack([np.zeros((1, hd)), cells[:-1]])
         # dz = dL/dc (i, f, g blocks) or dL/dh (o block) times these
         factors = np.hstack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
@@ -698,7 +707,6 @@ def lstm_sequence(x: Tensor, w: Sequence[Tensor], u: Sequence[Tensor],
         dw = d_z.T @ x_data
         du = d_z[1:].T @ hiddens[:-1]
         db = d_z.sum(axis=0)
-        gates = [slice(k * hd, (k + 1) * hd) for k in range(4)]
         return (dx, *(dw[s] for s in gates), *(du[s] for s in gates),
                 *(db[s] for s in gates))
 
@@ -743,7 +751,10 @@ def conv_relu_mean(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     is (1, out_channels). As in ``_affine``, the convolution is checked
     before the ReLU rectifies it in place, so a -inf the ReLU would hide
     still raises a NumericError naming the op. The rule keeps the padded
-    frames and the ReLU's boolean mask, not the rectified matrix.
+    frames and the ReLU's boolean mask, not the rectified matrix. Both
+    passes sum in place: the forward pass starts from tap 0's product and
+    adds the bias to it, and the rule writes each tap's kernel adjoint
+    straight into its slice of one uninitialized array.
     """
     op = "conv_relu_mean"
     if x.data.ndim != 2 or kernels.data.ndim != 3 or bias.data.ndim != 1:
@@ -762,8 +773,11 @@ def conv_relu_mean(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     k_data, needs = kernels.data, _needs([x, kernels, bias])
     # an overflow is reported as this op's NumericError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        result = np.tile(bias.data, (frames, 1))
-        for tap in range(width):
+        # t_0 + b is b + t_0 bit for bit, so this sums in the order bias,
+        # tap 0, tap 1, ...
+        result = padded[:frames] @ k_data[:, 0, :].T
+        result += bias.data
+        for tap in range(1, width):
             result += padded[tap:tap + frames] @ k_data[:, tap, :].T
         _check_finite(op, result)
         # the mask is formed only for a node that will be recorded
@@ -772,10 +786,10 @@ def conv_relu_mean(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         out = Tensor(result.mean(axis=0, keepdims=True))
 
     def bwd(gs):
-        g = np.tile(gs[0] / frames, (frames, 1)) * mask
-        d_kernels = np.zeros_like(k_data)
+        g = (gs[0] / frames) * mask
+        d_kernels = np.empty_like(k_data)
         for tap in range(width):
-            d_kernels[:, tap, :] = g.T @ padded[tap:tap + frames]
+            np.matmul(g.T, padded[tap:tap + frames], out=d_kernels[:, tap, :])
         dx = None
         if needs[0]:
             d_padded = np.zeros_like(padded)

@@ -11,7 +11,8 @@ shape and bytes, or of every file's bytes, in three groups.
 - ``model``: eval scores, and the loss and every parameter gradient of one
   training-mode pass with dropout on, of every variant in ``model``'s
   table, on two seeded dialogs of 8 utterances x 15 tokens, one at 105 and
-  one at 200 frames, at the paper's dimensions;
+  one at 200 frames, at the paper's dimensions; and per variant its tape,
+  the op names of both training-mode tapes in order, before ``backward``;
 - ``cli``: the artifacts, exit codes and stdout of same-seed ``train``,
   ``eval`` and ``inspect`` runs of every variant on the marker corpus;
 - ``ops``: the output and every adjoint of ``verify.op_scenarios`` at
@@ -92,22 +93,26 @@ def model_group(tiny: bool) -> dict:
     for variant in model._VARIANTS:
         config = model.build_variant(variant, **sizes["dims"])
         params = model.init_parameters(config, np.random.default_rng(0))
+        tapes = []
         for dialog in dialogs:
             where = f"{variant} {dialog.dialog_id}"
             scores = model.forward_dialog(config, params, dialog, table).scores
             for task in config.tasks:
                 entries[f"{where} eval {task}"] = digest(scores[task].data)
-            with Tape():
+            with Tape() as tape:
                 prediction = model.forward_dialog(
                     config, params, dialog, table, training=True,
                     rng=np.random.default_rng(1))
                 loss = dialog_loss(prediction, dialog, config.tasks)
+                tapes.append(" ".join(node.op for node in tape._nodes))
                 backward(loss)
             entries[f"{where} train loss"] = digest(loss.data)
             for name, tensor in params.items():
                 entries[f"{where} grad {name}"] = (
                     "none" if tensor.grad is None else digest(tensor.grad))
                 tensor.grad = None
+        entries[f"{variant} tape"] = hashlib.sha256(
+            "\n".join(tapes).encode()).hexdigest()
     return entries
 
 

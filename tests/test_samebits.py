@@ -1,5 +1,5 @@
-"""``tests/samebits.py`` at tiny sizes: its manifest covers every variant, a
-tree matches itself, and a one-ulp change to one op is caught."""
+"""``tests/samebits.py`` at tiny sizes: its manifest covers every variant and
+its tape, a tree matches itself, and a one-ulp change to one op is caught."""
 
 import shutil
 from pathlib import Path
@@ -23,6 +23,9 @@ def test_manifest_names_every_variant(manifest):
     for group in ("model", "cli"):
         named = {entry.split(" ")[0] for entry in manifest["groups"][group]}
         assert named == set(model._VARIANTS)
+    # the op names of each variant's training-mode tapes
+    for variant in model._VARIANTS:
+        assert f"{variant} tape" in manifest["groups"]["model"]
 
 
 def test_a_tree_against_itself_is_same_bits(manifest, monkeypatch, capsys):

@@ -379,9 +379,11 @@ class TestWindowOps:
 
 class TestSequenceOps:
     def test_affine_rowwise_rows_ignore_the_row_count(self):
-        # the widths the model's heads and LSTM projections use
+        # the widths the model's heads and LSTM projections use: the LSTMs
+        # project each gate on its own, (300, 128) and (128, 128)
         rng = np.random.default_rng(15)
-        for d_in, d_out in ((896, 128), (128, 1), (300, 512)):
+        for d_in, d_out in ((896, 128), (128, 1), (300, 512), (300, 128),
+                            (128, 128)):
             x = rng.uniform(-1, 1, size=(23, d_in))
             w = rng.uniform(-1, 1, size=(d_out, d_in))
             b = rng.uniform(-1, 1, size=d_out)
@@ -407,6 +409,31 @@ class TestSequenceOps:
             c = sig(z[1]) * c + sig(z[0]) * np.tanh(z[2])
             h = sig(z[3]) * np.tanh(c)
             np.testing.assert_allclose(out.data[t], h, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n, d_in", [(1, 7), (5, 128), (8, 300)])
+    def test_lstm_sequence_matches_the_stacked_gates_bit_for_bit(self, n,
+                                                                 d_in):
+        # the forward pass reads each gate where it lies; at the paper's
+        # hidden width every output entry is the same dot product as with
+        # the four gates stacked into one (4h, d_in) and one (4h, h) matrix
+        hd = 128
+        rng = np.random.default_rng(27)
+        w = [rng.uniform(-1, 1, size=(hd, d_in)) for _ in range(4)]
+        u = [rng.uniform(-1, 1, size=(hd, hd)) / 8 for _ in range(4)]
+        b = [rng.uniform(-1, 1, size=hd) for _ in range(4)]
+        x = rng.uniform(-1, 1, size=(n, d_in))
+        out = lstm_sequence(Tensor(x), [Tensor(a) for a in w],
+                            [Tensor(a) for a in u], [Tensor(a) for a in b])
+        u_all, b_all = np.concatenate(u), np.concatenate(b)
+        projected = T._rowwise_product(x, np.concatenate(w))
+        h, c = np.zeros(hd), np.zeros(hd)
+        for t in range(n):
+            z = (projected[t] + u_all @ h) + b_all
+            a = T._stable_sigmoid(z)
+            a[2 * hd:3 * hd] = np.tanh(z[2 * hd:3 * hd])
+            c = a[hd:2 * hd] * c + a[:hd] * a[2 * hd:3 * hd]
+            h = a[3 * hd:] * np.tanh(c)
+            np.testing.assert_array_equal(out.data[t], h)
 
     def test_lstm_sequence_shapes_checked(self):
         gates = [Tensor(np.zeros((3, 4))) for _ in range(4)]
@@ -822,6 +849,48 @@ class TestTapeRetention:
         shapes = [a.shape for a in _closure_arrays(node.backward_fn)]
         assert shapes
         assert [s for s in shapes if s in ((4 * hd, d_in), (4 * hd, hd))] == []
+
+    def test_lstm_forward_makes_no_stacked_gate_copy(self):
+        # eval mode at the text LSTM's widths: the forward pass allocates
+        # less than one (4h, d_in) stack of the input gates would take
+        n, d_in, hd = 8, 300, 128
+        rng = np.random.default_rng(28)
+        x = Tensor(rng.uniform(-1, 1, size=(n, d_in)))
+        w, u, b = ([Tensor(rng.uniform(-1, 1, size=shape) / 8)
+                    for _ in range(4)]
+                   for shape in ((hd, d_in), (hd, hd), (hd,)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = lstm_sequence(x, w, u, b)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, hd)
+        assert peak < 4 * hd * d_in * 8
+
+    def test_conv_relu_mean_rule_sums_in_place(self):
+        # the rule holds its (frames, c_out) adjoint and the kernels'
+        # adjoint, and no tiled copy or per-tap temporary beside them
+        frames, c, width = 200, 128, 3
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.uniform(-1, 1, size=(frames, c)))
+        k = Tensor(rng.uniform(-1, 1, size=(c, width, c)) / 16,
+                   requires_grad=True)
+        bias = Tensor(rng.uniform(-1, 1, size=c), requires_grad=True)
+        with Tape() as tape:
+            conv_relu_mean(x, k, bias)
+        (node,) = tape._nodes
+        g_out = rng.uniform(-1, 1, size=(1, c))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            adjoints = node.backward_fn([g_out])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert adjoints[0] is None
+        assert peak <= (frames * c + c * width * c) * 8 + 32 * 1024
 
     def test_context_attention_keeps_no_array_of_window_slots(self):
         # the rules read (n, d) blocks and the (n + width - 1, d) padded
